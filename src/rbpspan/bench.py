@@ -7,7 +7,7 @@ import random
 import time
 from typing import Sequence
 
-from .circle import fill_tables, solve_circle
+from .circle import fill_tables, split_arcs
 from .exact import solve_exact
 from .generators import gen_random
 from .line import solve_sorted
@@ -66,34 +66,18 @@ def _circle_instance(k: int, extra: int, seed: int) -> Instance:
 
 
 def bench_circle(ks: Sequence[int] = (100, 200), extra: int = 200, reps: int = 5,
-                 seed: int = 0, tables_only: bool = True) -> dict:
-    """Median seconds per purple count; the table fill dominates and scales as k^3."""
+                 seed: int = 0) -> dict:
+    """Median seconds of the table fill per purple count; it scales as k^3."""
     results = {}
     for k in ks:
         instance = _circle_instance(k, extra, seed)
+        purple_ids, arcs = split_arcs(instance, 0.0, 0.0)
+        fill_tables(instance, purple_ids, arcs)  # warmup, excluded from timing
         samples = []
-        if tables_only:
-            order = sorted(range(instance.n),
-                           key=lambda i: math.atan2(instance.points[i].y,
-                                                    instance.points[i].x))
-            ppos = [idx for idx, i in enumerate(order)
-                    if instance.color_of(i) == Color.PURPLE]
-            purple_ids = [order[idx] for idx in ppos]
-            arcs = []
-            for a in range(k):
-                lo, hi = ppos[a], ppos[(a + 1) % k]
-                arcs.append(order[lo + 1:hi] if a + 1 < k
-                            else order[lo + 1:] + order[:hi])
-            fill_tables(instance, purple_ids, arcs)  # warmup, excluded from timing
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                fill_tables(instance, purple_ids, arcs)
-                samples.append(time.perf_counter() - t0)
-        else:
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                solve_circle(instance)
-                samples.append(time.perf_counter() - t0)
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            fill_tables(instance, purple_ids, arcs)
+            samples.append(time.perf_counter() - t0)
         results[k] = _median(samples)
     return results
 

@@ -4,7 +4,9 @@ Four tables indexed by ordered purple pairs hold subproblem optima under the
 four boundary assumptions: endpoints pre-connected in both colors (PC), in red
 only (RC), in blue only (BC), or in neither (NC). Tables are stored span-major:
 T[label][s][i] is the entry for the clockwise span from purple i to purple
-(i + s) mod k.
+(i + s) mod k. The base case of each purple-to-purple arc is the collinear
+solver's segment case split, `line.segment_options`, with chord lengths as
+link lengths; `split_arcs` cuts the angular order into those arcs.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graphops import BLUE_SIDE, RED_SIDE, kruskal_mst, solution_stats
+from .line import segment_options
 from .model import Color, Instance, PreconditionError, Solution, make_edge_set
 
 CONCYCLIC_TOL = 1e-9
@@ -63,6 +66,21 @@ def fit_circle(instance: Instance):
     return (cx, cy, r, residual)
 
 
+def split_arcs(instance: Instance, cx: float, cy: float):
+    """Purple ids in angular order around (cx, cy), and the arc after each one.
+
+    Arc i holds the ids strictly between purple i and purple (i + 1) mod k,
+    in angular order.
+    """
+    pts = instance.points
+    order = sorted(range(instance.n), key=lambda i: math.atan2(pts[i].y - cy, pts[i].x - cx))
+    ppos = [idx for idx, i in enumerate(order) if pts[i].color == Color.PURPLE]
+    arcs = [order[lo + 1:hi] for lo, hi in zip(ppos, ppos[1:])]
+    if ppos:
+        arcs.append(order[ppos[-1] + 1:] + order[:ppos[0]])
+    return [order[idx] for idx in ppos], arcs
+
+
 @dataclass
 class _ArcBase:
     """Base-case values and edges for one purple-to-purple arc."""
@@ -71,46 +89,19 @@ class _ArcBase:
     edges: tuple   # edge pair lists (or None where infeasible), same order
 
 
-def _arc_chain(instance: Instance, seq: Sequence[int], drop_largest: bool):
-    """Consecutive chord chain over seq; returns (cost, pairs)."""
-    if len(seq) < 2:
-        return 0.0, []
-    gaps = [instance.distance(seq[a], seq[a + 1]) for a in range(len(seq) - 1)]
-    skip = gaps.index(max(gaps)) if drop_largest else -1
-    cost = 0.0
-    pairs = []
-    for a, gap in enumerate(gaps):
-        if a == skip:
-            continue
-        u, v = seq[a], seq[a + 1]
-        pairs.append((u, v) if u < v else (v, u))
-        cost += gap
-    return cost, pairs
-
-
 def base_arc_costs(instance: Instance, a: int, b: int, interior: Sequence[int]) -> _ArcBase:
-    """The four boundary-condition optima for one arc, by the line-solver case split.
+    """The four boundary-condition optima for one arc, by `line.segment_options`.
 
     The direct purple edge a-b is never included here; the DP adds it as a
     degenerate Case I step, so an empty arc has NC = +inf.
     """
     reds = [i for i in interior if instance.color_of(i) == Color.RED]
     blues = [i for i in interior if instance.color_of(i) == Color.BLUE]
-    red_drop, red_drop_pairs = _arc_chain(instance, [a] + reds + [b], True) if reds else (0.0, [])
-    blue_drop, blue_drop_pairs = _arc_chain(instance, [a] + blues + [b], True) if blues else (0.0, [])
-    red_full, red_full_pairs = _arc_chain(instance, [a] + reds + [b], False) if reds else (math.inf, None)
-    blue_full, blue_full_pairs = _arc_chain(instance, [a] + blues + [b], False) if blues else (math.inf, None)
-
-    pc = red_drop + blue_drop
-    pc_pairs = red_drop_pairs + blue_drop_pairs
-    rc = red_drop + blue_full
-    rc_pairs = None if blue_full_pairs is None else red_drop_pairs + blue_full_pairs
-    bc = blue_drop + red_full
-    bc_pairs = None if red_full_pairs is None else blue_drop_pairs + red_full_pairs
-    nc = red_full + blue_full
-    nc_pairs = (None if (red_full_pairs is None or blue_full_pairs is None)
-                else red_full_pairs + blue_full_pairs)
-    return _ArcBase((pc, rc, bc, nc), (pc_pairs, rc_pairs, bc_pairs, nc_pairs))
+    options = segment_options(a, b, reds, blues, lambda nodes: [
+        instance.distance(u, v) for u, v in zip(nodes, nodes[1:])])
+    return _ArcBase(tuple(red[0] + blue[0] for red, blue in options),
+                    tuple(None if red[1] is None or blue[1] is None else red[1] + blue[1]
+                          for red, blue in options))
 
 
 @dataclass
@@ -274,22 +265,8 @@ def solve_circle(instance: Instance, tolerance: float = CONCYCLIC_TOL) -> Soluti
             pairs.extend(kruskal_mst(instance, blue_side, BLUE_SIDE).pairs())
         return solution_stats(instance, make_edge_set(instance, pairs), solver="circle")
 
-    order = sorted(range(instance.n),
-                   key=lambda i: math.atan2(instance.points[i].y - cy,
-                                            instance.points[i].x - cx))
-    ppos = [idx for idx, i in enumerate(order) if instance.color_of(i) == Color.PURPLE]
-    k = len(ppos)
-    purple_ids = [order[idx] for idx in ppos]
-    arcs = []
-    for a in range(k):
-        lo = ppos[a]
-        hi = ppos[(a + 1) % k]
-        if a + 1 < k:
-            interior = order[lo + 1:hi]
-        else:
-            interior = order[lo + 1:] + order[:hi]
-        arcs.append(interior)
-
+    purple_ids, arcs = split_arcs(instance, cx, cy)
+    k = len(purple_ids)
     tables = fill_tables(instance, purple_ids, arcs)
     best, s, variant = combine_final(tables)
     if not math.isfinite(best):

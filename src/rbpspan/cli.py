@@ -73,14 +73,19 @@ def _write(path: Optional[str], text: str):
             fh.write(text)
 
 
+def _tol(tolerance: Optional[float], default: float) -> float:
+    """The --tolerance value, or the solver's default when it is not given."""
+    return default if tolerance is None else tolerance
+
+
 def _pick_auto(instance: Instance, tolerance: Optional[float]) -> str:
-    if collinearity_residual(instance) <= (tolerance or COLLINEAR_TOL):
+    if collinearity_residual(instance) <= _tol(tolerance, COLLINEAR_TOL):
         return "line"
     try:
         _, _, _, residual = fit_circle(instance)
     except PreconditionError:
         residual = math.inf
-    if residual <= (tolerance or CONCYCLIC_TOL):
+    if residual <= _tol(tolerance, CONCYCLIC_TOL):
         return "circle"
     if instance.n <= AUTO_EXACT_MAX_N:
         return "exact"
@@ -93,9 +98,9 @@ def _run_algo(instance: Instance, algo: str, tolerance: Optional[float]) -> Solu
     if algo == "exact":
         return solve_exact(instance)
     if algo == "line":
-        return solve_line(instance, tolerance or COLLINEAR_TOL)
+        return solve_line(instance, _tol(tolerance, COLLINEAR_TOL))
     if algo == "circle":
-        return solve_circle(instance, tolerance or CONCYCLIC_TOL)
+        return solve_circle(instance, _tol(tolerance, CONCYCLIC_TOL))
     if algo == "approx-union":
         return approx_union(instance)
     if algo == "approx-a":

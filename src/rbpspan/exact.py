@@ -23,7 +23,10 @@ class ExchangeSequence:
 
     edge_indices: tuple[int, ...]
     cost: float
-    hops: int
+
+    @property
+    def hops(self) -> int:
+        return len(self.edge_indices)
 
 
 @dataclass(frozen=True)
@@ -241,7 +244,7 @@ def find_min_exchange_sequence(instance: Instance, edges: Sequence[Edge],
     assert path[0] == graph.source
     seq = tuple(path[1:-1])
     assert len(seq) % 2 == 1
-    return ExchangeSequence(seq, float(best), len(seq))
+    return ExchangeSequence(seq, float(best))
 
 
 def solve_exact(instance: Instance, return_trace: bool = False):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Optional, Sequence
 
 from .model import (
@@ -28,12 +27,17 @@ class InfeasibleGraphError(PreconditionError):
 class DisjointSets:
     """Union-find with path compression and union by rank."""
 
-    __slots__ = ("parent", "rank", "count")
+    __slots__ = ("parent", "rank")
 
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.rank = [0] * n
-        self.count = n  # number of singleton merges still possible + 1 per component
+
+    def copy(self) -> "DisjointSets":
+        other = DisjointSets(0)
+        other.parent = list(self.parent)
+        other.rank = list(self.rank)
+        return other
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -53,7 +57,6 @@ class DisjointSets:
         self.parent[ry] = rx
         if self.rank[rx] == self.rank[ry]:
             self.rank[rx] += 1
-        self.count -= 1
         return True
 
     def connected_over(self, vertices: Sequence[int]) -> bool:
@@ -63,17 +66,13 @@ class DisjointSets:
         return all(self.find(v) == r0 for v in vertices[1:])
 
 
-def side_vertices(instance: Instance, classes: Sequence[Color]) -> tuple[int, ...]:
-    return tuple(p.id for p in instance.points if p.color in classes)
-
-
 def sorted_side_pairs(instance: Instance, classes: Sequence[Color],
-                      vertices: Optional[Sequence[int]] = None) -> list[tuple[float, int, int]]:
-    """All admitted (length, u, v) pairs within a vertex set, in tie-break order.
+                      vertices: Sequence[int]) -> list[tuple[float, int, int]]:
+    """All admitted (length, u, v) pairs within `vertices`, in tie-break order.
 
     Admitted means the edge's color class lies in `classes`.
     """
-    verts = list(vertices) if vertices is not None else list(side_vertices(instance, classes))
+    verts = list(vertices)
     cls = set(classes)
     pts = instance.points
     out = []
@@ -90,29 +89,29 @@ def sorted_side_pairs(instance: Instance, classes: Sequence[Color],
     return out
 
 
-def mst_weight_with_premerge(sorted_pairs: Sequence[tuple[float, int, int]],
-                             n: int,
-                             vertices: Sequence[int],
-                             premerge_groups: Iterable[Sequence[int]] = ()) -> Optional[float]:
-    """Kruskal over pre-sorted pairs with zero-cost pre-merged groups; None if infeasible.
+def kruskal(n: int, sorted_pairs: Sequence[tuple[float, int, int]], vertices: Sequence[int],
+            premerged: Iterable[Sequence[int]] = ()
+            ) -> Optional[tuple[float, list[tuple[int, int]]]]:
+    """Kruskal's union loop over pre-sorted (length, u, v) pairs.
 
-    Weight-only fast path shared by the oracles and the approximation solver.
+    Each group of `premerged` is joined first at zero cost; a forced pair
+    (u, v) is a group of two. Returns the total length and the (u, v) pairs
+    taken, or None if the result does not connect `vertices`.
     """
     ds = DisjointSets(n)
-    for group in premerge_groups:
-        it = iter(group)
-        first = next(it, None)
-        if first is None:
-            continue
-        for other in it:
-            ds.union(first, other)
+    union = ds.union
+    for group in premerged:
+        for other in group[1:]:
+            union(group[0], other)
     total = 0.0
+    chosen = []
     for length, u, v in sorted_pairs:
-        if ds.union(u, v):
+        if union(u, v):
             total += length
-    if not ds.connected_over(list(vertices)):
+            chosen.append((u, v))
+    if not ds.connected_over(vertices):
         return None
-    return total
+    return total, chosen
 
 
 def kruskal_mst(instance: Instance, vertices: Sequence[int],
@@ -131,22 +130,17 @@ def constrained_mst(instance: Instance, vertices: Sequence[int],
     Returned edges exclude the forced pairs themselves.
     """
     vset = set(vertices)
+    verts = sorted(vset)
     for u, v in forced_merges:
         if u not in vset or v not in vset:
             raise PreconditionError(f"forced merge ({u}, {v}) outside vertex set")
-    ds = DisjointSets(instance.n)
-    for u, v in forced_merges:
-        ds.union(u, v)
-    chosen = []
-    total = 0.0
-    for length, u, v in sorted_side_pairs(instance, classes, sorted(vset)):
-        if ds.union(u, v):
-            chosen.append(edge_between(instance, u, v))
-            total += length
-    if not ds.connected_over(sorted(vset)):
+    result = kruskal(instance.n, sorted_side_pairs(instance, classes, verts), verts,
+                     forced_merges)
+    if result is None:
         raise InfeasibleGraphError("admitted edges do not connect the vertex set")
-    chosen.sort(key=lambda e: e.sort_key)
-    return EdgeSet(instance, tuple(chosen), total)
+    total, chosen = result
+    # Kruskal takes pairs in (length, u, v) order, which is Edge.sort_key.
+    return EdgeSet(instance, tuple(edge_between(instance, u, v) for u, v in chosen), total)
 
 
 def is_rbp_spanning(instance: Instance, edges: Iterable[Edge]) -> bool:
@@ -186,7 +180,6 @@ def solution_stats(instance: Instance, edge_set: EdgeSet, solver: str = "") -> S
                 per_edge[e2.pair] += 1
     return Solution(
         edge_set=edge_set,
-        weight=edge_set.weight,
         red_edges=counts[Color.RED],
         blue_edges=counts[Color.BLUE],
         purple_edges=counts[Color.PURPLE],

@@ -207,7 +207,6 @@ class Solution:
     """An edge set together with its statistics and solver provenance."""
 
     edge_set: EdgeSet
-    weight: float
     red_edges: int
     blue_edges: int
     purple_edges: int
@@ -215,6 +214,10 @@ class Solution:
     purple_crossings: int
     solver: str
     purple_crossings_per_edge: dict = None
+
+    @property
+    def weight(self) -> float:
+        return self.edge_set.weight
 
     @property
     def instance(self) -> Instance:

@@ -14,9 +14,8 @@ from .graphops import (
     BLUE_SIDE,
     RED_SIDE,
     DisjointSets,
-    constrained_mst,
+    kruskal,
     kruskal_mst,
-    mst_weight_with_premerge,
     solution_stats,
     sorted_side_pairs,
 )
@@ -77,6 +76,7 @@ def oracle_forest(instance: Instance, max_purple: int = FOREST_MAX_PURPLE) -> So
 
     best = math.inf
     best_partition: Optional[list[list[int]]] = None
+    best_pairs: list[tuple[int, int]] = []
     for partition in _set_partitions(list(instance.P)):
         total = 0.0
         for block in partition:
@@ -84,32 +84,26 @@ def oracle_forest(instance: Instance, max_purple: int = FOREST_MAX_PURPLE) -> So
                 total += block_weight(block)
         if total >= best:
             continue
-        wr = mst_weight_with_premerge(red_pairs, n, red_vertices, partition)
-        if wr is None:
+        red = kruskal(n, red_pairs, red_vertices, partition)
+        if red is None:
             continue
-        total += wr
+        total += red[0]
         if total >= best:
             continue
-        wb = mst_weight_with_premerge(blue_pairs, n, blue_vertices, partition)
-        if wb is None:
+        blue = kruskal(n, blue_pairs, blue_vertices, partition)
+        if blue is None:
             continue
-        total += wb
+        total += blue[0]
         if total < best:
             best = total
             best_partition = [list(b) for b in partition]
+            best_pairs = red[1] + blue[1]
 
     assert best_partition is not None
-    pairs: list[tuple[int, int]] = []
-    forced: list[tuple[int, int]] = []
+    pairs = best_pairs
     for block in best_partition:
         if len(block) > 1:
-            tree = kruskal_mst(instance, sorted(block), (Color.PURPLE,))
-            pairs.extend(tree.pairs())
-            forced.extend(tree.pairs())
-    if len(red_vertices) >= 2:
-        pairs.extend(constrained_mst(instance, red_vertices, forced, (Color.RED,)).pairs())
-    if len(blue_vertices) >= 2:
-        pairs.extend(constrained_mst(instance, blue_vertices, forced, (Color.BLUE,)).pairs())
+            pairs.extend(kruskal_mst(instance, sorted(block), (Color.PURPLE,)).pairs())
     edge_set = make_edge_set(instance, pairs)
     if not math.isclose(edge_set.weight, best, rel_tol=1e-9, abs_tol=1e-9):
         raise AssertionError("oracle_forest reconstruction disagrees with the minimum")
@@ -140,12 +134,7 @@ def oracle_subsets(instance: Instance, max_edges: int = SUBSET_MAX_EDGES) -> Sol
     best_choice: Optional[list[int]] = None
 
     def completable(idx: int, red_ds: DisjointSets, blue_ds: DisjointSets) -> bool:
-        rd = DisjointSets(n)
-        rd.parent = list(red_ds.parent)
-        rd.rank = list(red_ds.rank)
-        bd = DisjointSets(n)
-        bd.parent = list(blue_ds.parent)
-        bd.rank = list(blue_ds.rank)
+        rd, bd = red_ds.copy(), blue_ds.copy()
         for e in edges[idx:]:
             if e.color_class in RED_SIDE:
                 rd.union(e.u, e.v)
@@ -166,12 +155,7 @@ def oracle_subsets(instance: Instance, max_edges: int = SUBSET_MAX_EDGES) -> Sol
         if not completable(idx, red_ds, blue_ds):
             return
         e = edges[idx]
-        rd = DisjointSets(n)
-        rd.parent = list(red_ds.parent)
-        rd.rank = list(red_ds.rank)
-        bd = DisjointSets(n)
-        bd.parent = list(blue_ds.parent)
-        bd.rank = list(blue_ds.rank)
+        rd, bd = red_ds.copy(), blue_ds.copy()
         if e.color_class in RED_SIDE:
             rd.union(e.u, e.v)
         if e.color_class in BLUE_SIDE:

@@ -6,8 +6,7 @@ from typing import Optional
 
 from .model import Color, EdgeSet, Instance, Solution
 
-_FILL = {Color.RED: "#cc2222", Color.BLUE: "#2244cc", Color.PURPLE: "#882288"}
-_STROKE = {Color.RED: "#cc2222", Color.BLUE: "#2244cc", Color.PURPLE: "#882288"}
+_COLOR = {Color.RED: "#cc2222", Color.BLUE: "#2244cc", Color.PURPLE: "#882288"}
 
 _MARGIN_FRAC = 0.05
 
@@ -45,12 +44,12 @@ def render_svg(instance: Instance, edge_set: Optional[EdgeSet] = None,
             lines.append(
                 '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" stroke="%s" '
                 'stroke-width="%.3f"/>'
-                % (sx(a.x), sy(a.y), sx(b.x), sy(b.y), _STROKE[e.color_class], width)
+                % (sx(a.x), sy(a.y), sx(b.x), sy(b.y), _COLOR[e.color_class], width)
             )
     for p in instance.points:
         lines.append(
             '<circle cx="%.3f" cy="%.3f" r="%.3f" fill="%s"/>'
-            % (sx(p.x), sy(p.y), point_radius, _FILL[p.color])
+            % (sx(p.x), sy(p.y), point_radius, _COLOR[p.color])
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

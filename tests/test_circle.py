@@ -16,8 +16,9 @@ from rbpspan.circle import (
     fill_tables,
     fit_circle,
     solve_circle,
+    split_arcs,
 )
-from rbpspan.model import Color, parse_instance
+from rbpspan.model import parse_instance
 from rbpspan.oracle import oracle_forest
 from util import seeded_instances
 
@@ -34,17 +35,7 @@ def _circle_text(spec):
 def _tables(inst):
     """Angular ordering and table fill, as performed inside solve_circle."""
     cx, cy, _, _ = fit_circle(inst)
-    order = sorted(range(inst.n),
-                   key=lambda i: math.atan2(inst.points[i].y - cy,
-                                            inst.points[i].x - cx))
-    ppos = [idx for idx, i in enumerate(order) if inst.color_of(i) == Color.PURPLE]
-    k = len(ppos)
-    purple_ids = [order[idx] for idx in ppos]
-    arcs = []
-    for a in range(k):
-        lo, hi = ppos[a], ppos[(a + 1) % k]
-        arcs.append(order[lo + 1:hi] if a + 1 < k else order[lo + 1:] + order[:hi])
-    return fill_tables(inst, purple_ids, arcs)
+    return fill_tables(inst, *split_arcs(inst, cx, cy))
 
 
 class TestSolveCircle:
@@ -170,3 +161,12 @@ def test_fit_circle_residual():
     cx, cy, r, residual = fit_circle(inst)
     assert abs(cx) < 1e-9 and abs(cy) < 1e-9
     assert r == pytest.approx(1.0) and residual <= 1e-9
+
+
+def test_split_arcs_angular_order_and_wrap():
+    # [DERIVED: atan2 order is ids 3, 4, 0, 1, 2; the last arc wraps past -pi]
+    inst = parse_instance(_circle_text([("R", 10), ("P", 60), ("B", 100),
+                                        ("P", 200), ("R", 300)]))
+    purple_ids, arcs = split_arcs(inst, 0.0, 0.0)
+    assert purple_ids == [3, 1]
+    assert arcs == [[4, 0], [2]]

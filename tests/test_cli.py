@@ -40,6 +40,15 @@ class TestSolve:
         assert main(["solve", e1_file, "--algo", "auto"]) == EXIT_OK
         assert "solver line" in capsys.readouterr().out
 
+    def test_zero_tolerance_is_not_the_default(self, tmp_path, capsys):
+        # [DERIVED: residual 1e-13 passes the 1e-9 default but not 0]
+        path = tmp_path / "near_line.txt"
+        path.write_text("P 0 0\nP 10 0\nR 4 1e-12\nB 6 0\n")
+        assert main(["solve", str(path), "--algo", "line"]) == EXIT_OK
+        assert main(["solve", str(path), "--algo", "line",
+                     "--tolerance", "0"]) == EXIT_PRECONDITION
+        assert "not collinear" in capsys.readouterr().err
+
     def test_unknown_algo_exits_1(self, e1_file):
         with pytest.raises(SystemExit) as exc:
             main(["solve", e1_file, "--algo", "bogus"])

@@ -10,8 +10,8 @@ from rbpspan.graphops import (
     InfeasibleGraphError,
     constrained_mst,
     is_rbp_spanning,
+    kruskal,
     kruskal_mst,
-    mst_weight_with_premerge,
     solution_stats,
     sorted_side_pairs,
     stats_block,
@@ -92,14 +92,24 @@ class TestConstrainedMst:
             constrained_mst(inst, (0, 1), (), (Color.RED,))
 
 
-def test_mst_weight_with_premerge_matches_constrained():
+def test_kruskal_loop_matches_kruskal_mst():
     inst = e1()
     verts = inst.red_side()
     pairs = sorted_side_pairs(inst, (Color.RED, Color.PURPLE), verts)
-    w = mst_weight_with_premerge(pairs, inst.n, verts)
+    w, chosen = kruskal(inst.n, pairs, verts)
     assert w == pytest.approx(kruskal_mst(inst, verts).weight)
+    assert sorted(chosen) == kruskal_mst(inst, verts).pairs()
     # Infeasible: no admitted pairs at all.
-    assert mst_weight_with_premerge([], inst.n, verts) is None
+    assert kruskal(inst.n, [], verts) is None
+
+
+def test_kruskal_premerged_groups_match_forced_pairs():
+    # A group of three joins the same components as two forced pairs.
+    inst = line_instance([("P", 0), ("P", 4), ("P", 10), ("P", 11)])
+    pairs = sorted_side_pairs(inst, (Color.PURPLE,), range(4))
+    w, chosen = kruskal(inst.n, pairs, range(4), [[0, 2, 3]])
+    tree = constrained_mst(inst, range(4), [(0, 2), (2, 3)])
+    assert chosen == tree.pairs() == [(0, 1)] and w == tree.weight == 4.0
 
 
 class TestRbpSpanning:
@@ -146,6 +156,15 @@ class TestStats:
         assert keys == ["weight", "red_edges", "blue_edges", "purple_edges",
                         "max_degree", "purple_crossings", "solver"]
         assert "solver line" in block
+
+
+def test_disjoint_sets_copy_is_independent():
+    ds = DisjointSets(3)
+    ds.union(0, 1)
+    other = ds.copy()
+    other.union(1, 2)
+    assert other.connected_over([0, 1, 2])
+    assert ds.connected_over([0, 1]) and not ds.connected_over([0, 2])
 
 
 def test_disjoint_sets_basics():

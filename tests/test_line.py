@@ -69,10 +69,16 @@ class TestSolveLine:
 
 class TestSegmentBest:
     def _seg(self, spec):
+        """segment_best on the segment between the first and last purple point."""
         inst = line_instance(spec)
-        ids, ts, colors = prepare_sorted(inst)
+        ids, t, colors = prepare_sorted(inst)
         ppos = [i for i, c in enumerate(colors) if c == 2]
-        return segment_best(ids, ts, colors, ppos[0], ppos[-1])
+        pi, pj = ppos[0], ppos[-1]
+        a, b = ids[pi], ids[pj]
+        reds = [ids[i] for i in range(pi + 1, pj) if colors[i] == 0]
+        blues = [ids[i] for i in range(pi + 1, pj) if colors[i] == 1]
+        return segment_best(t[b] - t[a], a, b, reds, blues,
+                            lambda seq: [t[v] - t[u] for u, v in zip(seq, seq[1:])])
 
     def test_both_colors_case_b_wins(self):
         # [DERIVED: A=20 vs B=10+4+4=18]
