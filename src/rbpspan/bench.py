@@ -31,20 +31,28 @@ def _line_arrays(n: int, seed: int):
     return ids, ts, colors
 
 
+def _alternated_medians(run, inputs: dict, reps: int) -> dict:
+    """Median seconds of `run(inputs[key])` per key.
+
+    Each input is run once untimed to warm up; the timed reps then alternate
+    across the keys, so every size sees the same phases of a shared host's speed.
+    """
+    for arg in inputs.values():
+        run(arg)
+    samples = {key: [] for key in inputs}
+    for _ in range(reps):
+        for key, arg in inputs.items():
+            t0 = time.perf_counter()
+            run(arg)
+            samples[key].append(time.perf_counter() - t0)
+    return {key: _median(s) for key, s in samples.items()}
+
+
 def bench_line(sizes: Sequence[int] = (100_000, 1_000_000), reps: int = 5,
                seed: int = 0) -> dict:
     """Median seconds of the core linear pass per input size."""
-    results = {}
-    for n in sizes:
-        ids, ts, colors = _line_arrays(n, seed)
-        samples = []
-        solve_sorted(ids, ts, colors)  # warmup, excluded from timing
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            solve_sorted(ids, ts, colors)
-            samples.append(time.perf_counter() - t0)
-        results[n] = _median(samples)
-    return results
+    return _alternated_medians(lambda args: solve_sorted(*args),
+                               {n: _line_arrays(n, seed) for n in sizes}, reps)
 
 
 def _circle_instance(k: int, extra: int, seed: int) -> Instance:
@@ -68,18 +76,11 @@ def _circle_instance(k: int, extra: int, seed: int) -> Instance:
 def bench_circle(ks: Sequence[int] = (100, 200), extra: int = 200, reps: int = 5,
                  seed: int = 0) -> dict:
     """Median seconds of the table fill per purple count; it scales as k^3."""
-    results = {}
+    inputs = {}
     for k in ks:
         instance = _circle_instance(k, extra, seed)
-        purple_ids, arcs = split_arcs(instance, 0.0, 0.0)
-        fill_tables(instance, purple_ids, arcs)  # warmup, excluded from timing
-        samples = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            fill_tables(instance, purple_ids, arcs)
-            samples.append(time.perf_counter() - t0)
-        results[k] = _median(samples)
-    return results
+        inputs[k] = (instance, *split_arcs(instance, 0.0, 0.0))
+    return _alternated_medians(lambda args: fill_tables(*args), inputs, reps)
 
 
 def bench_exact(ns: Sequence[int] = (8, 10, 12, 14), reps: int = 1, seed: int = 0) -> dict:

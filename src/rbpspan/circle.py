@@ -19,7 +19,7 @@ import numpy as np
 
 from .graphops import BLUE_SIDE, RED_SIDE, kruskal_mst, solution_stats
 from .line import segment_options
-from .model import Color, Instance, PreconditionError, Solution, make_edge_set
+from .model import Color, Instance, PreconditionError, Solution, hypot_slack, make_edge_set
 
 CONCYCLIC_TOL = 1e-9
 
@@ -44,13 +44,7 @@ def fit_circle(instance: Instance):
     n = len(pts)
     if n <= 2:
         return (0.0, 0.0, 1.0, 0.0)
-    best = (-1.0, 0, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = instance.distance(i, j)
-            if d > best[0]:
-                best = (d, i, j)
-    _, ia, ib = best
+    _, ia, ib = _farthest_pair(instance)
     a, b = pts[ia], pts[ib]
     ic = max((i for i in range(n) if i not in (ia, ib)),
              key=lambda i: instance.distance(i, ia) + instance.distance(i, ib))
@@ -64,6 +58,35 @@ def fit_circle(instance: Instance):
     r = math.hypot(a.x - cx, a.y - cy)
     residual = max(abs(math.hypot(p.x - cx, p.y - cy) - r) for p in pts) / r
     return (cx, cy, r, residual)
+
+
+def _farthest_pair(instance: Instance) -> tuple[float, int, int]:
+    """The first (i, j), i < j, in row-major order at the largest `instance.distance`.
+
+    np.hypot lengths find the candidates: every pair within `hypot_slack` of
+    the numpy maximum. Each np.hypot length lies within one ulp of the true
+    length, so every pair at the largest exact distance is a candidate.
+    Candidates are compared by `instance.distance` in (i, j) order under a
+    strict >, as a double loop over all pairs would. Row maxima come first and
+    only rows that reach the cut are recomputed, so extra memory stays O(n).
+    """
+    pts = instance.points
+    xs = np.array([p.x for p in pts], dtype=float)
+    ys = np.array([p.y for p in pts], dtype=float)
+
+    def row(i: int) -> np.ndarray:
+        return np.hypot(xs[i] - xs[i + 1:], ys[i] - ys[i + 1:])
+
+    row_max = np.array([row(i).max() for i in range(len(pts) - 1)])
+    top = row_max.max()
+    cut = top - hypot_slack(top)
+    best = (-1.0, 0, 1)
+    for i in np.flatnonzero(row_max >= cut).tolist():
+        for j in (np.flatnonzero(row(i) >= cut) + i + 1).tolist():
+            d = instance.distance(i, j)
+            if d > best[0]:
+                best = (d, i, j)
+    return best
 
 
 def split_arcs(instance: Instance, cx: float, cy: float):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .model import (
     Color,
@@ -14,6 +17,7 @@ from .model import (
     edge_between,
     edge_color,
     edges_properly_cross,
+    hypot_slack,
 )
 
 RED_SIDE = (Color.RED, Color.PURPLE)
@@ -66,50 +70,131 @@ class DisjointSets:
         return all(self.find(v) == r0 for v in vertices[1:])
 
 
+# Edge color class by the two point colors; 3 marks the invalid red-blue pair.
+_CLASS_OF = np.array([[3 if edge_color(a, b) is None else int(edge_color(a, b)) for b in Color]
+                      for a in Color], dtype=np.int8)
+_FIRST_BLOCK = 1024
+
+
+class SortedPairs:
+    """(length, u, v) pairs in tie-break order, held as numpy arrays and made into tuples lazily.
+
+    `length`, `u` and `v` are sorted by np.hypot length, ties in any order.
+    Iterating yields (instance.distance(u, v), u, v) tuples in (length, u, v)
+    order, the order of sorting them all. Tuples are made one block at a
+    time, each block as large as what is already made, and are kept: a
+    second iteration (or a second Kruskal run) reads the kept prefix first,
+    and Python work stays proportional to the longest prefix any reader takes.
+
+    A block ends only where the next numpy length exceeds the one before it
+    by more than `hypot_slack` of it, and each block is sorted by the exact
+    key. That blocked order is the full order: np.hypot and math.hypot each
+    lie within one ulp of the true length, so if p ends a block and q lies in
+    a later block, np(q) > np(p) + hypot_slack(np(p)) leaves room for both
+    errors and distance(q) > distance(p). Every pair of a block precedes every
+    pair of later blocks under the exact key, so sorting within blocks is
+    enough, and the numpy sort need not be stable.
+    """
+
+    __slots__ = ("_instance", "_length", "_u", "_v", "_made")
+
+    def __init__(self, instance: Instance, length: np.ndarray, u: np.ndarray, v: np.ndarray):
+        self._instance = instance
+        self._length = length
+        self._u = u
+        self._v = v
+        self._made: list[tuple[float, int, int]] = []
+
+    def __len__(self) -> int:
+        return len(self._length)
+
+    def __iter__(self) -> Iterator[tuple[float, int, int]]:
+        made = self._made
+        i = 0
+        while i < len(made) or self._extend():
+            j = len(made)
+            yield from islice(made, i, j)
+            i = j
+
+    def _extend(self) -> bool:
+        """Make the next block of tuples; False when all are made."""
+        start = len(self._made)
+        if start == len(self._length):
+            return False
+        end = self._block_end(min(len(self._length), start + max(start, _FIRST_BLOCK)))
+        dist = self._instance.distance
+        block = [(dist(u, v), u, v) for u, v in zip(self._u[start:end].tolist(),
+                                                    self._v[start:end].tolist())]
+        block.sort()
+        self._made.extend(block)
+        return True
+
+    def _block_end(self, end: int) -> int:
+        """The first index from `end` on whose length is not a near-tie of the one before."""
+        length = self._length
+        while end < len(length):
+            window = length[end - 1:end + _FIRST_BLOCK]
+            tied = np.diff(window) <= hypot_slack(window[:-1])
+            k = int(tied.argmin())
+            if not tied[k]:
+                return end + k
+            end += len(tied)
+        return len(length)
+
+
 def sorted_side_pairs(instance: Instance, classes: Sequence[Color],
-                      vertices: Sequence[int]) -> list[tuple[float, int, int]]:
-    """All admitted (length, u, v) pairs within `vertices`, in tie-break order.
+                      vertices: Sequence[int]) -> SortedPairs:
+    """All admitted (length, u, v) pairs within the distinct ids `vertices`, in tie-break order.
 
     Admitted means the edge's color class lies in `classes`.
     """
-    verts = list(vertices)
-    cls = set(classes)
-    pts = instance.points
-    out = []
-    for a in range(len(verts)):
-        u = verts[a]
-        cu = pts[u].color
-        for b in range(a + 1, len(verts)):
-            v = verts[b]
-            ec = edge_color(cu, pts[v].color)
-            if ec in cls:
-                uu, vv = (u, v) if u < v else (v, u)
-                out.append((instance.distance(uu, vv), uu, vv))
-    out.sort()
-    return out
+    ids = np.array(sorted(vertices), dtype=np.int64)
+    pts = [instance.points[i] for i in ids.tolist()]
+    color = np.array([p.color for p in pts], dtype=np.int8)
+    xs = np.array([p.x for p in pts], dtype=float)
+    ys = np.array([p.y for p in pts], dtype=float)
+    admitted = np.zeros(4, dtype=bool)
+    admitted[[int(c) for c in classes]] = True
+    iu, iv = np.nonzero(np.triu(admitted[_CLASS_OF[color[:, None], color[None, :]]], 1))
+    dx = xs[iu]
+    dx -= xs[iv]
+    dy = ys[iu]
+    dy -= ys[iv]
+    length = np.hypot(dx, dy, out=dx)
+    del dy
+    order = np.argsort(length)
+    return SortedPairs(instance, length[order], ids[iu[order]], ids[iv[order]])
 
 
-def kruskal(n: int, sorted_pairs: Sequence[tuple[float, int, int]], vertices: Sequence[int],
+def kruskal(n: int, sorted_pairs: Iterable[tuple[float, int, int]], vertices: Sequence[int],
             premerged: Iterable[Sequence[int]] = ()
             ) -> Optional[tuple[float, list[tuple[int, int]]]]:
-    """Kruskal's union loop over pre-sorted (length, u, v) pairs.
+    """Kruskal's union loop over pre-sorted (length, u, v) pairs joining ids of `vertices`.
 
     Each group of `premerged` is joined first at zero cost; a forced pair
-    (u, v) is a group of two. Returns the total length and the (u, v) pairs
-    taken, or None if the result does not connect `vertices`.
+    (u, v) is a group of two, and groups may reach outside `vertices`.
+    Returns the total length and the (u, v) pairs taken, or None if the
+    result does not connect `vertices`. Reading stops once `vertices` are
+    connected: every later pair would close a cycle.
     """
     ds = DisjointSets(n)
     union = ds.union
     for group in premerged:
         for other in group[1:]:
             union(group[0], other)
+    # Each taken pair joins two components that hold ids of `vertices`.
+    left = max(len({ds.find(v) for v in vertices}) - 1, 0)
     total = 0.0
     chosen = []
-    for length, u, v in sorted_pairs:
-        if union(u, v):
-            total += length
-            chosen.append((u, v))
-    if not ds.connected_over(vertices):
+    if left:
+        for length, u, v in sorted_pairs:
+            if union(u, v):
+                total += length
+                chosen.append((u, v))
+                left -= 1
+                if not left:
+                    break
+    if left:
         return None
     return total, chosen
 

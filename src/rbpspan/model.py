@@ -11,6 +11,16 @@ from typing import Iterable, Optional, Sequence
 REL_TOL = 1e-9          # default relative tolerance for weight comparisons
 DIST_TIE_TOL = 1e-12    # tolerance for the equal-distance (general position) check
 CROSS_TOL = 1e-12       # relative threshold below which orientation falls back to exact
+# np.hypot and math.hypot (Instance.distance) each lie within one ulp of the
+# true length, so they differ by at most two ulps: half of hypot_slack(length),
+# four ulps of the length plus four of the smallest subnormal.
+HYPOT_SLACK = 4 * 2.0 ** -52
+HYPOT_SLACK_FLOOR = 4 * math.ulp(0.0)
+
+
+def hypot_slack(length):
+    """Twice the most np.hypot and math.hypot can differ at `length`; works on arrays."""
+    return length * HYPOT_SLACK + HYPOT_SLACK_FLOOR
 
 
 class PreconditionError(ValueError):

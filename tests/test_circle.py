@@ -1,6 +1,7 @@
 """Cubic dynamic program for concyclic instances."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rbpspan.circle import (
     N_,
     NotConcyclicError,
     P_,
+    _farthest_pair,
     R_,
     base_arc_costs,
     combine_final,
@@ -18,7 +20,7 @@ from rbpspan.circle import (
     solve_circle,
     split_arcs,
 )
-from rbpspan.model import parse_instance
+from rbpspan.model import Color, Instance, Point, parse_instance
 from rbpspan.oracle import oracle_forest
 from util import seeded_instances
 
@@ -170,3 +172,41 @@ def test_split_arcs_angular_order_and_wrap():
     purple_ids, arcs = split_arcs(inst, 0.0, 0.0)
     assert purple_ids == [3, 1]
     assert arcs == [[4, 0], [2]]
+
+
+def _reference_farthest_pair(instance):
+    """The double loop fit_circle used before its numpy candidate search."""
+    best = (-1.0, 0, 1)
+    for i in range(instance.n):
+        for j in range(i + 1, instance.n):
+            d = instance.distance(i, j)
+            if d > best[0]:
+                best = (d, i, j)
+    return best
+
+
+def _purple(coords):
+    return Instance(Point(i, Color.PURPLE, x, y) for i, (x, y) in enumerate(coords))
+
+
+def test_farthest_pair_matches_double_loop():
+    rng = random.Random(21)
+    cases = [
+        _purple([(rng.random(), rng.random()) for _ in range(150)]),
+        _purple([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]),  # diagonals tie exactly
+        _purple([(float(x), float(y)) for x in range(12) for y in range(9)]),
+        _purple([(3.0 * x, 3.0 * y) for x, y in rng.sample(
+            [(x, y) for x in range(40) for y in range(40)], 120)]),
+    ]
+    cases += [inst for inst in seeded_instances(6, n_min=20, n_max=80, mode="circle",
+                                                base_seed=33)]
+    for scale in (1e150, 1e-300):
+        cases.append(_purple([(math.cos(a) * scale, math.sin(a) * scale)
+                              for a in (rng.random() * 2 * math.pi for _ in range(60))]))
+    # Both pairs are math.hypot(17, 27) long, but np.hypot puts the later pair above.
+    m = math.hypot(17.0, 27.0)
+    cases.append(_purple([(0.0, 0.0), (m, 0.0), (8.0, -13.5), (25.0, 13.5)]))
+    for inst in cases:
+        assert _farthest_pair(inst) == _reference_farthest_pair(inst)
+    assert _farthest_pair(cases[1])[1:] == (0, 3)
+    assert _farthest_pair(cases[-1])[1:] == (0, 1)

@@ -2,10 +2,15 @@
 
 import math
 import random
+from itertools import islice
 
+import numpy as np
 import pytest
 
+from rbpspan import graphops
 from rbpspan.graphops import (
+    BLUE_SIDE,
+    RED_SIDE,
     DisjointSets,
     InfeasibleGraphError,
     constrained_mst,
@@ -16,7 +21,7 @@ from rbpspan.graphops import (
     sorted_side_pairs,
     stats_block,
 )
-from rbpspan.model import Color, make_edge_set, parse_instance
+from rbpspan.model import Color, Instance, Point, edge_color, make_edge_set, parse_instance
 from util import e1, line_instance
 
 
@@ -174,3 +179,195 @@ def test_disjoint_sets_basics():
     ds.union(2, 3)
     ds.union(0, 3)
     assert ds.connected_over([0, 1, 2, 3])
+
+
+def _reference_side_pairs(instance, classes, vertices):
+    """The pure-Python sorted_side_pairs that the numpy one replaced, kept as the reference."""
+    verts = list(vertices)
+    cls = set(classes)
+    pts = instance.points
+    out = []
+    for a in range(len(verts)):
+        u = verts[a]
+        cu = pts[u].color
+        for b in range(a + 1, len(verts)):
+            v = verts[b]
+            ec = edge_color(cu, pts[v].color)
+            if ec in cls:
+                uu, vv = (u, v) if u < v else (v, u)
+                out.append((instance.distance(uu, vv), uu, vv))
+    out.sort()
+    return out
+
+
+def _reference_kruskal(n, sorted_pairs, vertices, premerged=()):
+    """Kruskal reading every pair, as before the early exit."""
+    ds = DisjointSets(n)
+    for group in premerged:
+        for other in group[1:]:
+            ds.union(group[0], other)
+    total = 0.0
+    chosen = []
+    for length, u, v in sorted_pairs:
+        if ds.union(u, v):
+            total += length
+            chosen.append((u, v))
+    if not ds.connected_over(vertices):
+        return None
+    return total, chosen
+
+
+ALL_CLASSES = (Color.RED, Color.BLUE, Color.PURPLE)
+CLASS_CHOICES = [(Color.RED,), (Color.BLUE,), (Color.PURPLE,), RED_SIDE, BLUE_SIDE, ALL_CLASSES]
+
+
+def _instance(coords, seed=0):
+    rng = random.Random(seed)
+    return Instance(Point(i, rng.choice(ALL_CLASSES), x, y) for i, (x, y) in enumerate(coords))
+
+
+def _random_coords(n, seed, scale=1.0):
+    rng = random.Random(seed)
+    return [(rng.random() * scale, rng.random() * scale) for _ in range(n)]
+
+
+def _lattice_coords(n, side, seed, scale=1.0):
+    rng = random.Random(seed)
+    cells = rng.sample([(x, y) for x in range(side) for y in range(side)], n)
+    return [(x * scale, y * scale) for x, y in cells]
+
+
+def _near_tie_points():
+    """Pairs (0, 1) and (2, 3) share the math.hypot length m; np.hypot puts (0, 1) above m.
+
+    (0, 1) is the vector (17, 27); (2, 3) is (0, 0)-(m, 0), exactly m under both.
+    """
+    m = math.hypot(17.0, 27.0)
+    assert float(np.hypot(17.0, 27.0)) > m
+    coords = [(8.0, -13.5), (25.0, 13.5), (0.0, 0.0), (m, 0.0)]
+    return Instance(Point(i, Color.PURPLE, x, y) for i, (x, y) in enumerate(coords))
+
+
+def _assert_same_pairs(inst, classes, vertices):
+    expected = _reference_side_pairs(inst, classes, vertices)
+    got = sorted_side_pairs(inst, classes, vertices)
+    assert len(got) == len(expected)
+    assert list(islice(got, 3)) == expected[:3]
+    assert list(got) == expected
+    assert list(got) == expected  # second pass reads the kept tuples
+    # Two live iterators share the kept tuples.
+    both = list(zip(got, got))
+    assert [a for a, _ in both] == expected and [b for _, b in both] == expected
+
+
+@pytest.fixture(params=[4, graphops._FIRST_BLOCK], ids=["block4", "block_default"])
+def block_size(request, monkeypatch):
+    """Tuple block size; 4 makes near-tie runs outgrow the block search window."""
+    monkeypatch.setattr(graphops, "_FIRST_BLOCK", request.param)
+    return request.param
+
+
+class TestSortedSidePairs:
+    @pytest.mark.parametrize("classes", CLASS_CHOICES)
+    def test_seeded_random_sets(self, classes, block_size):
+        for seed in range(3):
+            inst = _instance(_random_coords(90, seed), seed)
+            _assert_same_pairs(inst, classes, range(inst.n))
+            _assert_same_pairs(inst, classes, inst.red_side())
+            _assert_same_pairs(inst, classes, inst.blue_side())
+
+    @pytest.mark.parametrize("classes", CLASS_CHOICES)
+    def test_integer_lattice_ties(self, classes, block_size):
+        inst = _instance(_lattice_coords(200, 60, seed=3), seed=3)
+        _assert_same_pairs(inst, classes, range(inst.n))
+        # The exact re-sort is needed: some admitted pair's np.hypot differs from math.hypot.
+        assert any(float(np.hypot(*np.subtract(inst.coords(u), inst.coords(v)))) != d
+                   for d, u, v in sorted_side_pairs(inst, classes, range(inst.n)))
+
+    def test_near_tie_where_numpy_order_disagrees(self, monkeypatch):
+        inst = _near_tie_points()
+        expected = _reference_side_pairs(inst, ALL_CLASSES, range(4))
+        m = math.hypot(17.0, 27.0)
+        assert [p[1:] for p in expected if p[0] == m] == [(0, 1), (2, 3)]
+        # Some block size puts a block boundary between the two tied pairs.
+        for size in range(1, 7):
+            monkeypatch.setattr(graphops, "_FIRST_BLOCK", size)
+            _assert_same_pairs(inst, ALL_CLASSES, range(4))
+
+    @pytest.mark.parametrize("classes", CLASS_CHOICES)
+    def test_collinear_points(self, classes, block_size):
+        rng = random.Random(5)
+        xs = rng.sample(range(1000), 80)
+        _assert_same_pairs(_instance([(float(x), 0.0) for x in xs], 5), classes, range(80))
+        _assert_same_pairs(_instance([(0.25 * x, 0.5 * x) for x in xs], 6), classes, range(80))
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-300, 2.0 ** 40 * math.ulp(0.0)])
+    @pytest.mark.parametrize("classes", CLASS_CHOICES)
+    def test_huge_tiny_and_subnormal_coordinates(self, classes, scale, block_size):
+        _assert_same_pairs(_instance(_random_coords(60, 7, scale), 7), classes, range(60))
+        _assert_same_pairs(_instance(_lattice_coords(60, 30, 8, scale), 8), classes, range(60))
+
+    def test_empty_and_single_vertex(self):
+        inst = e1()
+        for verts in ((), (0,)):
+            got = sorted_side_pairs(inst, ALL_CLASSES, verts)
+            assert len(got) == 0 and list(got) == []
+
+
+class _CountingPairs:
+    """Iterable over a list that counts the pairs read."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+        self.read = 0
+
+    def __iter__(self):
+        for pair in self.pairs:
+            self.read += 1
+            yield pair
+
+
+class TestKruskalEarlyExit:
+    def test_reads_only_a_prefix(self):
+        inst = _instance(_random_coords(120, 11), 11)
+        pairs = list(sorted_side_pairs(inst, ALL_CLASSES, range(inst.n)))
+        counting = _CountingPairs(pairs)
+        result = kruskal(inst.n, counting, range(inst.n))
+        assert result == _reference_kruskal(inst.n, pairs, range(inst.n))
+        assert len(result[1]) == inst.n - 1
+        assert counting.read < len(pairs) // 4
+
+    def test_matches_full_run_with_premerged_groups(self):
+        rng = random.Random(12)
+        for seed in range(40):
+            inst = _instance(_random_coords(rng.randrange(6, 40), seed), seed)
+            outside = list(inst.B)
+            for classes, verts in (((Color.RED,), inst.red_side()),
+                                   (RED_SIDE, inst.red_side()),
+                                   ((Color.BLUE,), inst.blue_side())):
+                pairs = sorted_side_pairs(inst, classes, verts)
+                groups = []
+                for _ in range(rng.randrange(4)):
+                    group = rng.sample(list(inst.P), min(len(inst.P), rng.randrange(1, 4)))
+                    if group and rng.random() < 0.5:
+                        group.append(group[0])  # repeated id
+                    if group and outside and rng.random() < 0.5:
+                        group.insert(1, rng.choice(outside))  # id outside the red side
+                    if group:
+                        groups.append(group)
+                assert (kruskal(inst.n, pairs, verts, groups)
+                        == _reference_kruskal(inst.n, list(pairs), verts, groups))
+
+    def test_group_joins_vertices_through_an_outside_id(self):
+        # Red 0 and purple 2 are joined only through blue 1, which is outside the red side.
+        inst = parse_instance("R 0 0\nB 1 0\nP 2 0\nR 3 0")
+        verts = inst.red_side()
+        pairs = sorted_side_pairs(inst, (Color.RED,), verts)
+        assert kruskal(inst.n, pairs, verts, [[0, 1, 2]]) == (1.0, [(2, 3)])
+
+    def test_disconnected_input_returns_none(self):
+        inst = _instance(_random_coords(30, 13), 13)
+        verts = inst.red_side()
+        pairs = sorted_side_pairs(inst, (Color.PURPLE,), verts)
+        assert inst.R and kruskal(inst.n, pairs, verts) is None
+        assert _reference_kruskal(inst.n, list(pairs), verts) is None
