@@ -10,7 +10,7 @@ from typing import Sequence
 from .circle import fill_tables, split_arcs
 from .exact import solve_exact
 from .generators import gen_random
-from .line import solve_sorted
+from .line import solve_line, solve_sorted
 from .model import Color, Instance, Point
 
 
@@ -53,6 +53,17 @@ def bench_line(sizes: Sequence[int] = (100_000, 1_000_000), reps: int = 5,
     """Median seconds of the core linear pass per input size."""
     return _alternated_medians(lambda args: solve_sorted(*args),
                                {n: _line_arrays(n, seed) for n in sizes}, reps)
+
+
+def bench_line_e2e(sizes: Sequence[int] = (10_000, 100_000), reps: int = 5,
+                   seed: int = 0) -> dict:
+    """Median seconds of `solve_line` per input size: check, sort, pass, edge set and stats."""
+    inputs = {}
+    for n in sizes:
+        _, ts, colors = _line_arrays(n, seed)
+        inputs[n] = Instance(Point(i, Color(c), t, 0.5 * t)
+                             for i, (t, c) in enumerate(zip(ts, colors)))
+    return _alternated_medians(solve_line, inputs, reps)
 
 
 def _circle_instance(k: int, extra: int, seed: int) -> Instance:

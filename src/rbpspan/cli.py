@@ -78,29 +78,31 @@ def _tol(tolerance: Optional[float], default: float) -> float:
     return default if tolerance is None else tolerance
 
 
-def _pick_auto(instance: Instance, tolerance: Optional[float]) -> str:
+def _pick_auto(instance: Instance, tolerance: Optional[float]) -> tuple[str, Optional[tuple]]:
+    """The solver `auto` runs, and the circle fit when it picks the circle solver."""
     if collinearity_residual(instance) <= _tol(tolerance, COLLINEAR_TOL):
-        return "line"
+        return "line", None
     try:
-        _, _, _, residual = fit_circle(instance)
+        fit = fit_circle(instance)
     except PreconditionError:
-        residual = math.inf
-    if residual <= _tol(tolerance, CONCYCLIC_TOL):
-        return "circle"
+        fit = None
+    if fit is not None and fit[3] <= _tol(tolerance, CONCYCLIC_TOL):
+        return "circle", fit
     if instance.n <= AUTO_EXACT_MAX_N:
-        return "exact"
+        return "exact", None
     print(f"warning: n={instance.n} too large for the exact solver; "
           "falling back to approx-a", file=sys.stderr)
-    return "approx-a"
+    return "approx-a", None
 
 
-def _run_algo(instance: Instance, algo: str, tolerance: Optional[float]) -> Solution:
+def _run_algo(instance: Instance, algo: str, tolerance: Optional[float],
+              fit: Optional[tuple] = None) -> Solution:
     if algo == "exact":
         return solve_exact(instance)
     if algo == "line":
         return solve_line(instance, _tol(tolerance, COLLINEAR_TOL))
     if algo == "circle":
-        return solve_circle(instance, _tol(tolerance, CONCYCLIC_TOL))
+        return solve_circle(instance, _tol(tolerance, CONCYCLIC_TOL), fit=fit)
     if algo == "approx-union":
         return approx_union(instance)
     if algo == "approx-a":
@@ -114,10 +116,10 @@ def _run_algo(instance: Instance, algo: str, tolerance: Optional[float]) -> Solu
 
 def cmd_solve(args) -> int:
     instance = _read_instance(args.input)
-    algo = args.algo
+    algo, fit = args.algo, None
     if algo == "auto":
-        algo = _pick_auto(instance, args.tolerance)
-    solution = _run_algo(instance, algo, args.tolerance)
+        algo, fit = _pick_auto(instance, args.tolerance)
+    solution = _run_algo(instance, algo, args.tolerance, fit)
     if not is_rbp_spanning(instance, solution.edges):
         print("internal error: solver output is not RBP-spanning", file=sys.stderr)
         return EXIT_INTERNAL
@@ -215,6 +217,9 @@ def cmd_bench(args) -> int:
         res = bench_mod.bench_line(reps=args.reps, seed=args.seed)
         for n, t in sorted(res.items()):
             lines.append("line %d %.6f" % (n, t))
+        res = bench_mod.bench_line_e2e(reps=args.reps, seed=args.seed)
+        for n, t in sorted(res.items()):
+            lines.append("line_e2e %d %.6f" % (n, t))
     if args.target in ("circle", "all"):
         res = bench_mod.bench_circle(reps=args.reps, seed=args.seed)
         for k, t in sorted(res.items()):

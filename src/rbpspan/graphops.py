@@ -14,10 +14,11 @@ from .model import (
     Instance,
     PreconditionError,
     Solution,
+    _orient_sign,
     edge_between,
     edge_color,
-    edges_properly_cross,
     hypot_slack,
+    orient_filter,
 )
 
 RED_SIDE = (Color.RED, Color.PURPLE)
@@ -241,6 +242,79 @@ def is_rbp_spanning(instance: Instance, edges: Iterable[Edge]) -> bool:
             and blue_ds.connected_over(instance.blue_side()))
 
 
+# Candidate pairs of purple edges tested per block of the crossing count.
+_CROSS_BLOCK = 4096
+
+
+def _purple_crossings(instance: Instance, purple: Sequence[Edge]) -> tuple[int, np.ndarray]:
+    """Pairs of `purple` edges that properly cross: (count, count per edge of `purple`).
+
+    Each pair i < j without a shared endpoint whose closed bounding boxes
+    overlap is tested as `edges_properly_cross(instance, purple[i], purple[j])`
+    tests it. Other pairs cannot cross properly: a proper crossing point lies
+    in both closed boxes. A sweep along the axis the edges spread over more
+    (so that edges on a vertical line are not all candidates) finds the pairs
+    whose boxes overlap, `_CROSS_BLOCK` pairs at a time, so memory stays
+    O(len(purple) + block). `orient_filter`, the float test of `_orient_sign`,
+    gives the orientation signs; `_orient_sign` itself decides only the
+    entries that test leaves open, and o3, o4 are taken only where o1 * o2 < 0.
+    """
+    p = len(purple)
+    per_edge = np.zeros(p, dtype=np.int64)
+    if p < 2:
+        return 0, per_edge
+    u = np.array([e.u for e in purple], dtype=np.int64)
+    v = np.array([e.v for e in purple], dtype=np.int64)
+    xs = np.array([pt.x for pt in instance.points], dtype=float)
+    ys = np.array([pt.y for pt in instance.points], dtype=float)
+    lo, hi, lo2, hi2 = (np.minimum(xs[u], xs[v]), np.maximum(xs[u], xs[v]),
+                        np.minimum(ys[u], ys[v]), np.maximum(ys[u], ys[v]))
+    if hi2.max() - lo2.min() > hi.max() - lo.min():
+        lo, hi, lo2, hi2 = lo2, hi2, lo, hi
+    order = np.argsort(lo)
+    lo, hi, lo2, hi2 = lo[order], hi[order], lo2[order], hi2[order]
+    # Sorted edge r overlaps, along the sweep axis, sorted edges r + 1 .. reach[r] - 1;
+    # candidate k belongs to the row r with ends[r - 1] <= k < ends[r].
+    reach = np.searchsorted(lo, hi, side="right")
+    ends = np.cumsum(reach - np.arange(1, p + 1))
+    total = int(ends[-1])
+    crossings = 0
+    for start in range(0, total, _CROSS_BLOCK):
+        k = np.arange(start, min(start + _CROSS_BLOCK, total))
+        r = np.searchsorted(ends, k, side="right")
+        s = k - ends[r] + reach[r]
+        keep = (lo2[r] <= hi2[s]) & (lo2[s] <= hi2[r])
+        i, j = order[r[keep]], order[s[keep]]
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        keep = (u[i] != u[j]) & (u[i] != v[j]) & (v[i] != u[j]) & (v[i] != v[j])
+        i, j = i[keep], j[keep]
+        keep = _orient_signs(instance, xs, ys, u[i], v[i], u[j]) \
+            * _orient_signs(instance, xs, ys, u[i], v[i], v[j]) < 0
+        i, j = i[keep], j[keep]
+        keep = _orient_signs(instance, xs, ys, u[j], v[j], u[i]) \
+            * _orient_signs(instance, xs, ys, u[j], v[j], v[i]) < 0
+        i, j = i[keep], j[keep]
+        crossings += len(i)
+        per_edge += np.bincount(i, minlength=p) + np.bincount(j, minlength=p)
+    return crossings, per_edge
+
+
+def _orient_signs(instance: Instance, xs: np.ndarray, ys: np.ndarray,
+                  a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """`_orient_sign` of the points with ids a[t], b[t], c[t], for every t.
+
+    `orient_filter` decides in floats, with the same operations and threshold
+    as `_orient_sign`; only the entries it leaves open call `_orient_sign`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        det, certain = orient_filter((xs[a], ys[a]), (xs[b], ys[b]), (xs[c], ys[c]))
+    sign = np.where(det > 0, 1, -1)
+    coords = instance.coords
+    for t in np.flatnonzero(~certain).tolist():
+        sign[t] = _orient_sign(coords(int(a[t])), coords(int(b[t])), coords(int(c[t])))
+    return sign
+
+
 def solution_stats(instance: Instance, edge_set: EdgeSet, solver: str = "") -> Solution:
     """Weight, per-color counts, max degree, and purple-purple crossing statistics."""
     counts = {Color.RED: 0, Color.BLUE: 0, Color.PURPLE: 0}
@@ -252,17 +326,7 @@ def solution_stats(instance: Instance, edge_set: EdgeSet, solver: str = "") -> S
         degree[e.u] += 1
         degree[e.v] += 1
     purple = [e for e in edge_set.edges if e.color_class == Color.PURPLE]
-    per_edge = {e.pair: 0 for e in purple}
-    crossings = 0
-    for i in range(len(purple)):
-        for j in range(i + 1, len(purple)):
-            e1, e2 = purple[i], purple[j]
-            if {e1.u, e1.v} & {e2.u, e2.v}:
-                continue
-            if edges_properly_cross(instance, e1, e2):
-                crossings += 1
-                per_edge[e1.pair] += 1
-                per_edge[e2.pair] += 1
+    crossings, per_edge = _purple_crossings(instance, purple)
     return Solution(
         edge_set=edge_set,
         red_edges=counts[Color.RED],
@@ -271,7 +335,7 @@ def solution_stats(instance: Instance, edge_set: EdgeSet, solver: str = "") -> S
         max_degree=max(degree) if degree else 0,
         purple_crossings=crossings,
         solver=solver,
-        purple_crossings_per_edge=per_edge,
+        purple_crossings_per_edge=dict(zip((e.pair for e in purple), per_edge.tolist())),
     )
 
 

@@ -242,16 +242,28 @@ class Solution:
 # Robust segment predicates
 
 
+def orient_filter(a, b, c):
+    """The float (a, b, c) orientation determinant and whether its sign is certain.
+
+    The sign is taken as certain where |det| exceeds CROSS_TOL times
+    |t1| + |t2|; without underflow, the rounding error of det is below about
+    3.3e-16 of that sum (Shewchuk 1997). Works elementwise on numpy arrays
+    too, with the same IEEE operations, so a vectorised caller decides in
+    floats exactly the entries `_orient_sign` decides in floats.
+    """
+    t1 = (b[0] - a[0]) * (c[1] - a[1])
+    t2 = (b[1] - a[1]) * (c[0] - a[0])
+    det = t1 - t2
+    return det, abs(det) > CROSS_TOL * (abs(t1) + abs(t2))
+
+
 def _orient_sign(a, b, c) -> int:
     """Sign of the (a, b, c) orientation determinant, exact near zero.
 
     Floats are exact rationals, so the Fraction fallback is fully exact.
     """
-    t1 = (b[0] - a[0]) * (c[1] - a[1])
-    t2 = (b[1] - a[1]) * (c[0] - a[0])
-    det = t1 - t2
-    mag = abs(t1) + abs(t2)
-    if abs(det) > CROSS_TOL * mag:
+    det, certain = orient_filter(a, b, c)
+    if certain:
         return 1 if det > 0 else -1
     det_exact = ((Fraction(b[0]) - Fraction(a[0])) * (Fraction(c[1]) - Fraction(a[1]))
                  - (Fraction(b[1]) - Fraction(a[1])) * (Fraction(c[0]) - Fraction(a[0])))
@@ -270,11 +282,9 @@ def segments_properly_cross(a, b, c, d) -> bool:
     """
     if a == c or a == d or b == c or b == d:
         raise PreconditionError("segments share an endpoint")
-    o1 = _orient_sign(a, b, c)
-    o2 = _orient_sign(a, b, d)
-    o3 = _orient_sign(c, d, a)
-    o4 = _orient_sign(c, d, b)
-    return o1 * o2 < 0 and o3 * o4 < 0
+    if _orient_sign(a, b, c) * _orient_sign(a, b, d) >= 0:
+        return False
+    return _orient_sign(c, d, a) * _orient_sign(c, d, b) < 0
 
 
 def edges_properly_cross(instance: Instance, e1: Edge, e2: Edge) -> bool:

@@ -7,6 +7,7 @@ from rbpspan.bench import (
     bench_circle,
     bench_exact,
     bench_line,
+    bench_line_e2e,
     scaling_ratio,
 )
 
@@ -20,6 +21,11 @@ def test_median():
 def test_bench_line_smoke():
     res = bench_line(sizes=(2000,), reps=2)
     assert set(res) == {2000} and res[2000] > 0.0
+
+
+def test_bench_line_e2e_smoke():
+    res = bench_line_e2e(sizes=(500, 1000), reps=2)
+    assert set(res) == {500, 1000} and min(res.values()) > 0.0
 
 
 def test_bench_circle_smoke():

@@ -8,7 +8,10 @@ from rbpspan.cli import (
     EXIT_USAGE,
     main,
 )
-from rbpspan.model import parse_instance
+from rbpspan import circle, cli
+from rbpspan.circle import fit_circle
+from rbpspan.generators import gen_random
+from rbpspan.model import parse_instance, serialize_instance
 from rbpspan.svg import render_svg
 from util import E1_TEXT, e1
 
@@ -39,6 +42,21 @@ class TestSolve:
         # [TRIVIAL: dispatch]
         assert main(["solve", e1_file, "--algo", "auto"]) == EXIT_OK
         assert "solver line" in capsys.readouterr().out
+
+    def test_auto_circle_fits_the_circle_once(self, tmp_path, capsys, monkeypatch):
+        fits = []
+
+        def counting_fit(instance):
+            fits.append(instance.n)
+            return fit_circle(instance)
+
+        monkeypatch.setattr(cli, "fit_circle", counting_fit)
+        monkeypatch.setattr(circle, "fit_circle", counting_fit)
+        path = tmp_path / "circle.txt"
+        path.write_text(serialize_instance(gen_random(30, 0.3, 0.3, "circle", seed=4)))
+        assert main(["solve", str(path), "--algo", "auto"]) == EXIT_OK
+        assert "solver circle" in capsys.readouterr().out
+        assert fits == [30]
 
     def test_zero_tolerance_is_not_the_default(self, tmp_path, capsys):
         # [DERIVED: residual 1e-13 passes the 1e-9 default but not 0]

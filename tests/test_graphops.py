@@ -21,7 +21,17 @@ from rbpspan.graphops import (
     sorted_side_pairs,
     stats_block,
 )
-from rbpspan.model import Color, Instance, Point, edge_color, make_edge_set, parse_instance
+from rbpspan.generators import gen_random
+from rbpspan.line import solve_line
+from rbpspan.model import (
+    Color,
+    Instance,
+    Point,
+    edge_color,
+    edges_properly_cross,
+    make_edge_set,
+    parse_instance,
+)
 from util import e1, line_instance
 
 
@@ -371,3 +381,144 @@ class TestKruskalEarlyExit:
         pairs = sorted_side_pairs(inst, (Color.PURPLE,), verts)
         assert inst.R and kruskal(inst.n, pairs, verts) is None
         assert _reference_kruskal(inst.n, list(pairs), verts) is None
+
+
+def _reference_crossings(instance, edge_set):
+    """The double loop over purple edge pairs that the sweep replaced, kept as the reference."""
+    purple = [e for e in edge_set.edges if e.color_class == Color.PURPLE]
+    per_edge = {e.pair: 0 for e in purple}
+    crossings = 0
+    for i in range(len(purple)):
+        for j in range(i + 1, len(purple)):
+            e1, e2 = purple[i], purple[j]
+            if {e1.u, e1.v} & {e2.u, e2.v}:
+                continue
+            if edges_properly_cross(instance, e1, e2):
+                crossings += 1
+                per_edge[e1.pair] += 1
+                per_edge[e2.pair] += 1
+    return crossings, per_edge
+
+
+def _purple_instance(coords):
+    return Instance(Point(i, Color.PURPLE, x, y) for i, (x, y) in enumerate(coords))
+
+
+def _random_edge_set(inst, seed, m):
+    """Up to m distinct random pairs; every edge is purple in an all-purple instance."""
+    rng = random.Random(seed)
+    pairs = {tuple(sorted(rng.sample(range(inst.n), 2))) for _ in range(m)}
+    return make_edge_set(inst, pairs)
+
+
+class _CountingOrient:
+    """Wrapper around `_orient_sign` that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+@pytest.fixture
+def orient_calls(monkeypatch):
+    """Counts the `_orient_sign` calls the crossing count makes."""
+    counter = _CountingOrient(graphops._orient_sign)
+    monkeypatch.setattr(graphops, "_orient_sign", counter)
+    return counter
+
+
+@pytest.fixture(params=[3, graphops._CROSS_BLOCK], ids=["block3", "block_default"])
+def cross_block(request, monkeypatch):
+    """Candidate block size; 3 puts block boundaries inside one edge's candidates."""
+    monkeypatch.setattr(graphops, "_CROSS_BLOCK", request.param)
+    return request.param
+
+
+def _assert_same_crossings(inst, edge_set):
+    sol = solution_stats(inst, edge_set)
+    expected = _reference_crossings(inst, edge_set)
+    assert (sol.purple_crossings, sol.purple_crossings_per_edge) == expected
+    return expected[0]
+
+
+class TestCrossingCount:
+    def test_uniform_plane_points(self, cross_block):
+        total = 0
+        for seed in range(20):
+            inst = _purple_instance(_random_coords(40, seed))
+            total += _assert_same_crossings(inst, _random_edge_set(inst, seed, 60))
+        assert total > 1000
+
+    def test_integer_lattice(self, cross_block, orient_calls):
+        total = 0
+        for seed in range(20):
+            inst = _purple_instance(_lattice_coords(40, 7, seed))
+            total += _assert_same_crossings(inst, _random_edge_set(inst, seed, 60))
+        assert total > 1000
+        assert orient_calls.calls > 0  # some orientations are exactly zero
+
+    def test_collinear_overlapping_segments(self, cross_block):
+        rng = random.Random(5)
+        xs = rng.sample(range(1000), 60)
+        for coords in ([(float(x), 0.0) for x in xs], [(0.25 * x, 0.5 * x) for x in xs],
+                       [(0.0, x / 7.0) for x in xs]):
+            inst = _purple_instance(coords)
+            edge_set = _random_edge_set(inst, 6, 80)
+            assert _assert_same_crossings(inst, edge_set) == 0
+
+    def test_t_junctions(self, cross_block):
+        # Edge (0, 1) runs along y = x; every other edge has an endpoint on it or on (2, 3).
+        coords = [(0.0, 0.0), (8.0, 8.0), (8.0, 0.0), (0.0, 8.0)]
+        coords += [(float(t), float(t)) for t in range(1, 8) if t != 4]
+        coords += [(1.0, 5.0), (6.0, 1.0), (3.0, 7.0), (7.0, 4.0), (2.0, 6.0)]
+        inst = _purple_instance(coords)
+        pairs = {(0, 1), (2, 3)}
+        pairs |= {(a, b) for a in range(4, 10) for b in range(10, 15)}
+        assert _assert_same_crossings(inst, make_edge_set(inst, pairs)) > 0
+        for seed in range(10):
+            _assert_same_crossings(inst, _random_edge_set(inst, seed, 40))
+
+    def test_concyclic_chords(self, cross_block):
+        rng = random.Random(9)
+        angles = sorted({rng.random() * 2.0 * math.pi for _ in range(40)})
+        inst = _purple_instance([(math.cos(a), math.sin(a)) for a in angles])
+        for seed in range(10):
+            _assert_same_crossings(inst, _random_edge_set(inst, seed, 60))
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-300])
+    def test_huge_and_tiny_coordinates(self, scale, cross_block):
+        # At 1e-300 every product underflows, so every orientation takes the fallback.
+        total = 0
+        for seed in range(4):
+            for coords in (_random_coords(30, seed, scale), _lattice_coords(30, 6, seed, scale)):
+                inst = _purple_instance(coords)
+                total += _assert_same_crossings(inst, _random_edge_set(inst, seed, 40))
+        assert total > 100
+
+    @pytest.mark.parametrize("offset, crosses", [(0, 0), (1, 1), (-1, 0)])
+    def test_near_collinear_needs_the_exact_fallback(self, offset, crosses, orient_calls):
+        # Point 2 sits on, just above or just below the diagonal (0, 1); the float
+        # determinant of (0, 1, 2) is at most one ulp of 0.5, far under CROSS_TOL.
+        y = 0.5 + offset * math.ulp(0.5)
+        inst = _purple_instance([(0.0, 0.0), (1.0, 1.0), (0.5, y), (0.5, -1.0)])
+        edge_set = make_edge_set(inst, [(0, 1), (2, 3)])
+        assert _assert_same_crossings(inst, edge_set) == crosses
+        assert orient_calls.calls > 0
+
+    def test_collinear_line_solve_takes_no_exact_orientation(self, orient_calls):
+        inst = gen_random(8000, 0.4, 0.4, "line", seed=8)
+        sol = solve_line(inst)
+        assert sol.purple_edges > 1000
+        assert "purple_crossings 0\n" in stats_block(sol)
+        assert orient_calls.calls == 0
+
+    def test_fewer_than_two_purple_edges(self):
+        inst = e1()
+        for pairs in ([], [(0, 1)], [(0, 2), (1, 3)]):
+            sol = solution_stats(inst, make_edge_set(inst, pairs))
+            assert sol.purple_crossings == 0
+            assert sol.purple_crossings_per_edge == {p: 0 for p in pairs if p == (0, 1)}
