@@ -20,6 +20,7 @@ RHO_UPPER = 1.21                    # best proven upper bound on the Steiner rat
 RHO_CONJECTURED = 2.0 / math.sqrt(3.0)
 GUARANTEE = 0.5 * RHO_UPPER + 1.0   # approximation factor of algorithm A
 UNION_GUARANTEE = 2.0
+GUARANTEES = {"approx-a": GUARANTEE, "approx-union": UNION_GUARANTEE}  # by Solution.solver
 
 
 def approx_union(instance: Instance) -> Solution:
@@ -68,8 +69,12 @@ def ratio_report(instance: Instance, approx_solution: Solution,
 
     A constructed reference (EdgeSet/Solution) must itself be RBP-spanning.
     With certified=True the reference is a known optimum and a ratio above the
-    solver's guarantee is flagged.
+    solver's guarantee is flagged. Only the approximation solvers have a guarantee.
     """
+    guarantee = GUARANTEES.get(approx_solution.solver)
+    if guarantee is None:
+        raise PreconditionError(
+            f"solver {approx_solution.solver!r} has no approximation guarantee")
     if isinstance(reference, Solution):
         reference = reference.edge_set
     if isinstance(reference, EdgeSet):
@@ -80,7 +85,6 @@ def ratio_report(instance: Instance, approx_solution: Solution,
         ref_weight = float(reference)
     if ref_weight <= 0.0:
         raise PreconditionError("reference weight must be positive")
-    guarantee = GUARANTEE if approx_solution.solver == "approx-a" else UNION_GUARANTEE
     ratio = approx_solution.weight / ref_weight
     violated = certified and ratio > guarantee * (1.0 + 1e-9)
     return RatioReport(ratio, guarantee, certified, violated)

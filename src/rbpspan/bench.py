@@ -96,16 +96,8 @@ def bench_circle(ks: Sequence[int] = (100, 200), extra: int = 200, reps: int = 5
 
 def bench_exact(ns: Sequence[int] = (8, 10, 12, 14), reps: int = 1, seed: int = 0) -> dict:
     """Median seconds of the exact solver on random planar instances."""
-    results = {}
-    for n in ns:
-        instance = gen_random(n, 0.4, 0.4, "plane", seed=seed + n)
-        samples = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            solve_exact(instance)
-            samples.append(time.perf_counter() - t0)
-        results[n] = _median(samples)
-    return results
+    inputs = {n: gen_random(n, 0.4, 0.4, "plane", seed=seed + n) for n in ns}
+    return _alternated_medians(solve_exact, inputs, reps)
 
 
 def scaling_ratio(results: dict, small, large) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -271,13 +271,9 @@ def _reconstruct(tables: DPTables, lab: int, i: int, s: int, pairs: list):
             stack.append((right, (i + 1) % k, s - 1))
 
 
-def solve_circle(instance: Instance, tolerance: float = CONCYCLIC_TOL, *,
-                 fit: Optional[tuple] = None) -> Solution:
-    """Minimum RBP spanning graph for points on a common circle.
-
-    `fit` is `fit_circle(instance)` when the caller has it already.
-    """
-    cx, cy, r, residual = fit_circle(instance) if fit is None else fit
+def solve_circle(instance: Instance, tolerance: float = CONCYCLIC_TOL) -> Solution:
+    """Minimum RBP spanning graph for points on a common circle."""
+    cx, cy, r, residual = fit_circle(instance)
     if residual > tolerance:
         raise NotConcyclicError(residual)
 

@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import bench as bench_mod
 from .approx import approx_a, approx_union
-from .circle import CONCYCLIC_TOL, fit_circle, solve_circle
+from .circle import CONCYCLIC_TOL, NotConcyclicError, fit_circle, solve_circle
 from .exact import solve_exact
 from .generators import (
     MartiniParams,
@@ -23,7 +23,7 @@ from .generators import (
     gen_steiner_family,
 )
 from .graphops import is_rbp_spanning, stats_block
-from .line import COLLINEAR_TOL, collinearity_residual, solve_line
+from .line import COLLINEAR_TOL, NotCollinearError, collinearity_residual, solve_line
 from .model import (
     Instance,
     PreconditionError,
@@ -38,9 +38,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PRECONDITION = 2
 EXIT_INTERNAL = 3
-
-ALGOS = ("exact", "line", "circle", "approx-union", "approx-a",
-         "oracle-forest", "oracle-subsets", "auto")
 
 AUTO_EXACT_MAX_N = 20
 
@@ -78,48 +75,44 @@ def _tol(tolerance: Optional[float], default: float) -> float:
     return default if tolerance is None else tolerance
 
 
-def _pick_auto(instance: Instance, tolerance: Optional[float]) -> tuple[str, Optional[tuple]]:
-    """The solver `auto` runs, and the circle fit when it picks the circle solver."""
-    if collinearity_residual(instance) <= _tol(tolerance, COLLINEAR_TOL):
-        return "line", None
+def _solve_auto(instance: Instance, tolerance: Optional[float]) -> Solution:
+    """Line, else circle, else exact up to AUTO_EXACT_MAX_N points, else approx-a.
+
+    The line and circle solvers' own precondition checks decide whether they apply.
+    """
     try:
-        fit = fit_circle(instance)
-    except PreconditionError:
-        fit = None
-    if fit is not None and fit[3] <= _tol(tolerance, CONCYCLIC_TOL):
-        return "circle", fit
+        return solve_line(instance, _tol(tolerance, COLLINEAR_TOL))
+    except NotCollinearError:
+        pass
+    try:
+        return solve_circle(instance, _tol(tolerance, CONCYCLIC_TOL))
+    except NotConcyclicError:
+        pass
     if instance.n <= AUTO_EXACT_MAX_N:
-        return "exact", None
+        return solve_exact(instance)
     print(f"warning: n={instance.n} too large for the exact solver; "
           "falling back to approx-a", file=sys.stderr)
-    return "approx-a", None
+    return approx_a(instance)
 
 
-def _run_algo(instance: Instance, algo: str, tolerance: Optional[float],
-              fit: Optional[tuple] = None) -> Solution:
-    if algo == "exact":
-        return solve_exact(instance)
-    if algo == "line":
-        return solve_line(instance, _tol(tolerance, COLLINEAR_TOL))
-    if algo == "circle":
-        return solve_circle(instance, _tol(tolerance, CONCYCLIC_TOL), fit=fit)
-    if algo == "approx-union":
-        return approx_union(instance)
-    if algo == "approx-a":
-        return approx_a(instance)
-    if algo == "oracle-forest":
-        return oracle_forest(instance)
-    if algo == "oracle-subsets":
-        return oracle_subsets(instance)
-    raise AssertionError(f"unhandled algo {algo}")
+# --algo name -> solve(instance, tolerance). Entries look the solvers up in
+# this module's globals at call time, so a wrapped or patched attribute is
+# the one that runs.
+SOLVERS = {
+    "exact": lambda inst, tol: solve_exact(inst),
+    "line": lambda inst, tol: solve_line(inst, _tol(tol, COLLINEAR_TOL)),
+    "circle": lambda inst, tol: solve_circle(inst, _tol(tol, CONCYCLIC_TOL)),
+    "approx-union": lambda inst, tol: approx_union(inst),
+    "approx-a": lambda inst, tol: approx_a(inst),
+    "oracle-forest": lambda inst, tol: oracle_forest(inst),
+    "oracle-subsets": lambda inst, tol: oracle_subsets(inst),
+    "auto": _solve_auto,
+}
 
 
 def cmd_solve(args) -> int:
     instance = _read_instance(args.input)
-    algo, fit = args.algo, None
-    if algo == "auto":
-        algo, fit = _pick_auto(instance, args.tolerance)
-    solution = _run_algo(instance, algo, args.tolerance, fit)
+    solution = SOLVERS[args.algo](instance, args.tolerance)
     if not is_rbp_spanning(instance, solution.edges):
         print("internal error: solver output is not RBP-spanning", file=sys.stderr)
         return EXIT_INTERNAL
@@ -240,7 +233,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("input", help="instance file ('-' for stdin)")
-    p.add_argument("--algo", choices=ALGOS, default="auto")
+    p.add_argument("--algo", choices=SOLVERS, default="auto")
     p.add_argument("--tolerance", type=float, default=None,
                    help="override the 1e-9 collinearity/concyclicity tolerance")
     p.add_argument("--out", default=None, help="output path (default stdout)")

@@ -21,22 +21,27 @@ class NotCollinearError(PreconditionError):
         self.residual = residual
 
 
+def _axis_ends(pts):
+    """(a, b, spread) on the axis the points spread over more, x on ties.
+
+    a and b are the first lowest and the first highest point on that axis.
+    """
+    xs = [p.x for p in pts]
+    ys = [p.y for p in pts]
+    spread_x, spread_y = max(xs) - min(xs), max(ys) - min(ys)
+    if spread_x >= spread_y:
+        return min(pts, key=lambda p: p.x), max(pts, key=lambda p: p.x), spread_x
+    return min(pts, key=lambda p: p.y), max(pts, key=lambda p: p.y), spread_y
+
+
 def collinearity_residual(instance: Instance) -> float:
     """Maximum perpendicular offset relative to the bounding-box scale."""
     pts = instance.points
     if len(pts) <= 2:
         return 0.0
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    scale = max(max(xs) - min(xs), max(ys) - min(ys))
+    a, b, scale = _axis_ends(pts)
     if scale == 0.0:
         return 0.0
-    if max(xs) - min(xs) >= max(ys) - min(ys):
-        a = min(pts, key=lambda p: p.x)
-        b = max(pts, key=lambda p: p.x)
-    else:
-        a = min(pts, key=lambda p: p.y)
-        b = max(pts, key=lambda p: p.y)
     dx, dy = b.x - a.x, b.y - a.y
     norm = math.hypot(dx, dy)
     worst = max(abs(dx * (p.y - a.y) - dy * (p.x - a.x)) for p in pts) / norm
@@ -50,14 +55,7 @@ def prepare_sorted(instance: Instance):
     position of point u, and colors[i] the color of ids[i].
     """
     pts = instance.points
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    if max(xs) - min(xs) >= max(ys) - min(ys):
-        a = min(pts, key=lambda p: p.x)
-        b = max(pts, key=lambda p: p.x)
-    else:
-        a = min(pts, key=lambda p: p.y)
-        b = max(pts, key=lambda p: p.y)
+    a, b, _ = _axis_ends(pts)
     dx, dy = b.x - a.x, b.y - a.y
     norm = math.hypot(dx, dy)
     if norm == 0.0:

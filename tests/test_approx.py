@@ -94,6 +94,11 @@ class TestRatioReport:
         with pytest.raises(PreconditionError):
             ratio_report(e1(), approx_a(e1()), 0.0)
 
+    def test_solver_without_guarantee_rejected(self):
+        # An exact solution has no approximation guarantee to be judged against.
+        with pytest.raises(PreconditionError, match="no approximation guarantee"):
+            ratio_report(e1(), solve_exact(e1()), 18.0)
+
     def test_violation_flag_only_when_certified(self):
         inst = e1()
         sol = approx_a(inst)

@@ -6,7 +6,6 @@ import random
 import numpy as np
 import pytest
 
-from rbpspan import circle
 from rbpspan.circle import (
     B_,
     N_,
@@ -73,20 +72,6 @@ class TestSolveCircle:
         inst = parse_instance("P 0 0\nP 1 0\nP 0 1\nR 5 5")
         with pytest.raises(NotConcyclicError):
             solve_circle(inst)
-
-    def test_passed_fit_is_used_and_its_residual_checked(self, monkeypatch):
-        inst = parse_instance(_circle_text([("P", 0), ("R", 60), ("P", 150), ("B", 250)]))
-        fit = fit_circle(inst)
-        expected = solve_circle(inst)
-
-        def no_fit(instance):
-            raise AssertionError("fit_circle called although a fit was passed")
-
-        monkeypatch.setattr(circle, "fit_circle", no_fit)
-        got = solve_circle(inst, fit=fit)
-        assert got.edge_set == expected.edge_set
-        with pytest.raises(NotConcyclicError):
-            solve_circle(inst, 1e-3, fit=(*fit[:3], 2e-3))
 
     def test_single_purple_bypass(self):
         inst = parse_instance(_circle_text([("P", 0), ("R", 60), ("R", 200), ("B", 120)]))

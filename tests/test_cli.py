@@ -8,7 +8,7 @@ from rbpspan.cli import (
     EXIT_USAGE,
     main,
 )
-from rbpspan import circle, cli
+from rbpspan import circle, cli, line
 from rbpspan.circle import fit_circle
 from rbpspan.generators import gen_random
 from rbpspan.model import parse_instance, serialize_instance
@@ -20,6 +20,28 @@ from util import E1_TEXT, e1
 def e1_file(tmp_path):
     path = tmp_path / "e1.txt"
     path.write_text(E1_TEXT)
+    return str(path)
+
+
+NEAR_LINE_TEXT = "P 0 0\nP 10 0\nR 4 1e-12\nB 6 0\n"
+
+# Instances of the auto walk: fixed text, or the arguments of `rbpspan gen random`.
+AUTO_INPUTS = {
+    "e1": E1_TEXT,
+    "near-line": NEAR_LINE_TEXT,
+    "plane-18": ["--n", "18", "--seed", "3"],
+    "plane-21": ["--n", "21", "--seed", "3"],
+    "circle-30": ["--n", "30", "--mode", "circle", "--seed", "4"],
+}
+
+
+def _auto_input(tmp_path, name) -> str:
+    path = tmp_path / f"{name}.txt"
+    source = AUTO_INPUTS[name]
+    if isinstance(source, str):
+        path.write_text(source)
+    else:
+        assert main(["gen", "random", *source, "--out", str(path)]) == EXIT_OK
     return str(path)
 
 
@@ -43,6 +65,64 @@ class TestSolve:
         assert main(["solve", e1_file, "--algo", "auto"]) == EXIT_OK
         assert "solver line" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name, tolerance, expected", [
+        ("e1", None, "line"), ("e1", "0", "line"), ("e1", "1e-3", "line"),
+        # Residual 1e-13 passes the 1e-9 default, not 0; the four points'
+        # fitted circle then has residual 0.
+        ("near-line", None, "line"), ("near-line", "1e-3", "line"),
+        ("near-line", "0", "circle"),
+        ("plane-18", None, "exact"), ("plane-18", "0", "exact"),
+        ("plane-18", "1e-3", "exact"),
+        ("plane-21", None, "approx-a"), ("plane-21", "0", "approx-a"),
+        ("plane-21", "1e-3", "approx-a"),
+        ("circle-30", None, "circle"), ("circle-30", "1e-3", "circle"),
+        ("circle-30", "0", "approx-a"),
+    ])
+    def test_auto_walk(self, tmp_path, capsys, name, tolerance, expected):
+        # [TRIVIAL: line, then circle, then exact up to n = 20, then approx-a]
+        argv = ["solve", _auto_input(tmp_path, name), "--algo", "auto"]
+        if tolerance is not None:
+            argv += ["--tolerance", tolerance]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert f"solver {expected}\n" in captured.out
+        assert ("warning" in captured.err) == (expected == "approx-a")
+
+    def test_auto_line_computes_the_residual_once(self, e1_file, capsys, monkeypatch):
+        calls = []
+        original = line.collinearity_residual
+
+        def counting_residual(instance):
+            calls.append(instance.n)
+            return original(instance)
+
+        monkeypatch.setattr(cli, "collinearity_residual", counting_residual)
+        monkeypatch.setattr(line, "collinearity_residual", counting_residual)
+        assert main(["solve", e1_file, "--algo", "auto"]) == EXIT_OK
+        assert "solver line" in capsys.readouterr().out
+        assert calls == [4]
+
+    @pytest.mark.parametrize("algo, name, attr", [
+        ("exact", "e1", "solve_exact"),
+        ("auto", "e1", "solve_line"),
+        ("auto", "circle-30", "solve_circle"),
+        ("auto", "plane-18", "solve_exact"),
+    ])
+    def test_solvers_are_looked_up_at_call_time(self, tmp_path, capsys, monkeypatch,
+                                                algo, name, attr):
+        # Wrapping a cli attribute (as perfbench's tracer does) wraps what runs.
+        calls = []
+        original = getattr(cli, attr)
+
+        def recording(*args, **kwargs):
+            calls.append(attr)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, attr, recording)
+        assert main(["solve", _auto_input(tmp_path, name), "--algo", algo]) == EXIT_OK
+        capsys.readouterr()
+        assert calls == [attr]
+
     def test_auto_circle_fits_the_circle_once(self, tmp_path, capsys, monkeypatch):
         fits = []
 
@@ -61,7 +141,7 @@ class TestSolve:
     def test_zero_tolerance_is_not_the_default(self, tmp_path, capsys):
         # [DERIVED: residual 1e-13 passes the 1e-9 default but not 0]
         path = tmp_path / "near_line.txt"
-        path.write_text("P 0 0\nP 10 0\nR 4 1e-12\nB 6 0\n")
+        path.write_text(NEAR_LINE_TEXT)
         assert main(["solve", str(path), "--algo", "line"]) == EXIT_OK
         assert main(["solve", str(path), "--algo", "line",
                      "--tolerance", "0"]) == EXIT_PRECONDITION
