@@ -94,7 +94,7 @@ def bench_circle(ks: Sequence[int] = (100, 200), extra: int = 200, reps: int = 5
     return _alternated_medians(lambda args: fill_tables(*args), inputs, reps)
 
 
-def bench_exact(ns: Sequence[int] = (8, 10, 12, 14), reps: int = 1, seed: int = 0) -> dict:
+def bench_exact(ns: Sequence[int] = (10, 20, 30, 40), reps: int = 1, seed: int = 0) -> dict:
     """Median seconds of the exact solver on random planar instances."""
     inputs = {n: gen_random(n, 0.4, 0.4, "plane", seed=seed + n) for n in ns}
     return _alternated_medians(solve_exact, inputs, reps)
