@@ -1,12 +1,19 @@
-"""O(k^3 + n) dynamic program for concyclic instances.
+"""Exact solver for concyclic instances: a dynamic program over purple spans.
 
 Four tables indexed by ordered purple pairs hold subproblem optima under the
 four boundary assumptions: endpoints pre-connected in both colors (PC), in red
-only (RC), in blue only (BC), or in neither (NC). Tables are stored span-major:
-T[label][s][i] is the entry for the clockwise span from purple i to purple
-(i + s) mod k. The base case of each purple-to-purple arc is the collinear
-solver's segment case split, `line.segment_options`, with chord lengths as
-link lengths; `split_arcs` cuts the angular order into those arcs.
+only (RC), in blue only (BC), or in neither (NC). The tables are span-major
+(label, span, start) arrays: value[label, s, i] is the entry for the clockwise
+span from purple i to purple (i + s) mod k, and code[label, s, i] and
+param[label, s, i] record the choice that reached it. The base case of each
+purple-to-purple arc is the collinear solver's segment case split,
+`line.segment_options`, with chord lengths as link lengths; `split_arcs` cuts
+the angular order into those arcs.
+
+`solve_circle` is O(n^2 + k^3) for n points, k of them purple:
+`fit_circle`'s farthest-pair search takes a maximum over every row of the
+pairwise distances. The DP alone (the table fill, the final combination and
+the reconstruction) is O(k^3 + n).
 """
 
 from __future__ import annotations
@@ -129,128 +136,107 @@ def base_arc_costs(instance: Instance, a: int, b: int, interior: Sequence[int]) 
 
 @dataclass
 class DPTables:
-    """Span-major value tables plus back-pointers for reconstruction."""
+    """Span-major value tables plus back-pointers for reconstruction.
 
-    k: int
-    purple_ids: list
-    values: dict      # label -> {span -> ndarray(k)}
-    choices: dict     # label -> {span -> (codes ndarray, params ndarray)}
-    chord: dict       # span -> ndarray(k) of ||p_i p_{i+s}||
-    arc_bases: list   # _ArcBase per arc index
-
-
-def fill_tables(instance: Instance, purple_ids: Sequence[int],
-                arcs: Sequence[Sequence[int]]) -> DPTables:
-    """Fill the four tables in increasing clockwise-span order.
-
-    Values are kept in contiguous (span, start) matrices so the split-point
-    minimization of each span is a handful of whole-matrix operations.
+    `value`, `code` and `param` are indexed [label, span, start]; `chord` is
+    indexed [span, start]. Span 0 is unused.
     """
-    k = len(purple_ids)
-    coords = np.array([instance.coords(p) for p in purple_ids])
-    chord_m = np.zeros((k, k))
-    for s in range(1, k):
-        diff = coords - np.roll(coords, -s, axis=0)
-        chord_m[s] = np.hypot(diff[:, 0], diff[:, 1])
-    chord = {s: chord_m[s] for s in range(1, k)}
 
-    bases = [base_arc_costs(instance, purple_ids[i], purple_ids[(i + 1) % k], arcs[i])
-             for i in range(k)]
-
-    val = np.full((4, k, k), math.inf)  # [label, span, start]
-    choices = {lab: {} for lab in (P_, R_, B_, N_)}
-
-    for lab in (P_, R_, B_, N_):
-        val[lab, 1] = [bases[i].values[lab] for i in range(k)]
-
-    # idx[d, i] = (i + d) % k, the start of the right part after a split at d
-    idx = (np.arange(k)[None, :] + np.arange(k)[:, None]) % k
-
-    # span 1: base entries; the direct purple edge appears as PC + chord.
-    choices[P_][1] = (np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64))
-    direct1 = val[P_, 1] + chord_m[1]
-    for lab in (R_, B_, N_):
-        codes = np.where(val[lab, 1] <= direct1, _BASE, _DIRECT).astype(np.int64)
-        val[lab, 1] = np.minimum(val[lab, 1], direct1)
-        choices[lab][1] = (codes, np.zeros(k, dtype=np.int64))
-
-    # Case II split pairs flattened across labels (label-major, per _CASE2)
-    c2_lab = [lab for lab in (P_, R_, B_, N_) for _ in _CASE2[lab]]
-    c2_left = np.array([lft for lab in (P_, R_, B_, N_) for lft, _ in _CASE2[lab]])
-    c2_right = np.array([rgt for lab in (P_, R_, B_, N_) for _, rgt in _CASE2[lab]])
-    c2_rows = {lab: [r for r, l in enumerate(c2_lab) if l == lab] for lab in (P_, R_, B_, N_)}
-
-    # left[d, i] = PC value of span d at i plus the connecting chord
-    left = np.full((k, k), math.inf)
-    left[1] = val[P_, 1] + chord_m[1]
-
-    for s in range(2, k):
-        # Case I for all four labels at once: left part is purple with its
-        # chord, right part starts at (i + d) % k with span s - d.
-        spans = np.arange(s - 1, 0, -1)[:, None]
-        case1 = left[None, 1:s] + val[:, spans, idx[1:s]]
-        best1 = case1.min(axis=1)
-        arg1 = case1.argmin(axis=1) + 1  # split point d
-
-        case2 = val[c2_left, 1, :] + np.roll(val[c2_right, s - 1, :], -1, axis=1)
-        direct = val[P_, s] + chord_m[s]
-
-        for lab in (P_, R_, B_, N_):
-            rows = [best1[lab]]
-            code_lut = [_CASE_I]
-            param_lut = [0]
-            if lab != P_:
-                rows.append(direct)
-                code_lut.append(_DIRECT)
-                param_lut.append(0)
-            for vi, row in enumerate(c2_rows[lab]):
-                rows.append(case2[row])
-                code_lut.append(_CASE_II)
-                param_lut.append(vi)
-            stacked = np.vstack(rows)
-            pick = np.argmin(stacked, axis=0)
-            val[lab, s] = stacked[pick, np.arange(k)]
-            codes = np.array(code_lut, dtype=np.int64)[pick]
-            params = np.array(param_lut, dtype=np.int64)[pick]
-            is_case1 = codes == _CASE_I
-            params[is_case1] = arg1[lab][is_case1]
-            choices[lab][s] = (codes, params)
-        left[s] = val[P_, s] + chord_m[s]
-
-    values = {lab: {s: val[lab, s] for s in range(1, k)} for lab in (P_, R_, B_, N_)}
-    return DPTables(k, list(purple_ids), values, choices, chord, bases)
+    purple_ids: list
+    value: np.ndarray  # optimum of the span under the label's boundary assumption
+    code: np.ndarray   # choice code (_BASE, _DIRECT, _CASE_I or _CASE_II)
+    param: np.ndarray  # Case I: split span d; Case II: variant index into _CASE2[label]
+    chord: np.ndarray  # ||p_i p_{i+s}||
+    arc_bases: list    # _ArcBase per arc index
 
 
+# Case II splits off the span-1 arc at the start: (left, right) labels per variant.
 _CASE2 = {
     P_: [(N_, P_), (P_, N_), (R_, B_), (B_, R_)],
     R_: [(N_, R_), (R_, N_)],
     B_: [(N_, B_), (B_, N_)],
     N_: [(N_, N_)],
 }
+# One row per (label, variant): label, variant index, left label, right label.
+_C2_LAB, _C2_VAR, _C2_LEFT, _C2_RIGHT = np.array([
+    (lab, vi, left, right) for lab, variants in _CASE2.items()
+    for vi, (left, right) in enumerate(variants)]).T
+
+# Final pairings that split the circle at purple 0 and purple s.
+_PAIRINGS = [(P_, N_), (N_, P_), (R_, B_), (B_, R_)]
+_PAIR_LEFT, _PAIR_RIGHT = np.array(_PAIRINGS).T
+
+
+def fill_tables(instance: Instance, purple_ids: Sequence[int],
+                arcs: Sequence[Sequence[int]]) -> DPTables:
+    """Fill the four tables in increasing clockwise-span order.
+
+    Each span is a handful of whole-array operations: its options are stacked
+    into one (label, option, start) array, Case I at its best split and then
+    the Case II variants in `_CASE2` order (inf where a label has fewer), and
+    one argmin picks the first minimum.
+    """
+    k = len(purple_ids)
+    coords = np.array([instance.coords(p) for p in purple_ids])
+    # idx[d, i] = (i + d) % k, the start of the right part after a split at d
+    idx = (np.arange(k)[None, :] + np.arange(k)[:, None]) % k
+    diff = coords[None, :, :] - coords[idx]
+    chord = np.hypot(diff[..., 0], diff[..., 1])
+
+    bases = [base_arc_costs(instance, purple_ids[i], purple_ids[(i + 1) % k], arcs[i])
+             for i in range(k)]
+
+    value = np.full((4, k, k), math.inf)
+    code = np.zeros((4, k, k), dtype=np.int64)
+    param = np.zeros((4, k, k), dtype=np.int64)
+
+    # span 1: the arc's base entry, or the direct purple edge on top of its PC
+    # entry (which PC itself never prefers).
+    base = np.array([b.values for b in bases]).T
+    direct = base[P_] + chord[1]
+    value[:, 1] = np.minimum(base, direct)
+    code[:, 1] = np.where(base <= direct, _BASE, _DIRECT)
+
+    # Per span, option 0 is Case I and options 1-4 the Case II variants; a
+    # slot no variant of a label fills stays inf.
+    options = np.full((4, 5, k), math.inf)
+    for s in range(2, k):
+        # Case I: the left part is PC over span d plus its chord, the right
+        # part starts at (i + d) % k with span s - d.
+        case1 = ((value[P_, 1:s] + chord[1:s])[None]
+                 + value[:, np.arange(s - 1, 0, -1)[:, None], idx[1:s]])
+        split = case1.argmin(axis=1)
+        options[:, 0] = np.take_along_axis(case1, split[:, None], axis=1)[:, 0]
+        options[_C2_LAB, 1 + _C2_VAR] = (value[_C2_LEFT, 1]
+                                         + np.roll(value[_C2_RIGHT, s - 1], -1, axis=1))
+        pick = options.argmin(axis=1)
+        value[:, s] = np.take_along_axis(options, pick[:, None], axis=1)[:, 0]
+        code[:, s] = np.where(pick == 0, _CASE_I, _CASE_II)
+        param[:, s] = np.where(pick == 0, split + 1, pick - 1)
+
+    return DPTables(list(purple_ids), value, code, param, chord, bases)
 
 
 def combine_final(tables: DPTables) -> tuple[float, int, int]:
-    """Minimum over the four pairings that split the circle at purple 0 and j."""
-    k = tables.k
-    best = (math.inf, -1, -1)
-    pairings = [(P_, N_), (N_, P_), (R_, B_), (B_, R_)]
-    for s in range(1, k):
-        j = s % k
-        for vi, (left, right) in enumerate(pairings):
-            val = tables.values[left][s][0] + tables.values[right][k - s][j]
-            if val < best[0]:
-                best = (val, s, vi)
-    return best
+    """Minimum over the four pairings that split the circle at purple 0 and s.
+
+    Returns (value, s, pairing index) of the first minimum in (s, pairing) order.
+    """
+    k = len(tables.purple_ids)
+    s = np.arange(1, k)[:, None]
+    total = (tables.value[_PAIR_LEFT, s, 0]
+             + tables.value[_PAIR_RIGHT, k - s, s])
+    best = int(total.argmin())
+    return float(total.flat[best]), best // len(_PAIRINGS) + 1, best % len(_PAIRINGS)
 
 
 def _reconstruct(tables: DPTables, lab: int, i: int, s: int, pairs: list):
     stack = [(lab, i, s)]
-    k = tables.k
     pid = tables.purple_ids
+    k = len(pid)
     while stack:
         lab, i, s = stack.pop()
-        codes, params = tables.choices[lab][s]
-        code, par = int(codes[i]), int(params[i])
+        code, par = int(tables.code[lab, s, i]), int(tables.param[lab, s, i])
         if code == _BASE:
             arc_pairs = tables.arc_bases[i].edges[lab]
             assert arc_pairs is not None
@@ -295,11 +281,10 @@ def solve_circle(instance: Instance, tolerance: float = CONCYCLIC_TOL) -> Soluti
     if not math.isfinite(best):
         raise AssertionError("circle DP found no finite combination on feasible input")
 
-    pairings = [(P_, N_), (N_, P_), (R_, B_), (B_, R_)]
-    left, right = pairings[variant]
+    left, right = _PAIRINGS[variant]
     pairs: list[tuple[int, int]] = []
     _reconstruct(tables, left, 0, s, pairs)
-    _reconstruct(tables, right, s % k, k - s, pairs)
+    _reconstruct(tables, right, s, k - s, pairs)
     edge_set = make_edge_set(instance, pairs)
     if not math.isclose(edge_set.weight, best, rel_tol=1e-9, abs_tol=1e-9):
         raise AssertionError("reconstructed weight disagrees with DP optimum")

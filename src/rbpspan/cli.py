@@ -28,6 +28,8 @@ from .model import (
     Instance,
     PreconditionError,
     Solution,
+    edge_color,
+    make_edge_set,
     parse_instance,
     serialize_instance,
 )
@@ -51,15 +53,16 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _read_instance(path: str) -> Instance:
-    if path == "-":
-        return parse_instance(sys.stdin.read())
+def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise PreconditionError(f"cannot read {path}: {exc}") from exc
-    return parse_instance(text)
+
+
+def _read_instance(path: str) -> Instance:
+    return parse_instance(sys.stdin.read() if path == "-" else _read_text(path))
 
 
 def _write(path: Optional[str], text: str):
@@ -193,12 +196,12 @@ def cmd_render(args) -> int:
     instance = _read_instance(args.input)
     edge_set = None
     if args.solution:
-        from .model import make_edge_set
-        with open(args.solution) as fh:
-            pairs = _parse_edge_list(fh.read())
+        pairs = _parse_edge_list(_read_text(args.solution))
         for u, v in pairs:
             if not (0 <= u < instance.n and 0 <= v < instance.n):
                 raise PreconditionError(f"edge ({u}, {v}) references an unknown point id")
+            if edge_color(instance.color_of(u), instance.color_of(v)) is None:
+                raise PreconditionError(f"edge ({u}, {v}) joins a red and a blue point")
         edge_set = make_edge_set(instance, pairs)
     _write(args.out, render_svg(instance, edge_set, size=args.size))
     return EXIT_OK

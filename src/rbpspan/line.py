@@ -1,4 +1,7 @@
-"""O(n) exact solver for collinear instances via independent purple-gap segments.
+"""Exact solver for collinear instances via independent purple-gap segments.
+
+`solve_line` is O(n log n): `prepare_sorted` sorts the points along the line
+and `make_edge_set` sorts the edges. The core pass, `solve_sorted`, is O(n).
 
 The segment case split, `segment_options`, is also the base case of the
 circle DP's purple-to-purple arcs.

@@ -132,11 +132,11 @@ class TestTables:
             if inst.k < 2:
                 continue
             t = _tables(inst)
-            for s in range(1, t.k):
-                pc = t.values[P_][s]
-                nc = t.values[N_][s]
+            for s in range(1, inst.k):
+                pc = t.value[P_, s]
+                nc = t.value[N_, s]
                 for lab in (R_, B_):
-                    mid = t.values[lab][s]
+                    mid = t.value[lab, s]
                     assert np.all(pc <= mid + 1e-9)
                     assert np.all(mid <= nc + 1e-9)
 
@@ -210,3 +210,49 @@ def test_farthest_pair_matches_double_loop():
         assert _farthest_pair(inst) == _reference_farthest_pair(inst)
     assert _farthest_pair(cases[1])[1:] == (0, 3)
     assert _farthest_pair(cases[-1])[1:] == (0, 1)
+
+
+def _lattice_circle(r2, seed):
+    """The integer points of x^2 + y^2 = r2, each coloured at random from `seed`.
+
+    Many chords of such a circle have exactly equal lengths, so the DP meets
+    exact ties between its options.
+    """
+    m = math.isqrt(r2)
+    rng = random.Random(seed)
+    return parse_instance("\n".join(
+        f"{rng.choice('RBP')} {x} {y}" for x in range(-m, m + 1) for y in range(-m, m + 1)
+        if x * x + y * y == r2))
+
+
+# Edge lists whose optimum is not unique: choosing the last minimal option
+# instead of the first (in the split order, the Case II order of _CASE2 and
+# the (s, pairing) order of combine_final) changes each of them.
+_TIED_OPTIMA = {
+    (25, 11): [(1, 3), (2, 4), (8, 10), (0, 1), (4, 6), (5, 7), (9, 11), (10, 11),
+               (1, 5), (4, 8), (5, 11)],
+    (25, 26): [(1, 3), (2, 4), (8, 10), (0, 2), (3, 5), (5, 7), (6, 8), (9, 11),
+               (2, 6), (0, 5), (6, 11)],
+    (65, 9): [(0, 1), (6, 8), (7, 9), (14, 15), (0, 2), (1, 3), (4, 6), (5, 7), (8, 10),
+              (9, 11), (12, 14), (13, 15), (11, 15), (1, 6), (1, 9)],
+}
+
+
+class TestExactTies:
+    def test_lattice_circles_match_oracle(self):
+        # [DERIVED: oracle_forest cross-validation on exactly tied chord lengths]
+        checked = 0
+        for r2 in (25, 65):
+            for seed in range(40):
+                inst = _lattice_circle(r2, seed)
+                assert inst.n == (12 if r2 == 25 else 16)
+                if inst.k > 8:
+                    continue
+                assert solve_circle(inst).weight == pytest.approx(
+                    oracle_forest(inst).weight, rel=1e-9, abs=0.0)
+                checked += 1
+        assert checked >= 70
+
+    def test_tie_order_is_pinned(self):
+        for (r2, seed), pairs in _TIED_OPTIMA.items():
+            assert solve_circle(_lattice_circle(r2, seed)).edge_set.pairs() == pairs

@@ -218,6 +218,20 @@ class TestRender:
         bad.write_text("0 99\n")
         assert main(["render", e1_file, "--solution", str(bad)]) == EXIT_PRECONDITION
 
+    def test_red_blue_edge_exits_2(self, tmp_path, capsys):
+        inst = tmp_path / "rbp.txt"
+        inst.write_text("R 0 0\nB 1 0\nP 0 1\n")
+        sol = tmp_path / "sol.txt"
+        sol.write_text("0 1\n")
+        assert main(["render", str(inst), "--solution", str(sol)]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_missing_solution_file_exits_2(self, e1_file, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        assert main(["render", e1_file, "--solution", str(missing)]) == EXIT_PRECONDITION
+        assert capsys.readouterr().err.startswith("error: cannot read")
+
 
 def test_render_svg_direct():
     svg = render_svg(e1())
