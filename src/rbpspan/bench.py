@@ -1,4 +1,4 @@
-"""Timing harnesses for the scaling checks of the three specialized solvers."""
+"""Timing harnesses for the scaling checks of the three specialized solvers and approx-a."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import random
 import time
 from typing import Sequence
 
+from .approx import approx_a
 from .circle import fill_tables, split_arcs
 from .exact import solve_exact
 from .generators import gen_random
@@ -92,6 +93,13 @@ def bench_circle(ks: Sequence[int] = (100, 200), extra: int = 200, reps: int = 5
         instance = _circle_instance(k, extra, seed)
         inputs[k] = (instance, *split_arcs(instance, 0.0, 0.0))
     return _alternated_medians(lambda args: fill_tables(*args), inputs, reps)
+
+
+def bench_approx(sizes: Sequence[int] = (10_000, 100_000), reps: int = 1,
+                 seed: int = 0) -> dict:
+    """Median seconds of `approx_a` end to end per input size, on uniform plane points."""
+    inputs = {n: gen_random(n, 0.4, 0.4, "plane", seed=seed + n) for n in sizes}
+    return _alternated_medians(approx_a, inputs, reps)
 
 
 def bench_exact(ns: Sequence[int] = (10, 20, 30, 40), reps: int = 1, seed: int = 0) -> dict:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .graphops import BLUE_SIDE, RED_SIDE, kruskal_mst, solution_stats
 from .line import segment_options
-from .model import Color, Instance, PreconditionError, Solution, hypot_slack, make_edge_set
+from .model import Color, Instance, PreconditionError, Solution, make_edge_set
 
 CONCYCLIC_TOL = 1e-9
 
@@ -67,29 +67,54 @@ def fit_circle(instance: Instance):
     return (cx, cy, r, residual)
 
 
+# Squared lengths computed per block of rows of the upper triangle.
+_SQUARE_BLOCK = 1 << 14
+# Relative cut below the largest squared length. The squares of coordinates
+# scaled by a power of two lie within 4 ulps of the true squared lengths, and
+# instance.distance within 2 ulps of the true length, so 128 ulps (2^-46)
+# leaves room for both errors with a margin.
+_SQUARE_SLACK = 2.0 ** -46
+
+
+def _squares(xs: np.ndarray, ys: np.ndarray, i, j) -> np.ndarray:
+    """Squared coordinate differences summed, of the points at (broadcast) positions i and j."""
+    dx = xs[i] - xs[j]
+    dy = ys[i] - ys[j]
+    return dx * dx + dy * dy
+
+
 def _farthest_pair(instance: Instance) -> tuple[float, int, int]:
     """The first (i, j), i < j, in row-major order at the largest `instance.distance`.
 
-    np.hypot lengths find the candidates: every pair within `hypot_slack` of
-    the numpy maximum. Each np.hypot length lies within one ulp of the true
-    length, so every pair at the largest exact distance is a candidate.
-    Candidates are compared by `instance.distance` in (i, j) order under a
-    strict >, as a double loop over all pairs would. Row maxima come first and
-    only rows that reach the cut are recomputed, so extra memory stays O(n).
+    Squared lengths find the candidates: every pair whose square reaches
+    (1 - _SQUARE_SLACK) of the largest, which holds every pair at the largest
+    exact distance. The coordinates are first scaled by a power of two so
+    that the bounding box's longer side lies in [0.5, 1): the scaling is
+    exact, no square overflows, and underflow only touches pairs far below
+    the maximum. Candidates are compared by `instance.distance` in (i, j)
+    order under a strict >, as a double loop over all pairs would. Row maxima
+    of the upper triangle come first, _SQUARE_BLOCK squares at a time, and
+    only rows that reach the cut are recomputed, so extra memory stays
+    O(n + block).
     """
     pts = instance.points
+    n = len(pts)
     xs = np.array([p.x for p in pts], dtype=float)
     ys = np.array([p.y for p in pts], dtype=float)
-
-    def row(i: int) -> np.ndarray:
-        return np.hypot(xs[i] - xs[i + 1:], ys[i] - ys[i + 1:])
-
-    row_max = np.array([row(i).max() for i in range(len(pts) - 1)])
-    top = row_max.max()
-    cut = top - hypot_slack(top)
+    _, exp = math.frexp(max(xs.max() - xs.min(), ys.max() - ys.min()))
+    xs, ys = np.ldexp(xs, -exp), np.ldexp(ys, -exp)
+    rows = max(1, _SQUARE_BLOCK // n)
+    row_max = np.empty(n - 1)
+    for i0 in range(0, n - 1, rows):
+        i1 = min(i0 + rows, n - 1)
+        # Rows i0 .. i1 - 1 against columns i0 + 1 .. n - 1; column c < row r lies below the diagonal.
+        sq = _squares(xs, ys, np.arange(i0, i1)[:, None], np.arange(i0 + 1, n)[None, :])
+        sq[:, :i1 - i0][np.tri(i1 - i0, k=-1, dtype=bool)] = -1.0
+        row_max[i0:i1] = sq.max(axis=1)
+    cut = row_max.max() * (1.0 - _SQUARE_SLACK)
     best = (-1.0, 0, 1)
     for i in np.flatnonzero(row_max >= cut).tolist():
-        for j in (np.flatnonzero(row(i) >= cut) + i + 1).tolist():
+        for j in (np.flatnonzero(_squares(xs, ys, i, slice(i + 1, n)) >= cut) + i + 1).tolist():
             d = instance.distance(i, j)
             if d > best[0]:
                 best = (d, i, j)

@@ -177,18 +177,30 @@ def cmd_validate(args) -> int:
 
 
 def _parse_edge_list(text: str) -> list:
+    """The (u, v) pairs of a solution file, up to the stats block `rbpspan solve` writes.
+
+    The stats block is the `weight` line after a blank line and everything
+    after it. Comments and other blank lines are skipped; any other line that
+    is not two integers raises PreconditionError.
+    """
     pairs = []
-    for raw in text.splitlines():
+    after_blank = False
+    for number, raw in enumerate(text.splitlines(), 1):
+        if not raw.strip():
+            after_blank = True
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2:
-            break  # stats block follows the blank separator
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
+        if after_blank and parts[0] == "weight":
             break
+        after_blank = False
+        try:
+            u, v = (int(part) for part in parts)
+        except ValueError:
+            raise PreconditionError(
+                f"solution line {number}: expected two point ids, got {line!r}") from None
+        pairs.append((u, v))
     return pairs
 
 
@@ -224,6 +236,10 @@ def cmd_bench(args) -> int:
         res = bench_mod.bench_exact(reps=max(1, args.reps // 2), seed=args.seed)
         for n, t in sorted(res.items()):
             lines.append("exact %d %.6f" % (n, t))
+    if args.target in ("approx", "all"):
+        res = bench_mod.bench_approx(reps=max(1, args.reps // 2), seed=args.seed)
+        for n, t in sorted(res.items()):
+            lines.append("approx_a_e2e %d %.6f" % (n, t))
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -272,7 +288,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("bench", help="run the scaling benchmarks")
-    p.add_argument("--target", choices=("line", "circle", "exact", "all"), default="all")
+    p.add_argument("--target", choices=("line", "circle", "exact", "approx", "all"),
+                   default="all")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -75,39 +76,46 @@ class DisjointSets:
 _CLASS_OF = np.array([[3 if edge_color(a, b) is None else int(edge_color(a, b)) for b in Color]
                       for a in Color], dtype=np.int8)
 _FIRST_BLOCK = 1024
+# `_grid_pairs` counts pairs up to r * _GRID_MARGIN long as found; `_shells` keeps its
+# grids to at most _MAX_CELLS cells along an axis, which that margin needs.
+_GRID_MARGIN = 1.0 - 2.0 ** -20
+_MAX_CELLS = 2.0 ** 28
 
 
 class SortedPairs:
-    """(length, u, v) pairs in tie-break order, held as numpy arrays and made into tuples lazily.
+    """(length, u, v) pairs in tie-break order, found shell by shell and made into tuples lazily.
 
-    `length`, `u` and `v` are sorted by np.hypot length, ties in any order.
-    Iterating yields (instance.distance(u, v), u, v) tuples in (length, u, v)
-    order, the order of sorting them all. Tuples are made one block at a
-    time, each block as large as what is already made, and are kept: a
-    second iteration (or a second Kruskal run) reads the kept prefix first,
-    and Python work stays proportional to the longest prefix any reader takes.
+    `_shells` yields the pairs as numpy arrays sorted by np.hypot length, one
+    radius shell at a time. Iterating yields (instance.distance(u, v), u, v)
+    tuples in (length, u, v) order, the order of sorting them all. Tuples are
+    made one block at a time, each block as large as what is already made,
+    and are kept: a second iteration (or a second Kruskal run) reads the kept
+    prefix first, and both the numpy and the Python work stay proportional to
+    the longest prefix any reader takes.
 
     A block ends only where the next numpy length exceeds the one before it
     by more than `hypot_slack` of it, and each block is sorted by the exact
     key. That blocked order is the full order: np.hypot and math.hypot each
     lie within one ulp of the true length, so if p ends a block and q lies in
     a later block, np(q) > np(p) + hypot_slack(np(p)) leaves room for both
-    errors and distance(q) > distance(p). Every pair of a block precedes every
-    pair of later blocks under the exact key, so sorting within blocks is
-    enough, and the numpy sort need not be stable.
+    errors and distance(q) > distance(p). A shell ends at such a gap too, so
+    every pair of a block precedes every pair of later blocks under the exact
+    key, sorting within blocks is enough, and the numpy sort need not be stable.
     """
 
-    __slots__ = ("_instance", "_length", "_u", "_v", "_made")
+    __slots__ = ("_instance", "_count", "_shells", "_length", "_u", "_v", "_pos", "_made")
 
-    def __init__(self, instance: Instance, length: np.ndarray, u: np.ndarray, v: np.ndarray):
+    def __init__(self, instance: Instance, count: int,
+                 shells: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]):
         self._instance = instance
-        self._length = length
-        self._u = u
-        self._v = v
+        self._count = count
+        self._shells = shells
+        self._length = self._u = self._v = np.empty(0)  # the current shell
+        self._pos = 0  # its first pair not yet made into a tuple
         self._made: list[tuple[float, int, int]] = []
 
     def __len__(self) -> int:
-        return len(self._length)
+        return self._count
 
     def __iter__(self) -> Iterator[tuple[float, int, int]]:
         made = self._made
@@ -119,15 +127,20 @@ class SortedPairs:
 
     def _extend(self) -> bool:
         """Make the next block of tuples; False when all are made."""
-        start = len(self._made)
-        if start == len(self._length):
-            return False
-        end = self._block_end(min(len(self._length), start + max(start, _FIRST_BLOCK)))
+        while self._pos == len(self._length):
+            shell = next(self._shells, None)
+            if shell is None:
+                return False
+            self._length, self._u, self._v = shell
+            self._pos = 0
+        start = self._pos
+        end = self._block_end(min(len(self._length), start + max(len(self._made), _FIRST_BLOCK)))
         dist = self._instance.distance
         block = [(dist(u, v), u, v) for u, v in zip(self._u[start:end].tolist(),
                                                     self._v[start:end].tolist())]
         block.sort()
         self._made.extend(block)
+        self._pos = end
         return True
 
     def _block_end(self, end: int) -> int:
@@ -147,24 +160,135 @@ def sorted_side_pairs(instance: Instance, classes: Sequence[Color],
                       vertices: Sequence[int]) -> SortedPairs:
     """All admitted (length, u, v) pairs within the distinct ids `vertices`, in tie-break order.
 
-    Admitted means the edge's color class lies in `classes`.
+    Admitted means the edge's color class lies in `classes`. The pair count
+    comes from the color counts; the pairs themselves are found only as far
+    as a reader iterates (see `_shells`).
     """
     ids = np.array(sorted(vertices), dtype=np.int64)
     pts = [instance.points[i] for i in ids.tolist()]
-    color = np.array([p.color for p in pts], dtype=np.int8)
+    colors = [p.color for p in pts]
+    color = np.array(colors, dtype=np.int8)
     xs = np.array([p.x for p in pts], dtype=float)
     ys = np.array([p.y for p in pts], dtype=float)
     admitted = np.zeros(4, dtype=bool)
     admitted[[int(c) for c in classes]] = True
-    iu, iv = np.nonzero(np.triu(admitted[_CLASS_OF[color[:, None], color[None, :]]], 1))
-    dx = xs[iu]
-    dx -= xs[iv]
-    dy = ys[iu]
-    dy -= ys[iv]
-    length = np.hypot(dx, dy, out=dx)
-    del dy
+    r, b, p = colors.count(Color.RED), colors.count(Color.BLUE), colors.count(Color.PURPLE)
+    per_class = (r * (r - 1) // 2 + r * p, b * (b - 1) // 2 + b * p, p * (p - 1) // 2)
+    count = sum(c for c, ok in zip(per_class, admitted.tolist()) if ok)
+    return SortedPairs(instance, count, _shells(ids, xs, ys, color, admitted, count))
+
+
+def _shells(ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, color: np.ndarray,
+            admitted: np.ndarray, count: int
+            ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The `count` admitted pairs as (length, u, v) arrays sorted by np.hypot length, shell by shell.
+
+    Shell j holds the pairs whose np.hypot length lies in (c_{j-1}, c_j]. Its
+    pairs come from one `_grid_pairs` pass of cell side r, which finds every
+    pair up to its `lim`. c_j is the last found length followed by a gap
+    wider than `hypot_slack` (`_last_gap`), so every pair of a later shell is
+    longer than c_j + hypot_slack(c_j). r starts where about _FIRST_BLOCK of
+    `count` pairs spread evenly over the bounding box would be shorter, never
+    below 1/_MAX_CELLS of its diagonal, and doubles after each pass; a pass
+    that finds fewer than _FIRST_BLOCK new pairs, or no gap, yields nothing.
+    Once r reaches the diagonal, or a grid would hold more pairs than
+    `count`, or when every pair fits in one block, the last shell is every
+    pair left, from one dense pass. So work is
+    O(m + pairs up to the last grid radius) on spread points and O(m^2) at
+    worst (clustered points, or readers that take every pair).
+    """
+    lo = -math.inf
+    if count > _FIRST_BLOCK:
+        w, h = float(xs.max() - xs.min()), float(ys.max() - ys.min())
+        diag = math.hypot(w, h)
+        # The 2-D term comes last: with w or h overflowed it may be nan, which max skips.
+        r = max(math.ulp(0.0), diag / _MAX_CELLS, diag * _FIRST_BLOCK / (2 * count),
+                math.sqrt(w) * math.sqrt(h) * math.sqrt(_FIRST_BLOCK / (math.pi * count)))
+        while r < diag:
+            found = _grid_pairs(xs, ys, r, count)
+            if found is None:
+                break
+            a, b, lim = found
+            keep = admitted[_CLASS_OF[color[a], color[b]]]
+            a, b = a[keep], b[keep]
+            length = _lengths(xs, ys, a, b)
+            keep = (length > lo) & (length <= lim)
+            length, a, b = length[keep], a[keep], b[keep]
+            if len(length) >= _FIRST_BLOCK:
+                order = np.argsort(length)
+                length = length[order]
+                end = _last_gap(length, lim)
+                if end:
+                    order = order[:end]
+                    yield length[:end], ids[a[order]], ids[b[order]]
+                    lo = float(length[end - 1])
+            r *= 2.0
+    pos = np.arange(len(ids))
+    a, b = np.nonzero(admitted[_CLASS_OF[color[:, None], color[None, :]]] & (pos[:, None] < pos))
+    length = _lengths(xs, ys, a, b)
+    if lo > -math.inf:
+        keep = length > lo
+        length, a, b = length[keep], a[keep], b[keep]
     order = np.argsort(length)
-    return SortedPairs(instance, length[order], ids[iu[order]], ids[iv[order]])
+    yield length[order], ids[a[order]], ids[b[order]]
+
+
+def _grid_pairs(xs: np.ndarray, ys: np.ndarray, r: float, most: int
+                ) -> Optional[tuple[np.ndarray, np.ndarray, float]]:
+    """Position pairs a < b of the points in the same or adjacent cells of side r, and `lim`.
+
+    Each pair appears once: a point is paired with the later points of its
+    own cell and every point of four forward neighbour cells. In exact
+    arithmetic that finds every pair up to r long. Shifting the coordinates
+    to the box corner and dividing by r round, which can move two points'
+    cell coordinates apart by up to 2^-22 of a cell more than their distance
+    while the box is at most _MAX_CELLS cells wide, so every pair up to
+    lim = r * _GRID_MARGIN long is among them. With subnormal coordinates the
+    shift is exact and only the division rounds: a pair then lands two cells
+    apart only if it is r long and r spans at least 2^26 subnormal steps,
+    where lim lies at least 64 steps below r. None when there would be more
+    than `most` pairs.
+    """
+    cx = np.floor((xs - xs.min()) / r).astype(np.int64)
+    cy = np.floor((ys - ys.min()) / r).astype(np.int64)
+    # Row stride past the top row, so that the cells above the top row and below
+    # the bottom row are empty rather than the neighbouring column's cells.
+    stride = int(cy.max()) + 2
+    key = cx * stride + cy
+    by_cell = np.argsort(key)
+    key = key[by_cell]
+    pos = np.arange(len(key))
+    # In cell order, the later points of the own cell and the cell above form one
+    # range, and the three cells of the next column around the row form another.
+    starts = np.concatenate([pos + 1, np.searchsorted(key, key + (stride - 1), side="left")])
+    stops = np.concatenate([np.searchsorted(key, key + 1, side="right"),
+                            np.searchsorted(key, key + (stride + 1), side="right")])
+    sizes = stops - starts
+    if sizes.sum() > most:
+        return None
+    a = np.repeat(np.concatenate([pos, pos]), sizes)
+    b = np.arange(len(a)) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    a, b = by_cell[a], by_cell[b]
+    return np.minimum(a, b), np.maximum(a, b), r * _GRID_MARGIN
+
+
+def _last_gap(length: np.ndarray, lim: float) -> int:
+    """The end of the sorted `length` prefix that ends at a gap wider than `hypot_slack`, or 0.
+
+    lim counts as the length after the last, so the prefix's last length is
+    more than hypot_slack below lim as well as below the length after it.
+    """
+    gap = np.flatnonzero(np.append(length[1:], lim) - length > hypot_slack(length))
+    return int(gap[-1]) + 1 if len(gap) else 0
+
+
+def _lengths(xs: np.ndarray, ys: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.hypot lengths of the position pairs (a, b)."""
+    dx = xs[a]
+    dx -= xs[b]
+    dy = ys[a]
+    dy -= ys[b]
+    return np.hypot(dx, dy, out=dx)
 
 
 def kruskal(n: int, sorted_pairs: Iterable[tuple[float, int, int]], vertices: Sequence[int],

@@ -4,6 +4,7 @@ import pytest
 
 from rbpspan.bench import (
     _median,
+    bench_approx,
     bench_circle,
     bench_exact,
     bench_line,
@@ -26,6 +27,11 @@ def test_bench_line_smoke():
 def test_bench_line_e2e_smoke():
     res = bench_line_e2e(sizes=(500, 1000), reps=2)
     assert set(res) == {500, 1000} and min(res.values()) > 0.0
+
+
+def test_bench_approx_smoke():
+    res = bench_approx(sizes=(50, 200), reps=2)
+    assert set(res) == {50, 200} and min(res.values()) > 0.0
 
 
 def test_bench_circle_smoke():

@@ -212,6 +212,21 @@ def test_farthest_pair_matches_double_loop():
     assert _farthest_pair(cases[-1])[1:] == (0, 1)
 
 
+def test_farthest_pair_where_squares_are_subnormal():
+    # Two chords of exactly equal length through one midpoint, by the two-squares
+    # identity; at coordinates near 1e-156 their unscaled squares are subnormal and
+    # round far enough apart that the first pair would fall below the cut.
+    s = 2.0 ** -541
+    for a, b, c, d in ((2344, 2433, 3545, 2285), (3469, 2140, 3939, 3503),
+                       (2885, 4024, 2055, 4011)):
+        x, y, u, v = a * c - b * d, a * d + b * c, a * c + b * d, a * d - b * c
+        assert x * x + y * y == u * u + v * v
+        inst = _purple([(0.0, 0.0), (2 * x * s, 2 * y * s),
+                        ((x - u) * s, (y - v) * s), ((x + u) * s, (y + v) * s)])
+        assert _farthest_pair(inst) == _reference_farthest_pair(inst)
+        assert _farthest_pair(inst)[1:] == (0, 1)
+
+
 def _lattice_circle(r2, seed):
     """The integer points of x^2 + y^2 = r2, each coloured at random from `seed`.
 

@@ -227,6 +227,20 @@ class TestRender:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["0 1\n0 2 x\n1 3\n", "0 1\n\n1 3\nweight 18\n"])
+    def test_malformed_edge_line_exits_2(self, e1_file, tmp_path, capsys, text):
+        # Every edge line is read or rejected; only the stats block after the blank line is skipped.
+        sol = tmp_path / "sol.txt"
+        sol.write_text(text)
+        assert main(["render", e1_file, "--solution", str(sol)]) == EXIT_PRECONDITION
+        assert "solution line" in capsys.readouterr().err
+
+    def test_blank_line_between_edges_is_skipped(self, e1_file, tmp_path, capsys):
+        sol = tmp_path / "sol.txt"
+        sol.write_text("0 1\n\n# attachments\n0 2\n1 3\n\nweight 18\nsolver exact\n")
+        assert main(["render", e1_file, "--solution", str(sol)]) == EXIT_OK
+        assert capsys.readouterr().out.count("<line") == 3
+
     def test_missing_solution_file_exits_2(self, e1_file, tmp_path, capsys):
         missing = tmp_path / "missing.txt"
         assert main(["render", e1_file, "--solution", str(missing)]) == EXIT_PRECONDITION

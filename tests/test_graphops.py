@@ -323,6 +323,103 @@ class TestSortedSidePairs:
             got = sorted_side_pairs(inst, ALL_CLASSES, verts)
             assert len(got) == 0 and list(got) == []
 
+    @pytest.mark.parametrize("classes", [RED_SIDE, ALL_CLASSES])
+    def test_far_apart_clusters(self, classes, block_size):
+        # The pairs between the clusters lie beyond every intra-cluster radius,
+        # so the shell radius doubles up to the span.
+        coords = _random_coords(45, 21) + [(x + 1000.0, y + 700.0) for x, y in _random_coords(45, 22)]
+        inst = _instance(coords, 21)
+        _assert_same_pairs(inst, classes, range(inst.n))
+        tree = kruskal_mst(inst, inst.red_side(), RED_SIDE)
+        assert tree.weight == pytest.approx(_prim_weight(inst, inst.red_side()), rel=1e-12)
+
+    def test_full_lattice_ties_at_every_shell_radius(self, monkeypatch):
+        # Every length of a full lattice repeats, so shell ends fall inside runs of
+        # equal lengths; the block sizes move the starting radius across them.
+        inst = _instance([(float(x), float(y)) for x in range(14) for y in range(14)], 23)
+        expected = _reference_side_pairs(inst, ALL_CLASSES, range(inst.n))
+        for size in (1, 2, 3, 5, 8, 13, 40, 200, 1000):
+            monkeypatch.setattr(graphops, "_FIRST_BLOCK", size)
+            got = sorted_side_pairs(inst, ALL_CLASSES, range(inst.n))
+            assert len(got) == len(expected) and list(got) == expected
+
+    @pytest.mark.parametrize("classes", CLASS_CHOICES)
+    def test_horizontal_and_vertical_lines(self, classes, block_size):
+        rng = random.Random(24)
+        ts = [t * 0.125 for t in rng.sample(range(4000), 100)]
+        _assert_same_pairs(_instance([(t, 3.0) for t in ts], 24), classes, range(100))
+        _assert_same_pairs(_instance([(-2.0, t) for t in ts], 25), classes, range(100))
+
+    @pytest.mark.parametrize("classes", [RED_SIDE, ALL_CLASSES])
+    def test_many_points_in_one_cell(self, classes, block_size):
+        # The bounding box is set by a few far points; the cluster fills one grid cell.
+        coords = _random_coords(80, 26, scale=1e-6) + [(50.0, 0.0), (0.0, 50.0), (50.0, 50.0)]
+        _assert_same_pairs(_instance(coords, 26), classes, range(len(coords)))
+
+    @pytest.mark.parametrize("size", [1034, 1035], ids=["grid", "one_pass"])
+    def test_just_above_and_below_one_pass(self, size, monkeypatch):
+        # 46 purple points have 1035 purple pairs: one more than a block of 1034.
+        monkeypatch.setattr(graphops, "_FIRST_BLOCK", size)
+        coords = _random_coords(46, 27)
+        inst = Instance(Point(i, Color.PURPLE, x, y) for i, (x, y) in enumerate(coords))
+        _assert_same_pairs(inst, (Color.PURPLE,), range(46))
+
+    def test_grid_pairs_find_every_pair_up_to_lim(self):
+        # After the shift by -2^20, x = -0.75 * 2^-33 and x + 1 round to cells two
+        # apart: the pair of length r = 1 is missed, so lim must lie below it.
+        xs = np.array([-2.0 ** 20, -0.75 * 2.0 ** -33, 1.0 - 0.75 * 2.0 ** -33])
+        cases = [(xs, np.zeros(3), 1.0, {(1, 2)})]
+        rng = random.Random(28)
+        for scale in (1.0, 1e150, 1e-300, 2.0 ** 40 * math.ulp(0.0)):
+            coords = _random_coords(150, rng.randrange(100), scale) + [(-1e3 * scale, 0.0)]
+            for r in (0.01 * scale, 0.05 * scale, 0.3 * scale):
+                cases.append((np.array([x for x, _ in coords]), np.array([y for _, y in coords]),
+                              r, set()))
+        for xs, ys, r, missed in cases:
+            a, b, lim = graphops._grid_pairs(xs, ys, r, len(xs) ** 2)
+            found = list(zip(a.tolist(), b.tolist()))
+            assert len(found) == len(set(found)) and all(u < v for u, v in found)
+            near = {(u, v) for u in range(len(xs)) for v in range(u + 1, len(xs))
+                    if np.hypot(xs[u] - xs[v], ys[u] - ys[v]) <= lim}
+            assert near <= set(found)
+            assert missed.isdisjoint(found) and lim < r
+
+    def test_last_gap_counts_lim_as_the_next_length(self):
+        m = math.hypot(17.0, 27.0)
+        up = math.nextafter(m, math.inf)
+        length = np.array([1.0, m, up])
+        assert graphops._last_gap(length, 2 * m) == 3
+        assert graphops._last_gap(length, math.nextafter(up, math.inf)) == 1
+        assert graphops._last_gap(length[1:], 2 * m) == 2
+        assert graphops._last_gap(length[1:], up) == 0
+
+    def test_builds_only_a_prefix(self, monkeypatch):
+        inst = _instance(_random_coords(2000, 17), 17)
+        verts = inst.red_side()
+        total = len(sorted_side_pairs(inst, RED_SIDE, verts))
+        assert total == len(verts) * (len(verts) - 1) // 2
+        built = []
+        shells = graphops._shells
+
+        def counting_shells(*args):
+            for shell in shells(*args):
+                built.append(len(shell[0]))
+                yield shell
+
+        made = []
+        distance = Instance.distance
+
+        def counting_distance(self, u, v):
+            made.append((u, v))
+            return distance(self, u, v)
+
+        monkeypatch.setattr(graphops, "_shells", counting_shells)
+        monkeypatch.setattr(Instance, "distance", counting_distance)
+        tree = kruskal_mst(inst, verts, RED_SIDE)
+        assert len(tree.edges) == len(verts) - 1
+        assert sum(built) < 0.05 * total
+        assert len(made) < 0.05 * total
+
 
 class _CountingPairs:
     """Iterable over a list that counts the pairs read."""
