@@ -285,7 +285,7 @@ def _reconstruct(tables: DPTables, lab: int, i: int, s: int, pairs: list):
 def solve_circle(instance: Instance, tolerance: float = CONCYCLIC_TOL) -> Solution:
     """Minimum RBP spanning graph for points on a common circle."""
     cx, cy, r, residual = fit_circle(instance)
-    if residual > tolerance:
+    if not residual <= tolerance:  # a nan tolerance accepts nothing
         raise NotConcyclicError(residual)
 
     if instance.k <= 1:

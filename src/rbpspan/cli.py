@@ -53,6 +53,22 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tolerance: a finite number >= 0 (nan and inf would accept any input)."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of counts and sizes that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
@@ -253,7 +269,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("input", help="instance file ('-' for stdin)")
     p.add_argument("--algo", choices=SOLVERS, default="auto")
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--tolerance", type=_tolerance, default=None,
                    help="override the 1e-9 collinearity/concyclicity tolerance")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--svg", default=None, help="also render the solution to this SVG path")
@@ -283,14 +299,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("render", help="render an instance (and optional solution) to SVG")
     p.add_argument("input")
     p.add_argument("--solution", default=None, help="solution edge-list file")
-    p.add_argument("--size", type=int, default=640)
+    p.add_argument("--size", type=_positive_int, default=640)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("bench", help="run the scaling benchmarks")
     p.add_argument("--target", choices=("line", "circle", "exact", "approx", "all"),
                    default="all")
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--reps", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)

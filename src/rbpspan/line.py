@@ -173,7 +173,7 @@ def segment_best(g: float, a: int, b: int, reds: Sequence[int], blues: Sequence[
 def solve_line(instance: Instance, tolerance: float = COLLINEAR_TOL) -> Solution:
     """Minimum RBP spanning graph for collinear points."""
     residual = collinearity_residual(instance)
-    if residual > tolerance:
+    if not residual <= tolerance:  # a nan tolerance accepts nothing
         raise NotCollinearError(residual)
     _, pairs = solve_sorted(*prepare_sorted(instance))
     edge_set = make_edge_set(instance, pairs)

@@ -73,6 +73,10 @@ class TestSolveCircle:
         with pytest.raises(NotConcyclicError):
             solve_circle(inst)
 
+    def test_nan_tolerance_accepts_nothing(self):
+        with pytest.raises(NotConcyclicError):
+            solve_circle(parse_instance("P 0 0\nP 1 0\nP 0 1\nR 5 5"), math.nan)
+
     def test_single_purple_bypass(self):
         inst = parse_instance(_circle_text([("P", 0), ("R", 60), ("R", 200), ("B", 120)]))
         assert solve_circle(inst).weight == pytest.approx(

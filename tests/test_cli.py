@@ -147,6 +147,16 @@ class TestSolve:
                      "--tolerance", "0"]) == EXIT_PRECONDITION
         assert "not collinear" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5"])
+    @pytest.mark.parametrize("algo", ["auto", "line", "circle"])
+    def test_bad_tolerance_exits_1(self, tmp_path, capsys, algo, tolerance):
+        # A nan tolerance would let the line solver accept plane input.
+        path = _auto_input(tmp_path, "plane-18")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", path, "--algo", algo, "--tolerance", tolerance])
+        assert exc.value.code == EXIT_USAGE
+        assert "--tolerance" in capsys.readouterr().err
+
     def test_unknown_algo_exits_1(self, e1_file):
         with pytest.raises(SystemExit) as exc:
             main(["solve", e1_file, "--algo", "bogus"])
@@ -213,6 +223,13 @@ class TestRender:
         assert main(["render", e1_file]) == EXIT_OK
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_non_positive_size_exits_1(self, e1_file, capsys, size):
+        with pytest.raises(SystemExit) as exc:
+            main(["render", e1_file, "--size", size])
+        assert exc.value.code == EXIT_USAGE
+        assert "--size" in capsys.readouterr().err
+
     def test_unknown_edge_id_exits_2(self, e1_file, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 99\n")
@@ -245,6 +262,16 @@ class TestRender:
         missing = tmp_path / "missing.txt"
         assert main(["render", e1_file, "--solution", str(missing)]) == EXIT_PRECONDITION
         assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+class TestBench:
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_non_positive_reps_exits_1(self, capsys, reps):
+        # --reps 0 would leave the median of no samples to compute.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--target", "line", "--reps", reps])
+        assert exc.value.code == EXIT_USAGE
+        assert "--reps" in capsys.readouterr().err
 
 
 def test_render_svg_direct():

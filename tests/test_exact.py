@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 import hypothesis
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from rbpspan.exact import (
     solve_exact,
 )
 from rbpspan.graphops import BLUE_SIDE, DisjointSets, RED_SIDE, is_rbp_spanning, kruskal_mst
-from rbpspan.model import Color, Instance, Point, allowed_edges, parse_instance
+from rbpspan.model import Color, Instance, Point, allowed_edges, make_edge_set, parse_instance
 from rbpspan.oracle import oracle_forest
 from util import e1, line_instance, seeded_instances
 
@@ -37,7 +38,8 @@ class TestExchangeGraph:
         edges = allowed_edges(inst)
         x = frozenset(range(len(edges)))
         g = build_exchange_graph(inst, edges, x)
-        src_targets = set(g.dst[g.src == g.source].tolist())
+        source = len(edges)
+        src_targets = set(np.flatnonzero(np.isfinite(g[source])).tolist())
         for i in range(len(edges)):
             expect = _side_connected(inst, edges, x - {i}, BLUE_SIDE)
             assert (i in src_targets) == expect
@@ -50,10 +52,33 @@ class TestExchangeGraph:
         edges = allowed_edges(inst)
         x = frozenset(range(len(edges)))
         g = build_exchange_graph(inst, edges, x)
-        sink_sources = set(g.src[g.dst == g.sink].tolist())
+        sink = len(edges) + 1
+        sink_sources = set(np.flatnonzero(np.isfinite(g[:, sink])).tolist())
         for i in range(len(edges)):
             expect = _side_connected(inst, edges, x - {i}, RED_SIDE)
             assert (i in sink_sources) == expect
+
+    def test_arcs_between_edges_match_definition(self):
+        # [DERIVED: X - e + f connectivity enumerated directly for X = the ground set]
+        for inst in seeded_instances(12, n_min=4, n_max=7, base_seed=900):
+            edges = allowed_edges(inst)
+            ground = {e.pair for e in ground_set(inst)}
+            x = frozenset(i for i, e in enumerate(edges) if e.pair in ground)
+            g = build_exchange_graph(inst, edges, x)
+            m = len(edges)
+            for a in range(m):
+                for b in range(m):
+                    if (a in x) == (b in x):
+                        assert g[a, b] == math.inf
+                        continue
+                    e, f = (a, b) if a in x else (b, a)
+                    swapped = (x - {e}) | {f}
+                    if a in x:  # e -> f
+                        arc = _side_connected(inst, edges, swapped, RED_SIDE)
+                        assert g[a, b] == (edges[f].length if arc else math.inf)
+                    else:  # f -> e
+                        arc = _side_connected(inst, edges, swapped, BLUE_SIDE)
+                        assert g[a, b] == (-edges[e].length if arc else math.inf)
 
 
 class TestExchangeSequence:
@@ -243,3 +268,31 @@ class TestDegenerateInputs:
         if inst.k > 8:
             return
         _assert_matches_oracle(inst)
+
+
+class TestExactTies:
+    """Pinned edge lists on 5x5-lattice instances whose optimum is not unique.
+
+    Each case lists the edges `solve_exact` returns and another optimum of the
+    same weight, so a change to the exchange tie rules (first minimum hop
+    count at the sink, lowest-id predecessor on the walk back) shows up here.
+    """
+
+    CASES = [
+        (3004, [(1, 6), (1, 7), (2, 5), (3, 6), (0, 7), (2, 8), (5, 7), (4, 7)],
+         [(1, 6), (1, 7), (2, 5), (3, 6), (0, 5), (2, 8), (5, 7), (4, 7)]),
+        (3007, [(0, 3), (0, 6), (1, 6), (4, 6), (2, 6), (0, 5)],
+         [(0, 3), (0, 6), (1, 2), (4, 6), (2, 6), (0, 5)]),
+        (3016, [(0, 2), (1, 5), (3, 5), (1, 4), (2, 5)],
+         [(0, 2), (1, 5), (2, 3), (1, 4), (2, 5)]),
+        (3028, [(0, 1), (0, 2), (1, 3), (3, 4)],
+         [(0, 1), (0, 2), (1, 3), (1, 4)]),
+    ]
+
+    @pytest.mark.parametrize("seed, expect, other", CASES)
+    def test_edge_lists(self, seed, expect, other):
+        inst = _lattice(seed)
+        sol = solve_exact(inst)
+        alt = make_edge_set(inst, other)
+        assert is_rbp_spanning(inst, alt.edges) and alt.weight == sol.weight
+        assert list(sol.edge_set.pairs()) == expect

@@ -51,6 +51,10 @@ class TestSolveLine:
             solve_line(inst)
         assert exc.value.residual > 1e-9
 
+    def test_nan_tolerance_accepts_nothing(self):
+        with pytest.raises(NotCollinearError):
+            solve_line(parse_instance("P 0 0\nP 10 0\nR 5 3"), math.nan)
+
     def test_rotation_invariance(self):
         spec = [("P", 0), ("P", 10), ("R", 4), ("B", 6), ("R", 9)]
         base = solve_line(line_instance(spec)).weight
