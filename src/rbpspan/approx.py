@@ -83,8 +83,8 @@ def ratio_report(instance: Instance, approx_solution: Solution,
         ref_weight = reference.weight
     else:
         ref_weight = float(reference)
-    if ref_weight <= 0.0:
-        raise PreconditionError("reference weight must be positive")
+    if not 0.0 < ref_weight < math.inf:
+        raise PreconditionError("reference weight must be positive and finite")
     ratio = approx_solution.weight / ref_weight
     violated = certified and ratio > guarantee * (1.0 + 1e-9)
     return RatioReport(ratio, guarantee, certified, violated)

@@ -14,6 +14,8 @@ from .generators import gen_random
 from .line import solve_line, solve_sorted
 from .model import Color, Instance, Point
 
+EXACT_SEEDS = 16  # instances per n in bench_exact
+
 
 def _median(samples: Sequence[float]) -> float:
     s = sorted(samples)
@@ -103,9 +105,16 @@ def bench_approx(sizes: Sequence[int] = (10_000, 100_000), reps: int = 1,
 
 
 def bench_exact(ns: Sequence[int] = (10, 20, 30, 40), reps: int = 1, seed: int = 0) -> dict:
-    """Median seconds of the exact solver on random planar instances."""
-    inputs = {n: gen_random(n, 0.4, 0.4, "plane", seed=seed + n) for n in ns}
-    return _alternated_medians(solve_exact, inputs, reps)
+    """Median seconds of the exact solver per n, over EXACT_SEEDS random planar instances.
+
+    The instances are `gen_random(n, 0.4, 0.4, "plane", seed=seed + i)` for i < EXACT_SEEDS.
+    The cost follows the purple count k, which varies from seed to seed, so one
+    instance per n says little about n.
+    """
+    inputs = {(n, i): gen_random(n, 0.4, 0.4, "plane", seed=seed + i)
+              for n in ns for i in range(EXACT_SEEDS)}
+    per_instance = _alternated_medians(solve_exact, inputs, reps)
+    return {n: _median([per_instance[n, i] for i in range(EXACT_SEEDS)]) for n in ns}
 
 
 def scaling_ratio(results: dict, small, large) -> float:

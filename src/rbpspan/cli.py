@@ -28,7 +28,6 @@ from .model import (
     Instance,
     PreconditionError,
     Solution,
-    edge_color,
     make_edge_set,
     parse_instance,
     serialize_instance,
@@ -224,13 +223,10 @@ def cmd_render(args) -> int:
     instance = _read_instance(args.input)
     edge_set = None
     if args.solution:
-        pairs = _parse_edge_list(_read_text(args.solution))
-        for u, v in pairs:
-            if not (0 <= u < instance.n and 0 <= v < instance.n):
-                raise PreconditionError(f"edge ({u}, {v}) references an unknown point id")
-            if edge_color(instance.color_of(u), instance.color_of(v)) is None:
-                raise PreconditionError(f"edge ({u}, {v}) joins a red and a blue point")
-        edge_set = make_edge_set(instance, pairs)
+        edge_set = make_edge_set(instance, _parse_edge_list(_read_text(args.solution)))
+        for e in edge_set.edges:
+            if e.color_class is None:
+                raise PreconditionError(f"edge ({e.u}, {e.v}) joins a red and a blue point")
     _write(args.out, render_svg(instance, edge_set, size=args.size))
     return EXIT_OK
 

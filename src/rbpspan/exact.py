@@ -4,7 +4,8 @@ The candidate edge set starts as the pruned ground set (`ground_set`: every
 purple edge plus the red-class edges of the R∪P Euclidean MST and the
 blue-class edges of the B∪P one) and shrinks one edge per round along a
 minimum-cost alternating exchange sequence, found as a shortest path in an
-auxiliary exchange graph held as one dense (m+2) x (m+2) arc-weight matrix.
+auxiliary exchange graph held as one dense (m+2) x (m+2) arc-weight matrix,
+whose arcs come from one BFS tree of each side of the current edge set.
 """
 
 from __future__ import annotations
@@ -37,82 +38,43 @@ class ExchangeSequence:
         return len(self.edge_indices)
 
 
-class _SideState:
-    """Connectivity of one color side of the current candidate set X, as masks over E.
+def _side_masks(instance: Instance, edges: Sequence[Edge], in_x: np.ndarray, side,
+                u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Connectivity of one color side of the candidate set X, as masks over E.
 
-    `removable[e]`: X-e keeps this side connected. `keep[e, f]`: X-e+f keeps
-    it connected, that is e is removable or f joins the two parts that
-    removing the bridge e leaves (the cut labels of e differ at f's ends).
+    Returns `removable[e]`: X-e keeps this side connected, and `keep[e, f]`:
+    X-e+f keeps it connected, that is e is removable or f joins the two parts
+    that removing the bridge e leaves. Both come from one BFS tree of the
+    side's X edges, which must connect the side: only tree edges can be
+    bridges, `below[e]` marks the vertices under tree edge e, and e is a
+    bridge iff no off-tree X edge of the side has exactly one end below it.
     """
-
-    def __init__(self, instance: Instance, edges: Sequence[Edge], x_indices, side,
-                 u: np.ndarray, v: np.ndarray):
-        n, m = instance.n, len(edges)
-        self.vertices = [p.id for p in instance.points if p.color in side]
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for ei in x_indices:
-            e = edges[ei]
-            if e.color_class in side:
-                adj[e.u].append((e.v, ei))
-                adj[e.v].append((e.u, ei))
-        self.removable = np.ones(m, dtype=bool)
-        cut_labels = np.zeros((m, n), dtype=np.int8)
-        for b in self._find_bridges(n, adj):
-            self.removable[b] = False
-            cut_labels[b] = self._labels_without(n, adj, edges[b], b)
-        in_side = np.array([e.color_class in side for e in edges], dtype=bool)
-        self.keep = self.removable[:, None] | (in_side & (cut_labels[:, u] != cut_labels[:, v]))
-
-    def _find_bridges(self, n: int, adj) -> list[int]:
-        disc = [-1] * n
-        low = [0] * n
-        timer = 0
-        bridges = []
-        for s in self.vertices:
-            if disc[s] != -1:
-                continue
-            disc[s] = low[s] = timer
-            timer += 1
-            stack = [(s, -1)]
-            iters = [iter(adj[s])]
-            while stack:
-                v, parent_edge = stack[-1]
-                advanced = False
-                for w, ei in iters[-1]:
-                    if ei == parent_edge:
-                        continue
-                    if disc[w] == -1:
-                        disc[w] = low[w] = timer
-                        timer += 1
-                        stack.append((w, ei))
-                        iters.append(iter(adj[w]))
-                        advanced = True
-                        break
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-                if not advanced:
-                    stack.pop()
-                    iters.pop()
-                    if stack:
-                        u = stack[-1][0]
-                        if low[v] < low[u]:
-                            low[u] = low[v]
-                        if low[v] > disc[u]:
-                            bridges.append(parent_edge)
-        return bridges
-
-    def _labels_without(self, n: int, adj, bridge_edge: Edge, bridge_idx: int) -> np.ndarray:
-        labels = np.zeros(n, dtype=np.int8)
-        queue = [bridge_edge.u]
-        labels[bridge_edge.u] = 1
-        while queue:
-            v = queue.pop()
-            for w, ei in adj[v]:
-                if ei == bridge_idx or labels[w]:
-                    continue
-                labels[w] = 1
-                queue.append(w)
-        return labels
+    n, m = instance.n, len(edges)
+    in_side = np.array([e.color_class in side for e in edges], dtype=bool)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for ei in np.flatnonzero(in_x & in_side).tolist():
+        adj[edges[ei].u].append((edges[ei].v, ei))
+        adj[edges[ei].v].append((edges[ei].u, ei))
+    vertices = [p.id for p in instance.points if p.color in side]
+    path = np.zeros((n, n), dtype=bool)  # path[w, a]: a is on the tree path from the root to w
+    order, tree_edges = vertices[:1], []  # BFS order; tree_edges[i] reaches order[i + 1]
+    seen = set(order)
+    for w in order:  # `order` grows as vertices are reached
+        path[w, w] = True
+        for x, ei in adj[w]:
+            if x not in seen:
+                seen.add(x)
+                order.append(x)
+                tree_edges.append(ei)
+                path[x] = path[w]
+    assert len(order) == len(vertices), "the side of X is not connected"
+    below = np.zeros((m, n), dtype=bool)
+    below[tree_edges] = path[:, order[1:]].T
+    tree = below.any(axis=1)
+    off = in_x & in_side & ~tree
+    covered = (below[:, u[off]] != below[:, v[off]]).any(axis=1)
+    removable = ~tree | covered
+    return removable, removable[:, None] | (in_side & (below[:, u] != below[:, v]))
 
 
 def build_exchange_graph(instance: Instance, edges: Sequence[Edge],
@@ -131,19 +93,19 @@ def build_exchange_graph(instance: Instance, edges: Sequence[Edge],
     w = np.array([e.length for e in edges], dtype=float)
     u = np.array([e.u for e in edges], dtype=np.int64)
     v = np.array([e.v for e in edges], dtype=np.int64)
-    red = _SideState(instance, edges, x_indices, RED_SIDE, u, v)
-    blue = _SideState(instance, edges, x_indices, BLUE_SIDE, u, v)
     in_x = np.zeros(m, dtype=bool)
     in_x[list(x_indices)] = True
     out_x = ~in_x
+    red_removable, red_keep = _side_masks(instance, edges, in_x, RED_SIDE, u, v)
+    blue_removable, blue_keep = _side_masks(instance, edges, in_x, BLUE_SIDE, u, v)
 
     graph = np.full((m + 2, m + 2), math.inf)
-    graph[source, :m] = np.where(in_x & blue.removable, -w, math.inf)
-    graph[:m, sink] = np.where(in_x & red.removable, 0.0, math.inf)
+    graph[source, :m] = np.where(in_x & blue_removable, -w, math.inf)
+    graph[:m, sink] = np.where(in_x & red_removable, 0.0, math.inf)
     # Both arc kinds between edges weigh the head's ±w; their tails lie on
     # opposite sides of X, so no cell holds two arcs.
-    graph[:m, :m] = np.where(in_x[:, None] & out_x & red.keep, w,
-                             np.where(out_x[:, None] & in_x & blue.keep.T, -w, math.inf))
+    graph[:m, :m] = np.where(in_x[:, None] & out_x & red_keep, w,
+                             np.where(out_x[:, None] & in_x & blue_keep.T, -w, math.inf))
     return graph
 
 
@@ -153,41 +115,38 @@ def find_min_exchange_sequence(instance: Instance, edges: Sequence[Edge],
 
     Negative arc weights are handled by an exact-hop-count dynamic program
     over the dense arc-weight matrix (no negative cycles exist by matroid
-    exchange theory): with N = m + 2 nodes, each of at most N - 1 hops is one
-    O(N^2) relaxation, so a call takes O(m^3) time and O(m^2) memory.
-    Returns None when no exchange exists.
+    exchange theory). It stops at the first hop that lowers no node's best
+    cost over fewer hops, as no later hop can lower one then. At most N - 1
+    hops of O(N^2) over the N = m + 2 nodes: O(m^3) time and O(m^2) memory
+    per call. Returns None when no exchange exists.
     """
     graph = build_exchange_graph(instance, edges, x_indices)
     n_nodes = len(graph)
     source, sink = n_nodes - 2, n_nodes - 1
 
-    dist = np.full((n_nodes, n_nodes), math.inf)  # dist[h, v]: min cost with exactly h arcs
-    dist[0, source] = 0.0
-    max_h = n_nodes - 1
-    for h in range(1, n_nodes):
-        dist[h] = (dist[h - 1][:, None] + graph).min(axis=0)
-        if not np.isfinite(dist[h]).any():
-            max_h = h - 1
+    dist = [np.full(n_nodes, math.inf)]  # dist[h][v]: min cost with exactly h arcs
+    dist[0][source] = 0.0
+    best = dist[0]
+    for _ in range(1, n_nodes):
+        row = (dist[-1][:, None] + graph).min(axis=0)
+        if not (row < best).any():
             break
+        dist.append(row)
+        best = np.minimum(best, row)
 
-    h_star = int(np.argmin(dist[: max_h + 1, sink]))  # the first, fewest-hop minimum
-    best = dist[h_star, sink]
-    if not math.isfinite(best):
+    h_star = int(np.argmin([row[sink] for row in dist]))  # the first, fewest-hop minimum
+    cost = dist[h_star][sink]
+    if not math.isfinite(cost):
         return None
 
     # Walk the hop-indexed DP backwards to the lowest-id predecessor each
     # time; equality is exact because each dist entry is one of these sums.
-    path = [sink]
-    v, h = sink, h_star
-    while h > 0:
-        v = int(np.flatnonzero(dist[h - 1] + graph[:, v] == dist[h, v])[0])
-        path.append(v)
-        h -= 1
-    path.reverse()
-    assert path[0] == source
-    seq = tuple(path[1:-1])
-    assert len(seq) % 2 == 1
-    return ExchangeSequence(seq, float(best))
+    walk, v = [], sink  # the nodes at hops h_star - 1, ..., 0
+    for h in range(h_star, 0, -1):
+        v = int(np.flatnonzero(dist[h - 1] + graph[:, v] == dist[h][v])[0])
+        walk.append(v)
+    assert walk[-1] == source and len(walk) % 2 == 0
+    return ExchangeSequence(tuple(reversed(walk[:-1])), float(cost))
 
 
 def ground_set(instance: Instance) -> list[Edge]:
@@ -228,12 +187,14 @@ def ground_set(instance: Instance) -> list[Edge]:
 def solve_exact(instance: Instance, return_trace: bool = False):
     """Minimum-weight RBP spanning graph over `ground_set(instance)`.
 
-    With m <= 2n + C(k, 2) ground edges there are at most m rounds, each a
-    hop-indexed DP of at most m + 1 relaxations over the dense (m+2) x (m+2)
-    arc-weight matrix: O(m^4) time in all and O(m^2) memory per round.
-    Median over `gen_random(n, 0.4, 0.4, seed=s)`, s = 0..15, on a 2-CPU
-    x86-64 host: 0.004 s at n = 20, 0.011 s at n = 30 and 0.044 s at n = 40
-    (max 0.36 s).
+    With m <= 2n + C(k, 2) ground edges there are at most m rounds. Each
+    takes each side's cuts from one BFS tree, fills the dense (m+2) x (m+2)
+    arc-weight matrix and runs the hop-indexed DP until a hop lowers no cost,
+    at most m + 1 relaxations: O(m^4) time in all in the worst case and
+    O(m^2) memory per round. `rbpspan bench --target exact` (median over
+    `gen_random(n, 0.4, 0.4, seed=s)`, s = 0..15), min/median/max of 8 runs
+    on a 2-CPU x86-64 host: 0.0021/0.0028/0.0028 s at n = 20,
+    0.0038/0.0053/0.0058 s at n = 30 and 0.0097/0.0130/0.0143 s at n = 40.
 
     With return_trace=True also returns the map cardinality -> weight of the
     best candidate visited at that cardinality (convexity diagnostic).

@@ -161,6 +161,8 @@ def edge_between(instance: Instance, u: int, v: int) -> Edge:
         raise PreconditionError(f"edge endpoints must differ (got {u})")
     if u > v:
         u, v = v, u
+    if u < 0 or v >= instance.n:
+        raise PreconditionError(f"edge ({u}, {v}) references an unknown point id")
     return Edge(u, v, instance.distance(u, v),
                 edge_color(instance.color_of(u), instance.color_of(v)))
 

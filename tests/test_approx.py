@@ -94,6 +94,12 @@ class TestRatioReport:
         with pytest.raises(PreconditionError):
             ratio_report(e1(), approx_a(e1()), 0.0)
 
+    @pytest.mark.parametrize("ref", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_reference_rejected(self, ref):
+        # A nan reference would give ratio nan and never flag a violation; inf would give 0.
+        with pytest.raises(PreconditionError, match="positive and finite"):
+            ratio_report(e1(), approx_a(e1()), ref, certified=True)
+
     def test_solver_without_guarantee_rejected(self):
         # An exact solution has no approximation guarantee to be judged against.
         with pytest.raises(PreconditionError, match="no approximation guarantee"):

@@ -1,7 +1,13 @@
 """Command-line interface: subcommands, exit codes, and output formats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rbpspan
 from rbpspan.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -278,3 +284,20 @@ def test_render_svg_direct():
     svg = render_svg(e1())
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert svg.count("<circle") == 4
+
+
+@pytest.mark.parametrize("n, solver", [(12, "exact"), (30, "approx-a")])
+def test_auto_solve_imports_neither_scipy_nor_networkx(tmp_path, n, solver):
+    # The solve path depends on numpy alone: `import scipy.spatial` by itself
+    # would add tens of MB of resident memory to every solve.
+    instance = tmp_path / "plane.txt"
+    instance.write_text(serialize_instance(gen_random(n, 0.4, 0.4, seed=5)))
+    out = tmp_path / "out.txt"
+    script = ("import sys; from rbpspan.cli import main; "
+              f"code = main(['solve', {str(instance)!r}, '--algo', 'auto', '--out', {str(out)!r}]); "
+              "print(code, sorted(m for m in ('scipy', 'networkx') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(rbpspan.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    assert run.stdout.strip() == "0 []"
+    assert f"solver {solver}" in out.read_text()

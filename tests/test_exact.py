@@ -59,26 +59,71 @@ class TestExchangeGraph:
             assert (i in sink_sources) == expect
 
     def test_arcs_between_edges_match_definition(self):
-        # [DERIVED: X - e + f connectivity enumerated directly for X = the ground set]
-        for inst in seeded_instances(12, n_min=4, n_max=7, base_seed=900):
+        # [DERIVED: X - e + f connectivity enumerated directly, for X = the ground set
+        # among all allowed edges and for every X that solve_exact's rounds visit]
+        for inst in (seeded_instances(12, n_min=4, n_max=7, base_seed=900)
+                     + [_lattice(3000 + s) for s in range(12)]):
             edges = allowed_edges(inst)
             ground = {e.pair for e in ground_set(inst)}
-            x = frozenset(i for i, e in enumerate(edges) if e.pair in ground)
-            g = build_exchange_graph(inst, edges, x)
-            m = len(edges)
-            for a in range(m):
-                for b in range(m):
-                    if (a in x) == (b in x):
-                        assert g[a, b] == math.inf
-                        continue
-                    e, f = (a, b) if a in x else (b, a)
-                    swapped = (x - {e}) | {f}
-                    if a in x:  # e -> f
-                        arc = _side_connected(inst, edges, swapped, RED_SIDE)
-                        assert g[a, b] == (edges[f].length if arc else math.inf)
-                    else:  # f -> e
-                        arc = _side_connected(inst, edges, swapped, BLUE_SIDE)
-                        assert g[a, b] == (-edges[e].length if arc else math.inf)
+            _assert_arcs_match_definition(
+                inst, edges, frozenset(i for i, e in enumerate(edges) if e.pair in ground))
+            edges, visited = _exact_rounds(inst)
+            for x in visited:
+                _assert_arcs_match_definition(inst, edges, x)
+
+
+def _exact_rounds(inst):
+    """The ground set and every candidate set X that solve_exact's exchange rounds visit."""
+    edges = ground_set(inst)
+    visited = [frozenset(range(len(edges)))]
+    while (seq := find_min_exchange_sequence(inst, edges, visited[-1])) is not None:
+        visited.append(visited[-1].symmetric_difference(seq.edge_indices))
+    return edges, visited
+
+
+def _assert_arcs_match_definition(inst, edges, x):
+    g = build_exchange_graph(inst, edges, x)
+    m = len(edges)
+    source, sink = m, m + 1
+    for a in range(m):
+        removable = a in x and _side_connected(inst, edges, x - {a}, BLUE_SIDE)
+        assert g[source, a] == (-edges[a].length if removable else math.inf)
+        removable = a in x and _side_connected(inst, edges, x - {a}, RED_SIDE)
+        assert g[a, sink] == (0.0 if removable else math.inf)
+        for b in range(m):
+            if (a in x) == (b in x):
+                assert g[a, b] == math.inf
+                continue
+            e, f = (a, b) if a in x else (b, a)
+            swapped = (x - {e}) | {f}
+            if a in x:  # e -> f
+                arc = _side_connected(inst, edges, swapped, RED_SIDE)
+                assert g[a, b] == (edges[f].length if arc else math.inf)
+            else:  # f -> e
+                arc = _side_connected(inst, edges, swapped, BLUE_SIDE)
+                assert g[a, b] == (-edges[e].length if arc else math.inf)
+
+
+def _full_hop_dp(graph):
+    """Reference search: the exact-hop DP run to all N - 1 hops, with no convergence stop.
+
+    Returns (edge_indices, cost) of the first, fewest-hop minimum at the sink,
+    walked back through lowest-id predecessors, or None.
+    """
+    n_nodes = len(graph)
+    source, sink = n_nodes - 2, n_nodes - 1
+    dist = np.full((n_nodes, n_nodes), math.inf)
+    dist[0, source] = 0.0
+    for h in range(1, n_nodes):
+        dist[h] = (dist[h - 1][:, None] + graph).min(axis=0)
+    h_star = int(np.argmin(dist[:, sink]))
+    if not math.isfinite(dist[h_star, sink]):
+        return None
+    walk, v = [], sink
+    for h in range(h_star, 1, -1):
+        v = int(np.flatnonzero(dist[h - 1] + graph[:, v] == dist[h, v])[0])
+        walk.append(v)
+    return tuple(reversed(walk)), float(dist[h_star, sink])
 
 
 class TestExchangeSequence:
@@ -99,6 +144,16 @@ class TestExchangeSequence:
         edges = allowed_edges(inst)
         tree = frozenset(i for i, e in enumerate(edges) if e.pair in {(0, 1), (1, 2)})
         assert find_min_exchange_sequence(inst, edges, tree) is None
+
+    def test_matches_full_hop_dp_every_round(self):
+        # [DERIVED: reference DP without the convergence stop, on every round of the solves]
+        for inst in (seeded_instances(40, n_min=4, n_max=14, base_seed=950)
+                     + [_lattice(3000 + s) for s in range(40)]):
+            edges, visited = _exact_rounds(inst)
+            for x in visited:
+                seq = find_min_exchange_sequence(inst, edges, x)
+                expect = _full_hop_dp(build_exchange_graph(inst, edges, x))
+                assert (None if seq is None else (seq.edge_indices, seq.cost)) == expect
 
     def test_negative_cost_whenever_a_side_has_a_cycle(self):
         # [DERIVED: checked against the cycle condition on random instances]

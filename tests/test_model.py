@@ -17,6 +17,7 @@ from rbpspan.model import (
     allowed_edges,
     edge_between,
     edge_color,
+    make_edge_set,
     parse_instance,
     segments_properly_cross,
     serialize_instance,
@@ -86,6 +87,14 @@ class TestEdges:
     def test_self_edge_rejected(self):
         with pytest.raises(PreconditionError):
             edge_between(e1(), 2, 2)
+
+    @pytest.mark.parametrize("u, v", [(-1, 2), (2, -1), (0, 4), (4, 0), (-1, 4)])
+    def test_unknown_point_id_rejected(self, u, v):
+        # e1 has point ids 0..3; a negative id must not index from the end.
+        with pytest.raises(PreconditionError, match="unknown point id"):
+            edge_between(e1(), u, v)
+        with pytest.raises(PreconditionError, match="unknown point id"):
+            make_edge_set(e1(), [(u, v)])
 
     def test_canonical_order_and_sort_key(self):
         e = edge_between(e1(), 1, 0)
