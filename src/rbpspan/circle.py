@@ -10,10 +10,11 @@ purple-to-purple arc is the collinear solver's segment case split,
 `line.segment_options`, with chord lengths as link lengths; `split_arcs` cuts
 the angular order into those arcs.
 
-`solve_circle` is O(n^2 + k^3) for n points, k of them purple:
-`fit_circle`'s farthest-pair search takes a maximum over every row of the
-pairwise distances. The DP alone (the table fill, the final combination and
-the reconstruction) is O(k^3 + n).
+`solve_circle` is O(n log n + k^3) for n points, k of them purple: the
+n log n is `split_arcs`' angular sort, and `fit_circle` is O(n), as it
+anchors the circle on the two axis ends `line.axis_ends` finds, which are at
+least 1/sqrt(2) as far apart as the farthest pair. The DP alone (the table
+fill, the final combination and the reconstruction) is O(k^3 + n).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphops import BLUE_SIDE, RED_SIDE, kruskal_mst, solution_stats
-from .line import segment_options
+from .line import axis_ends, segment_options
 from .model import Color, Instance, PreconditionError, Solution, make_edge_set
 
 CONCYCLIC_TOL = 1e-9
@@ -43,7 +44,17 @@ class NotConcyclicError(PreconditionError):
 
 
 def fit_circle(instance: Instance):
-    """Circumcircle of three mutually farthest points; returns (cx, cy, r, residual).
+    """Circumcircle of the axis ends and a third point; returns (cx, cy, r, residual).
+
+    The anchors a and b are `line.axis_ends`: the first lowest and the first
+    highest point on the axis with the larger spread S. The third
+    point is the first other one with the largest distance sum to a and b.
+    a and b are at least S apart and the farthest pair at most the bounding
+    box's diagonal, at most sqrt(2) S apart, so the anchor chord is within a
+    factor sqrt(2) of the longest chord. The circumcircle is computed on the
+    coordinates scaled by a power of two that brings S into [0.5, 1), then
+    scaled back: the scaling is exact, and no square overflows or underflows
+    at extreme scales. O(n).
 
     Residual is the maximum radial deviation relative to the radius.
     """
@@ -51,74 +62,21 @@ def fit_circle(instance: Instance):
     n = len(pts)
     if n <= 2:
         return (0.0, 0.0, 1.0, 0.0)
-    _, ia, ib = _farthest_pair(instance)
-    a, b = pts[ia], pts[ib]
-    ic = max((i for i in range(n) if i not in (ia, ib)),
-             key=lambda i: instance.distance(i, ia) + instance.distance(i, ib))
-    c = pts[ic]
-    d = 2.0 * (a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y))
+    a, b, spread = axis_ends(pts)
+    ic = max((i for i in range(n) if i not in (a.id, b.id)),
+             key=lambda i: instance.distance(i, a.id) + instance.distance(i, b.id))
+    _, exp = math.frexp(spread)
+    (ax, ay), (bx, by), (qx, qy) = ((math.ldexp(p.x, -exp), math.ldexp(p.y, -exp))
+                                    for p in (a, b, pts[ic]))
+    d = 2.0 * (ax * (by - qy) + bx * (qy - ay) + qx * (ay - by))
     if d == 0.0:
         raise NotConcyclicError(math.inf)
-    sa, sb, sc = a.x * a.x + a.y * a.y, b.x * b.x + b.y * b.y, c.x * c.x + c.y * c.y
-    cx = (sa * (b.y - c.y) + sb * (c.y - a.y) + sc * (a.y - b.y)) / d
-    cy = (sa * (c.x - b.x) + sb * (a.x - c.x) + sc * (b.x - a.x)) / d
-    r = math.hypot(a.x - cx, a.y - cy)
+    sa, sb, sq = ax * ax + ay * ay, bx * bx + by * by, qx * qx + qy * qy
+    cx = (sa * (by - qy) + sb * (qy - ay) + sq * (ay - by)) / d
+    cy = (sa * (qx - bx) + sb * (ax - qx) + sq * (bx - ax)) / d
+    cx, cy, r = (math.ldexp(t, exp) for t in (cx, cy, math.hypot(ax - cx, ay - cy)))
     residual = max(abs(math.hypot(p.x - cx, p.y - cy) - r) for p in pts) / r
     return (cx, cy, r, residual)
-
-
-# Squared lengths computed per block of rows of the upper triangle.
-_SQUARE_BLOCK = 1 << 14
-# Relative cut below the largest squared length. The squares of coordinates
-# scaled by a power of two lie within 4 ulps of the true squared lengths, and
-# instance.distance within 2 ulps of the true length, so 128 ulps (2^-46)
-# leaves room for both errors with a margin.
-_SQUARE_SLACK = 2.0 ** -46
-
-
-def _squares(xs: np.ndarray, ys: np.ndarray, i, j) -> np.ndarray:
-    """Squared coordinate differences summed, of the points at (broadcast) positions i and j."""
-    dx = xs[i] - xs[j]
-    dy = ys[i] - ys[j]
-    return dx * dx + dy * dy
-
-
-def _farthest_pair(instance: Instance) -> tuple[float, int, int]:
-    """The first (i, j), i < j, in row-major order at the largest `instance.distance`.
-
-    Squared lengths find the candidates: every pair whose square reaches
-    (1 - _SQUARE_SLACK) of the largest, which holds every pair at the largest
-    exact distance. The coordinates are first scaled by a power of two so
-    that the bounding box's longer side lies in [0.5, 1): the scaling is
-    exact, no square overflows, and underflow only touches pairs far below
-    the maximum. Candidates are compared by `instance.distance` in (i, j)
-    order under a strict >, as a double loop over all pairs would. Row maxima
-    of the upper triangle come first, _SQUARE_BLOCK squares at a time, and
-    only rows that reach the cut are recomputed, so extra memory stays
-    O(n + block).
-    """
-    pts = instance.points
-    n = len(pts)
-    xs = np.array([p.x for p in pts], dtype=float)
-    ys = np.array([p.y for p in pts], dtype=float)
-    _, exp = math.frexp(max(xs.max() - xs.min(), ys.max() - ys.min()))
-    xs, ys = np.ldexp(xs, -exp), np.ldexp(ys, -exp)
-    rows = max(1, _SQUARE_BLOCK // n)
-    row_max = np.empty(n - 1)
-    for i0 in range(0, n - 1, rows):
-        i1 = min(i0 + rows, n - 1)
-        # Rows i0 .. i1 - 1 against columns i0 + 1 .. n - 1; column c < row r lies below the diagonal.
-        sq = _squares(xs, ys, np.arange(i0, i1)[:, None], np.arange(i0 + 1, n)[None, :])
-        sq[:, :i1 - i0][np.tri(i1 - i0, k=-1, dtype=bool)] = -1.0
-        row_max[i0:i1] = sq.max(axis=1)
-    cut = row_max.max() * (1.0 - _SQUARE_SLACK)
-    best = (-1.0, 0, 1)
-    for i in np.flatnonzero(row_max >= cut).tolist():
-        for j in (np.flatnonzero(_squares(xs, ys, i, slice(i + 1, n)) >= cut) + i + 1).tolist():
-            d = instance.distance(i, j)
-            if d > best[0]:
-                best = (d, i, j)
-    return best
 
 
 def split_arcs(instance: Instance, cx: float, cy: float):

@@ -19,7 +19,6 @@ import numpy as np
 from .graphops import (
     BLUE_SIDE,
     RED_SIDE,
-    is_rbp_spanning,
     kruskal,
     solution_stats,
 )
@@ -48,6 +47,8 @@ def _side_masks(instance: Instance, edges: Sequence[Edge], in_x: np.ndarray, sid
     side's X edges, which must connect the side: only tree edges can be
     bridges, `below[e]` marks the vertices under tree edge e, and e is a
     bridge iff no off-tree X edge of the side has exactly one end below it.
+    A BFS that misses a side vertex raises AssertionError; this is
+    `solve_exact`'s only per-round check that X still spans.
     """
     n, m = instance.n, len(edges)
     in_side = np.array([e.color_class in side for e in edges], dtype=bool)
@@ -67,7 +68,8 @@ def _side_masks(instance: Instance, edges: Sequence[Edge], in_x: np.ndarray, sid
                 order.append(x)
                 tree_edges.append(ei)
                 path[x] = path[w]
-    assert len(order) == len(vertices), "the side of X is not connected"
+    if len(order) != len(vertices):  # raised, not asserted, so that it holds under python -O
+        raise AssertionError("the side of X is not connected")
     below = np.zeros((m, n), dtype=bool)
     below[tree_edges] = path[:, order[1:]].T
     tree = below.any(axis=1)
@@ -216,8 +218,6 @@ def solve_exact(instance: Instance, return_trace: bool = False):
         x = frozenset((x - removed) | added)
         weight = math.fsum(edges[i].length for i in sorted(x))
         trace[len(x)] = weight
-        if not is_rbp_spanning(instance, [edges[i] for i in x]):
-            raise AssertionError("exchange produced a non-spanning candidate set")
         if weight < best_weight:
             best_weight, best_x = weight, x
 

@@ -24,7 +24,7 @@ class NotCollinearError(PreconditionError):
         self.residual = residual
 
 
-def _axis_ends(pts):
+def axis_ends(pts):
     """(a, b, spread) on the axis the points spread over more, x on ties.
 
     a and b are the first lowest and the first highest point on that axis.
@@ -42,7 +42,7 @@ def collinearity_residual(instance: Instance) -> float:
     pts = instance.points
     if len(pts) <= 2:
         return 0.0
-    a, b, scale = _axis_ends(pts)
+    a, b, scale = axis_ends(pts)
     if scale == 0.0:
         return 0.0
     dx, dy = b.x - a.x, b.y - a.y
@@ -58,7 +58,7 @@ def prepare_sorted(instance: Instance):
     position of point u, and colors[i] the color of ids[i].
     """
     pts = instance.points
-    a, b, _ = _axis_ends(pts)
+    a, b, _ = axis_ends(pts)
     dx, dy = b.x - a.x, b.y - a.y
     norm = math.hypot(dx, dy)
     if norm == 0.0:

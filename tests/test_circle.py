@@ -6,12 +6,12 @@ import random
 import numpy as np
 import pytest
 
+from rbpspan import circle
 from rbpspan.circle import (
     B_,
     N_,
     NotConcyclicError,
     P_,
-    _farthest_pair,
     R_,
     base_arc_costs,
     combine_final,
@@ -20,7 +20,8 @@ from rbpspan.circle import (
     solve_circle,
     split_arcs,
 )
-from rbpspan.model import Color, Instance, Point, parse_instance
+from rbpspan.line import axis_ends
+from rbpspan.model import Instance, Point, parse_instance
 from rbpspan.oracle import oracle_forest
 from util import seeded_instances
 
@@ -178,59 +179,6 @@ def test_split_arcs_angular_order_and_wrap():
     assert arcs == [[4, 0], [2]]
 
 
-def _reference_farthest_pair(instance):
-    """The double loop fit_circle used before its numpy candidate search."""
-    best = (-1.0, 0, 1)
-    for i in range(instance.n):
-        for j in range(i + 1, instance.n):
-            d = instance.distance(i, j)
-            if d > best[0]:
-                best = (d, i, j)
-    return best
-
-
-def _purple(coords):
-    return Instance(Point(i, Color.PURPLE, x, y) for i, (x, y) in enumerate(coords))
-
-
-def test_farthest_pair_matches_double_loop():
-    rng = random.Random(21)
-    cases = [
-        _purple([(rng.random(), rng.random()) for _ in range(150)]),
-        _purple([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]),  # diagonals tie exactly
-        _purple([(float(x), float(y)) for x in range(12) for y in range(9)]),
-        _purple([(3.0 * x, 3.0 * y) for x, y in rng.sample(
-            [(x, y) for x in range(40) for y in range(40)], 120)]),
-    ]
-    cases += [inst for inst in seeded_instances(6, n_min=20, n_max=80, mode="circle",
-                                                base_seed=33)]
-    for scale in (1e150, 1e-300):
-        cases.append(_purple([(math.cos(a) * scale, math.sin(a) * scale)
-                              for a in (rng.random() * 2 * math.pi for _ in range(60))]))
-    # Both pairs are math.hypot(17, 27) long, but np.hypot puts the later pair above.
-    m = math.hypot(17.0, 27.0)
-    cases.append(_purple([(0.0, 0.0), (m, 0.0), (8.0, -13.5), (25.0, 13.5)]))
-    for inst in cases:
-        assert _farthest_pair(inst) == _reference_farthest_pair(inst)
-    assert _farthest_pair(cases[1])[1:] == (0, 3)
-    assert _farthest_pair(cases[-1])[1:] == (0, 1)
-
-
-def test_farthest_pair_where_squares_are_subnormal():
-    # Two chords of exactly equal length through one midpoint, by the two-squares
-    # identity; at coordinates near 1e-156 their unscaled squares are subnormal and
-    # round far enough apart that the first pair would fall below the cut.
-    s = 2.0 ** -541
-    for a, b, c, d in ((2344, 2433, 3545, 2285), (3469, 2140, 3939, 3503),
-                       (2885, 4024, 2055, 4011)):
-        x, y, u, v = a * c - b * d, a * d + b * c, a * c + b * d, a * d - b * c
-        assert x * x + y * y == u * u + v * v
-        inst = _purple([(0.0, 0.0), (2 * x * s, 2 * y * s),
-                        ((x - u) * s, (y - v) * s), ((x + u) * s, (y + v) * s)])
-        assert _farthest_pair(inst) == _reference_farthest_pair(inst)
-        assert _farthest_pair(inst)[1:] == (0, 1)
-
-
 def _lattice_circle(r2, seed):
     """The integer points of x^2 + y^2 = r2, each coloured at random from `seed`.
 
@@ -275,3 +223,48 @@ class TestExactTies:
     def test_tie_order_is_pinned(self):
         for (r2, seed), pairs in _TIED_OPTIMA.items():
             assert solve_circle(_lattice_circle(r2, seed)).edge_set.pairs() == pairs
+
+
+def _scaled(inst, factor):
+    return Instance(Point(p.id, p.color, p.x * factor, p.y * factor) for p in inst.points)
+
+
+def _reference_axis_ends(inst):
+    """Ids of the first lowest and first highest point on the wider axis, x on ties."""
+    xs = [p.x for p in inst.points]
+    ys = [p.y for p in inst.points]
+    keys = xs if max(xs) - min(xs) >= max(ys) - min(ys) else ys
+    lo = hi = 0
+    for i, t in enumerate(keys):
+        if t < keys[lo]:
+            lo = i
+        if t > keys[hi]:
+            hi = i
+    return lo, hi
+
+
+def test_fit_circle_anchors_on_axis_ends_at_every_scale(monkeypatch):
+    # Lattice circles tie exactly on the wider axis (and between the axes);
+    # they are scaled by powers of two, which keep every tie. The seeded
+    # circles are scaled by 1e-300, 1e150 and 1e200, where unscaled squares
+    # underflow or overflow.
+    anchors = []
+
+    def recording_axis_ends(pts):
+        a, b, spread = axis_ends(pts)
+        anchors.append((a.id, b.id))
+        return a, b, spread
+
+    monkeypatch.setattr(circle, "axis_ends", recording_axis_ends)
+    cases = [(_lattice_circle(r2, seed), factor) for r2 in (25, 65, 325, 1105)
+             for seed in range(3) for factor in (1.0, 2.0 ** -990, 2.0 ** 500, 2.0 ** 660)]
+    cases += [(inst, factor) for inst in seeded_instances(6, n_min=40, n_max=40, mode="circle",
+                                                          base_seed=70)
+              for factor in (1.0, 1e-300, 1e150, 1e200)]
+    for inst, factor in cases:
+        scaled = _scaled(inst, factor)
+        anchors.clear()
+        _, _, _, residual = fit_circle(scaled)
+        assert residual <= 1e-9
+        assert anchors == [_reference_axis_ends(scaled)]
+        assert solve_circle(scaled).edge_set.pairs() == solve_circle(inst).edge_set.pairs()

@@ -210,6 +210,15 @@ class TestValidate:
         assert "collinear yes" in out and "concyclic no" in out
         assert "distance_ties" in out
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e150, 1e200])
+    def test_circle_at_extreme_scale_is_concyclic(self, tmp_path, capsys, scale):
+        inst = gen_random(40, 0.4, 0.4, "circle", seed=7)
+        path = tmp_path / "scaled.txt"
+        path.write_text("".join(f"{'RBP'[p.color]} {p.x * scale!r} {p.y * scale!r}\n"
+                                for p in inst.points))
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert "concyclic yes" in capsys.readouterr().out
+
 
 class TestRender:
     def test_e1_elements(self, e1_file, tmp_path, capsys):

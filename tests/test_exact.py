@@ -1,7 +1,11 @@
 """Exact solver: exchange graph, exchange sequences, and end-to-end optima."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ import hypothesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rbpspan
 from rbpspan.exact import (
     build_exchange_graph,
     find_min_exchange_sequence,
@@ -18,7 +23,7 @@ from rbpspan.exact import (
 from rbpspan.graphops import BLUE_SIDE, DisjointSets, RED_SIDE, is_rbp_spanning, kruskal_mst
 from rbpspan.model import Color, Instance, Point, allowed_edges, make_edge_set, parse_instance
 from rbpspan.oracle import oracle_forest
-from util import e1, line_instance, seeded_instances
+from util import E1_TEXT, e1, line_instance, seeded_instances
 
 
 def _side_connected(inst, edges, chosen, side):
@@ -57,6 +62,23 @@ class TestExchangeGraph:
         for i in range(len(edges)):
             expect = _side_connected(inst, edges, x - {i}, RED_SIDE)
             assert (i in sink_sources) == expect
+
+    def test_non_spanning_x_raises_under_python_O(self):
+        # The BFS reach check is the only per-round spanning check in
+        # solve_exact, so it must not be an assert that -O strips.
+        script = ("from rbpspan.model import allowed_edges, parse_instance\n"
+                  "from rbpspan.exact import build_exchange_graph\n"
+                  f"inst = parse_instance({E1_TEXT!r})\n"
+                  "edges = allowed_edges(inst)\n"
+                  "x = frozenset(i for i, e in enumerate(edges) if 2 not in e.pair)\n"
+                  "try:\n"
+                  "    build_exchange_graph(inst, edges, x)\n"
+                  "except AssertionError as exc:\n"
+                  "    print('AssertionError', exc)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(rbpspan.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, env=env, check=True)
+        assert run.stdout.strip() == "AssertionError the side of X is not connected"
 
     def test_arcs_between_edges_match_definition(self):
         # [DERIVED: X - e + f connectivity enumerated directly, for X = the ground set
