@@ -8,7 +8,7 @@ import time
 from typing import Sequence
 
 from .approx import approx_a
-from .circle import fill_tables, split_arcs
+from .circle import fill_tables, solve_circle, split_arcs
 from .exact import solve_exact
 from .generators import gen_random
 from .line import solve_line, solve_sorted
@@ -95,6 +95,16 @@ def bench_circle(ks: Sequence[int] = (100, 200), extra: int = 200, reps: int = 5
         instance = _circle_instance(k, extra, seed)
         inputs[k] = (instance, *split_arcs(instance, 0.0, 0.0))
     return _alternated_medians(lambda args: fill_tables(*args), inputs, reps)
+
+
+def bench_circle_e2e(ks: Sequence[int] = (100, 200), extra: int = 200, reps: int = 5,
+                     seed: int = 0) -> dict:
+    """Median seconds of `solve_circle` per purple count.
+
+    It times the whole solve: fit, split, tables, reconstruction, edge set and stats.
+    """
+    return _alternated_medians(solve_circle, {k: _circle_instance(k, extra, seed) for k in ks},
+                               reps)
 
 
 def bench_approx(sizes: Sequence[int] = (10_000, 100_000), reps: int = 1,

@@ -2,13 +2,17 @@
 
 Four tables indexed by ordered purple pairs hold subproblem optima under the
 four boundary assumptions: endpoints pre-connected in both colors (PC), in red
-only (RC), in blue only (BC), or in neither (NC). The tables are span-major
-(label, span, start) arrays: value[label, s, i] is the entry for the clockwise
-span from purple i to purple (i + s) mod k, and code[label, s, i] and
-param[label, s, i] record the choice that reached it. The base case of each
-purple-to-purple arc is the collinear solver's segment case split,
-`line.segment_options`, with chord lengths as link lengths; `split_arcs` cuts
-the angular order into those arcs.
+only (RC), in blue only (BC), or in neither (NC). They are kept end-indexed in
+one wrap-doubled float array: ends[label, s, j] is the entry for the clockwise
+span of s arcs that ends at purple j mod k, for j in [s, 2k). So every Case I
+split of a span reads its right parts from one basic-slice view, with no
+gather. `DPTables.value` is the start-indexed view of the same memory, and
+`choice[label, s, i]` records the option that reached each entry. The base
+case of each purple-to-purple arc is the collinear solver's segment case
+split, `line.segment_options`, with chord lengths as link lengths;
+`split_arcs` cuts the angular order into those arcs. `arc_base_values` forms
+the four base values of all arcs in one pass, and reconstruction asks
+`base_arc_costs` for the edges of only the arcs it visits.
 
 `solve_circle` is O(n log n + k^3) for n points, k of them purple: the
 n log n is `split_arcs`' angular sort, and `fit_circle` is O(n), as it
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .graphops import BLUE_SIDE, RED_SIDE, kruskal_mst, solution_stats
 from .line import axis_ends, segment_options
@@ -32,9 +37,6 @@ from .model import Color, Instance, PreconditionError, Solution, make_edge_set
 CONCYCLIC_TOL = 1e-9
 
 P_, R_, B_, N_ = 0, 1, 2, 3  # table labels
-
-# reconstruction choice codes
-_BASE, _DIRECT, _CASE_I, _CASE_II = 0, 1, 2, 3
 
 
 class NotConcyclicError(PreconditionError):
@@ -117,20 +119,78 @@ def base_arc_costs(instance: Instance, a: int, b: int, interior: Sequence[int]) 
                           for red, blue in options))
 
 
+def arc_base_values(instance: Instance, purple_ids: Sequence[int],
+                    arcs: Sequence[Sequence[int]]) -> np.ndarray:
+    """`base_arc_costs(...).values` of every arc at once, as a (4, k) array.
+
+    Per color, one pass around the circle lists the links of every arc's
+    chain: its purple, the arc's points of that color, the next purple. Each
+    arc's sums are formed link by link in chain order, the drop sum with the
+    arc's first longest link counted as 0.0, so every value is the float that
+    `line.chain` forms. No edge list is built; `_reconstruct` asks
+    `base_arc_costs` for the edges of the arcs it visits. O(n).
+    """
+    k = len(purple_ids)
+    pts = instance.points
+    around = []  # every id in angular order from purple 0, and purple 0 again
+    for p, arc in zip(purple_ids, arcs):
+        around.append(p)
+        around += arc
+    around.append(purple_ids[0])
+    colors = np.array([pts[u].color for u in around], dtype=np.int8)
+    purple = colors == Color.PURPLE
+    sums = []
+    for color in (Color.RED, Color.BLUE):
+        on_chain = purple | (colors == color)
+        nodes = [pts[u] for u, on in zip(around, on_chain.tolist()) if on]
+        lengths = np.array([math.hypot(p.x - q.x, p.y - q.y) for p, q in zip(nodes, nodes[1:])])
+        arc_of = np.cumsum(purple[on_chain][:-1]) - 1  # the arc each link lies on
+        first = np.flatnonzero(np.diff(arc_of, prepend=-1))  # each arc's first link
+        longest = np.flatnonzero(lengths == np.maximum.reduceat(lengths, first)[arc_of])
+        dropped = lengths.copy()
+        dropped[longest[np.diff(arc_of[longest], prepend=-1) > 0]] = 0.0
+        full, drop = np.zeros(k), np.zeros(k)
+        np.add.at(full, arc_of, lengths)  # one link at a time, in chain order
+        np.add.at(drop, arc_of, dropped)
+        full[np.diff(first, append=len(lengths)) == 1] = math.inf  # no point of this color
+        sums.append((drop, full))
+    (red_drop, red_full), (blue_drop, blue_full) = sums
+    return np.array([red_drop + blue_drop, red_drop + blue_full,
+                     red_full + blue_drop, red_full + blue_full])
+
+
 @dataclass
 class DPTables:
-    """Span-major value tables plus back-pointers for reconstruction.
+    """The filled tables and what reconstruction needs besides them.
 
-    `value`, `code` and `param` are indexed [label, span, start]; `chord` is
-    indexed [span, start]. Span 0 is unused.
+    `ends[label, s, j]`, for j in [s, 2k), is the entry for the span of s arcs
+    that ends at purple j mod k, so starts at purple (j - s) mod k; the cells
+    below s are unused and hold inf. `choice[label, s, i]` encodes the option
+    that won for the span starting at purple i:
+
+    - span 1: 0 is the arc's base entry, 1 the direct chord on top of the
+      arc's PC entry;
+    - span s >= 2: c < s - 1 is Case I split at d = c + 1 (PC over span d plus
+      its chord, then the label over span s - d); otherwise Case II variant
+      c - (s - 1) of `_CASE2[label]`.
+
+    Span 0 is unused.
     """
 
+    instance: Instance
     purple_ids: list
-    value: np.ndarray  # optimum of the span under the label's boundary assumption
-    code: np.ndarray   # choice code (_BASE, _DIRECT, _CASE_I or _CASE_II)
-    param: np.ndarray  # Case I: split span d; Case II: variant index into _CASE2[label]
-    chord: np.ndarray  # ||p_i p_{i+s}||
-    arc_bases: list    # _ArcBase per arc index
+    arcs: Sequence[Sequence[int]]  # arc i's interior ids, as `split_arcs` lists them
+    ends: np.ndarray    # float, (4, k, 2k): optimum of the span under the label's assumption
+    choice: np.ndarray  # small unsigned int, (4, k, k): the winning option, as above
+
+    @property
+    def value(self) -> np.ndarray:
+        """Read-only start-indexed view of `ends`: value[label, s, i] = ends[label, s, i + s]."""
+        ends = self.ends
+        k = ends.shape[1]
+        by_label, by_span, by_end = ends.strides
+        return as_strided(ends, (4, k, k), (by_label, by_span + by_end, by_end),
+                          writeable=False)
 
 
 # Case II splits off the span-1 arc at the start: (left, right) labels per variant.
@@ -140,10 +200,6 @@ _CASE2 = {
     B_: [(N_, B_), (B_, N_)],
     N_: [(N_, N_)],
 }
-# One row per (label, variant): label, variant index, left label, right label.
-_C2_LAB, _C2_VAR, _C2_LEFT, _C2_RIGHT = np.array([
-    (lab, vi, left, right) for lab, variants in _CASE2.items()
-    for vi, (left, right) in enumerate(variants)]).T
 
 # Final pairings that split the circle at purple 0 and purple s.
 _PAIRINGS = [(P_, N_), (N_, P_), (R_, B_), (B_, R_)]
@@ -154,50 +210,66 @@ def fill_tables(instance: Instance, purple_ids: Sequence[int],
                 arcs: Sequence[Sequence[int]]) -> DPTables:
     """Fill the four tables in increasing clockwise-span order.
 
-    Each span is a handful of whole-array operations: its options are stacked
-    into one (label, option, start) array, Case I at its best split and then
-    the Case II variants in `_CASE2` order (inf where a label has fewer), and
-    one argmin picks the first minimum.
+    `left[d, i]`, PC over span d from purple i plus its chord, is the left
+    part of a Case I split at d; the right part, the label over span s - d
+    from purple i + d, ends where the span ends, at purple i + s. So the Case I
+    options of span s are one broadcast sum of `left[1:s]` and the view
+    `ends[:, s-1:0:-1, s:s+k]` (row d - 1 is split d), written into an option
+    buffer. The Case II variants follow them in `_CASE2` order, written by
+    two sums whose operands are basic slices; a slot a label has no variant
+    for gets an inf left part. One argmin per span picks the first minimum in
+    (split, variant) order; its index is the span's `choice`, and the flat
+    index it names is read back as the span's entries.
     """
     k = len(purple_ids)
-    coords = np.array([instance.coords(p) for p in purple_ids])
-    # idx[d, i] = (i + d) % k, the start of the right part after a split at d
-    idx = (np.arange(k)[None, :] + np.arange(k)[:, None]) % k
-    diff = coords[None, :, :] - coords[idx]
-    chord = np.hypot(diff[..., 0], diff[..., 1])
+    coords = np.array([instance.coords(p) for p in purple_ids]).T
+    # chord[d, i] = ||p_i p_{(i + d) % k}||, with ahead[:, d, i] = coords[:, (i + d) % k]
+    ahead = sliding_window_view(np.hstack([coords, coords]), k, axis=1)[:, :k]
+    chord = np.hypot(*(coords[:, None, :] - ahead))
 
-    bases = [base_arc_costs(instance, purple_ids[i], purple_ids[(i + 1) % k], arcs[i])
-             for i in range(k)]
-
-    value = np.full((4, k, k), math.inf)
-    code = np.zeros((4, k, k), dtype=np.int64)
-    param = np.zeros((4, k, k), dtype=np.int64)
+    ends = np.full((4, k, 2 * k), math.inf)
+    choice = np.zeros((4, k, k), dtype=np.min_scalar_type(k + 1))  # span s picks up to s + 2
+    left = np.empty((k, k))
 
     # span 1: the arc's base entry, or the direct purple edge on top of its PC
     # entry (which PC itself never prefers).
-    base = np.array([b.values for b in bases]).T
+    base = arc_base_values(instance, purple_ids, arcs)
     direct = base[P_] + chord[1]
-    value[:, 1] = np.minimum(base, direct)
-    code[:, 1] = np.where(base <= direct, _BASE, _DIRECT)
+    first = np.minimum(base, direct)
+    choice[:, 1] = base > direct
+    ends[:, 1, 1:k + 1] = first
+    ends[:, 1, k + 1:] = first[:, :k - 1]
+    np.add(first[P_], chord[1], out=left[1])
 
-    # Per span, option 0 is Case I and options 1-4 the Case II variants; a
-    # slot no variant of a label fills stays inf.
-    options = np.full((4, 5, k), math.inf)
+    # Span s uses options[:, :s + 3]: s - 1 splits, then four Case II slots.
+    # Slot s - 1 holds variant (N, label) for every label. Slots s, s + 1 and
+    # s + 2 hold the right parts N, B and R under the left parts in
+    # case2_left: (P, N), (R, B) and (B, R) for P, (R, N) and (B, N) for R and
+    # B, and inf where a label has no such variant.
+    case2_left = np.full((4, 3, k), math.inf)
+    case2_left[:N_, 0] = first[:N_]
+    case2_left[P_, 1:] = first[R_:N_]
+    first_n = first[N_]
+    options = np.empty((4, k + 3, k))
+    flat = options.reshape(-1)
+    at = np.arange(4)[:, None] * options[0].size + np.arange(k)  # flat index of slot 0
+    add = np.add
     for s in range(2, k):
-        # Case I: the left part is PC over span d plus its chord, the right
-        # part starts at (i + d) % k with span s - d.
-        case1 = ((value[P_, 1:s] + chord[1:s])[None]
-                 + value[:, np.arange(s - 1, 0, -1)[:, None], idx[1:s]])
-        split = case1.argmin(axis=1)
-        options[:, 0] = np.take_along_axis(case1, split[:, None], axis=1)[:, 0]
-        options[_C2_LAB, 1 + _C2_VAR] = (value[_C2_LEFT, 1]
-                                         + np.roll(value[_C2_RIGHT, s - 1], -1, axis=1))
-        pick = options.argmin(axis=1)
-        value[:, s] = np.take_along_axis(options, pick[:, None], axis=1)[:, 0]
-        code[:, s] = np.where(pick == 0, _CASE_I, _CASE_II)
-        param[:, s] = np.where(pick == 0, split + 1, pick - 1)
+        opts = options[:, :s + 3]
+        right = ends[:, s - 1, s:s + k]  # every label over span s - 1 from purple i + 1
+        add(left[1:s], ends[:, s - 1:0:-1, s:s + k], out=opts[:, :s - 1])
+        add(first_n, right, out=opts[:, s - 1])
+        add(case2_left, right[N_:P_:-1], out=opts[:, s:])
+        pick = opts.argmin(axis=1)
+        choice[:, s] = pick
+        pick *= k
+        pick += at
+        row = flat[pick]
+        ends[:, s, s:s + k] = row
+        ends[:, s, s + k:] = row[:, :k - s]
+        add(row[P_], chord[s], out=left[s])
 
-    return DPTables(list(purple_ids), value, code, param, chord, bases)
+    return DPTables(instance, list(purple_ids), arcs, ends, choice)
 
 
 def combine_final(tables: DPTables) -> tuple[float, int, int]:
@@ -219,23 +291,25 @@ def _reconstruct(tables: DPTables, lab: int, i: int, s: int, pairs: list):
     k = len(pid)
     while stack:
         lab, i, s = stack.pop()
-        code, par = int(tables.code[lab, s, i]), int(tables.param[lab, s, i])
-        if code == _BASE:
-            arc_pairs = tables.arc_bases[i].edges[lab]
-            assert arc_pairs is not None
+        c = int(tables.choice[lab, s, i])
+        if s == 1 and c == 0:  # the arc's base entry
+            arc_pairs = base_arc_costs(tables.instance, pid[i], pid[(i + 1) % k],
+                                       tables.arcs[i]).edges[lab]
+            if arc_pairs is None:  # raised, not asserted, so that it holds under python -O
+                raise AssertionError(f"circle DP chose an infeasible base arc at purple {i}")
             pairs.extend(arc_pairs)
-        elif code == _DIRECT:
-            u, v = pid[i], pid[(i + s) % k]
+        elif s == 1:  # the direct chord on top of the arc's PC entry
+            u, v = pid[i], pid[(i + 1) % k]
             pairs.append((u, v) if u < v else (v, u))
-            stack.append((P_, i, s))
-        elif code == _CASE_I:
-            d = par
+            stack.append((P_, i, 1))
+        elif c < s - 1:  # Case I split at d
+            d = c + 1
             u, v = pid[i], pid[(i + d) % k]
             pairs.append((u, v) if u < v else (v, u))
             stack.append((P_, i, d))
             stack.append((lab, (i + d) % k, s - d))
-        else:
-            left, right = _CASE2[lab][par]
+        else:  # Case II
+            left, right = _CASE2[lab][c - (s - 1)]
             stack.append((left, i, 1))
             stack.append((right, (i + 1) % k, s - 1))
 

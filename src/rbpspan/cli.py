@@ -244,6 +244,9 @@ def cmd_bench(args) -> int:
         res = bench_mod.bench_circle(reps=args.reps, seed=args.seed)
         for k, t in sorted(res.items()):
             lines.append("circle %d %.6f" % (k, t))
+        res = bench_mod.bench_circle_e2e(reps=args.reps, seed=args.seed)
+        for k, t in sorted(res.items()):
+            lines.append("circle_e2e %d %.6f" % (k, t))
     if args.target in ("exact", "all"):
         res = bench_mod.bench_exact(reps=max(1, args.reps // 2), seed=args.seed)
         for n, t in sorted(res.items()):

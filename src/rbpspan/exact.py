@@ -147,7 +147,8 @@ def find_min_exchange_sequence(instance: Instance, edges: Sequence[Edge],
     for h in range(h_star, 0, -1):
         v = int(np.flatnonzero(dist[h - 1] + graph[:, v] == dist[h][v])[0])
         walk.append(v)
-    assert walk[-1] == source and len(walk) % 2 == 0
+    if walk[-1] != source or len(walk) % 2:
+        raise AssertionError("the exchange walk back from the sink misses the source")
     return ExchangeSequence(tuple(reversed(walk[:-1])), float(cost))
 
 
@@ -214,7 +215,8 @@ def solve_exact(instance: Instance, return_trace: bool = False):
             break
         removed = set(seq.edge_indices[0::2])
         added = set(seq.edge_indices[1::2])
-        assert removed <= x and not (added & x)
+        if not removed <= x or added & x:
+            raise AssertionError("an exchange sequence removes an edge outside X or adds one in X")
         x = frozenset((x - removed) | added)
         weight = math.fsum(edges[i].length for i in sorted(x))
         trace[len(x)] = weight

@@ -99,7 +99,8 @@ def oracle_forest(instance: Instance, max_purple: int = FOREST_MAX_PURPLE) -> So
             best_partition = [list(b) for b in partition]
             best_pairs = red[1] + blue[1]
 
-    assert best_partition is not None
+    if best_partition is None:
+        raise AssertionError("no partition of the purple points gives a spanning graph")
     pairs = best_pairs
     for block in best_partition:
         if len(block) > 1:
@@ -166,6 +167,7 @@ def oracle_subsets(instance: Instance, max_edges: int = SUBSET_MAX_EDGES) -> Sol
         dfs(idx + 1, red_ds, blue_ds, weight, chosen)
 
     dfs(0, DisjointSets(n), DisjointSets(n), 0.0, [])
-    assert best_choice is not None
+    if best_choice is None:
+        raise AssertionError("no edge subset spans both sides")
     edge_set = make_edge_set(instance, [edges[i].pair for i in best_choice])
     return solution_stats(instance, edge_set, solver="oracle-subsets")

@@ -6,6 +6,7 @@ from rbpspan.bench import (
     _median,
     bench_approx,
     bench_circle,
+    bench_circle_e2e,
     bench_exact,
     bench_line,
     bench_line_e2e,
@@ -37,6 +38,11 @@ def test_bench_approx_smoke():
 def test_bench_circle_smoke():
     res = bench_circle(ks=(12,), extra=20, reps=2)
     assert set(res) == {12} and res[12] > 0.0
+
+
+def test_bench_circle_e2e_smoke():
+    res = bench_circle_e2e(ks=(6, 12), extra=20, reps=2)
+    assert set(res) == {6, 12} and min(res.values()) > 0.0
 
 
 def test_bench_exact_smoke():

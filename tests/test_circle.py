@@ -1,18 +1,27 @@
 """Cubic dynamic program for concyclic instances."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rbpspan
 from rbpspan import circle
+from rbpspan.bench import _circle_instance
 from rbpspan.circle import (
+    _CASE2,
     B_,
     N_,
     NotConcyclicError,
     P_,
     R_,
+    arc_base_values,
     base_arc_costs,
     combine_final,
     fill_tables,
@@ -127,6 +136,26 @@ class TestBaseArcCosts:
         expected = (inst.distance(0, 1) + inst.distance(1, 3)
                     + inst.distance(0, 2) + inst.distance(2, 3))
         assert nc == pytest.approx(expected)
+
+
+def test_arc_base_values_equal_base_arc_costs():
+    # [DERIVED: the batch pass sums every chain in the order `line.chain` does,
+    # so the values agree exactly, also where links tie for the longest]
+    cases = [_circle_instance(k, extra, seed) for k in (2, 3, 7, 30)
+             for extra in (0, 1, k, 4 * k) for seed in range(3)]
+    cases += [_lattice_circle(r2, seed) for r2 in (25, 65) for seed in range(40)]
+    checked = 0
+    for inst in cases:
+        if inst.k < 2:
+            continue
+        cx, cy, _, _ = fit_circle(inst)
+        purple_ids, arcs = split_arcs(inst, cx, cy)
+        k = len(purple_ids)
+        expected = [list(base_arc_costs(inst, purple_ids[i], purple_ids[(i + 1) % k],
+                                        arcs[i]).values) for i in range(k)]
+        assert arc_base_values(inst, purple_ids, arcs).T.tolist() == expected
+        checked += 1
+    assert checked >= 100
 
 
 class TestTables:
@@ -268,3 +297,108 @@ def test_fit_circle_anchors_on_axis_ends_at_every_scale(monkeypatch):
         assert residual <= 1e-9
         assert anchors == [_reference_axis_ends(scaled)]
         assert solve_circle(scaled).edge_set.pairs() == solve_circle(inst).edge_set.pairs()
+
+
+def _reference_dp(inst, purple_ids, arcs):
+    """The circle recurrence entry by entry: {(label, span, start): (value, choice)}.
+
+    Span 1 is the arc's base entry, or the direct chord on top of its PC entry
+    when that is strictly cheaper. A longer span takes the first minimum over
+    Case I at splits 1, ..., s - 1, then the Case II variants in `_CASE2`
+    order. Each sum is formed in the order `fill_tables` forms it, so values
+    agree exactly.
+    """
+    k = len(purple_ids)
+    xy = [inst.coords(p) for p in purple_ids]
+
+    def chord(i, s):
+        (ax, ay), (bx, by) = xy[i], xy[(i + s) % k]
+        return float(np.hypot(ax - bx, ay - by))
+
+    bases = [base_arc_costs(inst, purple_ids[i], purple_ids[(i + 1) % k], arcs[i]).values
+             for i in range(k)]
+    dp = {}
+    for i in range(k):
+        for lab in range(4):
+            base, direct = bases[i][lab], bases[i][P_] + chord(i, 1)
+            dp[lab, 1, i] = (base, ("base",)) if base <= direct else (direct, ("direct",))
+    for s in range(2, k):
+        for i in range(k):
+            for lab in range(4):
+                options = [(dp[P_, d, i][0] + chord(i, d) + dp[lab, s - d, (i + d) % k][0],
+                            ("I", d)) for d in range(1, s)]
+                options += [(dp[left, 1, i][0] + dp[right, s - 1, (i + 1) % k][0],
+                             ("II", vi)) for vi, (left, right) in enumerate(_CASE2[lab])]
+                dp[lab, s, i] = min(options, key=lambda option: option[0])
+    return dp
+
+
+def _decoded(t, lab, s, i):
+    """The option a `choice` entry names, by the encoding `DPTables` documents."""
+    c = int(t.choice[lab, s, i])
+    if s == 1:
+        return ("base",) if c == 0 else ("direct",)
+    return ("I", c + 1) if c < s - 1 else ("II", c - (s - 1))
+
+
+def test_fill_tables_matches_reference_dp():
+    cases = [_circle_instance(k, extra, seed) for k in range(2, 15)
+             for extra in (0, k // 2, 2 * k) for seed in range(2)]
+    cases += [_lattice_circle(r2, seed) for r2 in (25, 65) for seed in range(40)]
+    checked = 0
+    for inst in cases:
+        if inst.k < 2:
+            continue
+        cx, cy, _, _ = fit_circle(inst)
+        purple_ids, arcs = split_arcs(inst, cx, cy)
+        t = fill_tables(inst, purple_ids, arcs)
+        values = t.value
+        for (lab, s, i), (value, how) in _reference_dp(inst, purple_ids, arcs).items():
+            assert values[lab, s, i] == value, (lab, s, i)
+            assert _decoded(t, lab, s, i) == how, (lab, s, i)
+        checked += 1
+    assert checked >= 150
+
+
+def test_fill_tables_memory_budget():
+    # n = 300 with k = 150, the size of the benchmark's circle instances. The
+    # bound is the table fill's tracemalloc peak before the end-indexed layout
+    # (5.14 MiB), so the DP's footprint cannot creep back up.
+    inst = _circle_instance(150, 150, seed=0)
+    args = (inst, *split_arcs(inst, 0.0, 0.0))
+    tracemalloc.start()
+    try:
+        fill_tables(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.14 * 2 ** 20
+
+
+def test_infeasible_base_choice_is_an_internal_error_under_python_O(tmp_path):
+    # On an all-purple circle every arc is empty, so its RC, BC and NC base
+    # entries are infeasible, and every final pairing reconstructs one of
+    # those labels down to span 1. Pointing those span-1 choices at the base
+    # entry must stop the solve with exit code 3, also when asserts are off.
+    path = tmp_path / "purple.txt"
+    path.write_text(_circle_text([("P", 60 * i) for i in range(6)]))
+    script = f"""if True:
+        import sys
+        from rbpspan import circle
+        from rbpspan.cli import main
+        fill = circle.fill_tables
+
+        def doctored(*args):
+            tables = fill(*args)
+            infeasible = circle.arc_base_values(*args) == float('inf')
+            tables.choice[:, 1][infeasible] = 0
+            return tables
+
+        circle.fill_tables = doctored
+        print(sys.flags.optimize, main(['solve', {str(path)!r}, '--algo', 'circle']))
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(rbpspan.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, env=env, check=True)
+    assert run.stdout.split() == ["1", "3"]
+    assert "internal error: circle DP chose an infeasible base arc" in run.stderr

@@ -288,6 +288,13 @@ class TestBench:
         assert exc.value.code == EXIT_USAGE
         assert "--reps" in capsys.readouterr().err
 
+    def test_circle_target_prints_tables_and_end_to_end(self, capsys):
+        assert main(["bench", "--target", "circle", "--reps", "1"]) == EXIT_OK
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [row[:2] for row in rows] == [["circle", "100"], ["circle", "200"],
+                                             ["circle_e2e", "100"], ["circle_e2e", "200"]]
+        assert all(float(row[2]) > 0.0 for row in rows)
+
 
 def test_render_svg_direct():
     svg = render_svg(e1())
