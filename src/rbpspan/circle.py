@@ -6,13 +6,15 @@ only (RC), in blue only (BC), or in neither (NC). They are kept end-indexed in
 one wrap-doubled float array: ends[label, s, j] is the entry for the clockwise
 span of s arcs that ends at purple j mod k, for j in [s, 2k). So every Case I
 split of a span reads its right parts from one basic-slice view, with no
-gather. `DPTables.value` is the start-indexed view of the same memory, and
-`choice[label, s, i]` records the option that reached each entry. The base
-case of each purple-to-purple arc is the collinear solver's segment case
-split, `line.segment_options`, with chord lengths as link lengths;
-`split_arcs` cuts the angular order into those arcs. `arc_base_values` forms
-the four base values of all arcs in one pass, and reconstruction asks
-`base_arc_costs` for the edges of only the arcs it visits.
+gather, and one min-reduce per span writes its entries. `DPTables.value` is
+the start-indexed view of the same memory. The tables hold values only:
+reconstruction rebuilds the option row of each entry it visits and picks
+its first minimum (`_pick`). The base case of each purple-to-purple arc is
+the collinear solver's segment case split, `line.segment_options`, with
+chord lengths as link lengths; `split_arcs` cuts the angular order into
+those arcs. `arc_base_values` forms the four base values of all arcs in one
+pass, and reconstruction asks `base_arc_costs` for the edges of only the
+arcs it visits.
 
 `solve_circle` is O(n log n + k^3) for n points, k of them purple: the
 n log n is `split_arcs`' angular sort, and `fit_circle` is O(n), as it
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -123,38 +127,48 @@ def arc_base_values(instance: Instance, purple_ids: Sequence[int],
                     arcs: Sequence[Sequence[int]]) -> np.ndarray:
     """`base_arc_costs(...).values` of every arc at once, as a (4, k) array.
 
-    Per color, one pass around the circle lists the links of every arc's
-    chain: its purple, the arc's points of that color, the next purple. Each
-    arc's sums are formed link by link in chain order, the drop sum with the
+    One pass lists the links of every arc's red chain and then of every
+    arc's blue chain, a chain being the arc's purple, the arc's points of
+    that color and the next purple. Each arc's sums are formed link by link in chain order, the drop sum with the
     arc's first longest link counted as 0.0, so every value is the float that
-    `line.chain` forms. No edge list is built; `_reconstruct` asks
-    `base_arc_costs` for the edges of the arcs it visits. O(n).
+    `line.chain` forms; each link's length is `math.hypot` of the coordinate
+    differences, as in `Instance.distance`. No edge list is built;
+    `_reconstruct` asks `base_arc_costs` for the edges of the arcs it visits.
+    O(n).
     """
     k = len(purple_ids)
     pts = instance.points
-    around = []  # every id in angular order from purple 0, and purple 0 again
-    for p, arc in zip(purple_ids, arcs):
-        around.append(p)
-        around += arc
-    around.append(purple_ids[0])
-    colors = np.array([pts[u].color for u in around], dtype=np.int8)
-    purple = colors == Color.PURPLE
-    sums = []
-    for color in (Color.RED, Color.BLUE):
-        on_chain = purple | (colors == color)
-        nodes = [pts[u] for u, on in zip(around, on_chain.tolist()) if on]
-        lengths = np.array([math.hypot(p.x - q.x, p.y - q.y) for p, q in zip(nodes, nodes[1:])])
-        arc_of = np.cumsum(purple[on_chain][:-1]) - 1  # the arc each link lies on
-        first = np.flatnonzero(np.diff(arc_of, prepend=-1))  # each arc's first link
-        longest = np.flatnonzero(lengths == np.maximum.reduceat(lengths, first)[arc_of])
-        dropped = lengths.copy()
-        dropped[longest[np.diff(arc_of[longest], prepend=-1) > 0]] = 0.0
-        full, drop = np.zeros(k), np.zeros(k)
-        np.add.at(full, arc_of, lengths)  # one link at a time, in chain order
-        np.add.at(drop, arc_of, dropped)
-        full[np.diff(first, append=len(lengths)) == 1] = math.inf  # no point of this color
-        sums.append((drop, full))
-    (red_drop, red_full), (blue_drop, blue_full) = sums
+    sizes = np.fromiter(map(len, arcs), np.intp, k)
+    # every id in angular order from purple 0, and purple 0 again
+    purple = np.zeros(k + int(sizes.sum()) + 1, bool)
+    purple[np.cumsum(sizes + 1) - sizes - 1] = True
+    purple[-1] = True
+    around = np.empty(len(purple), np.intp)
+    around[purple] = [*purple_ids, purple_ids[0]]
+    around[~purple] = np.fromiter(chain.from_iterable(arcs), np.intp, len(purple) - k - 1)
+    is_red = np.zeros(len(pts), bool)
+    is_red[list(instance.R)] = True
+    red = is_red[around]
+    # The red chain around the circle, then the blue one, which starts where
+    # the red one ends, at purple 0: arcs 0..k-1 are red, k..2k-1 blue.
+    on = np.concatenate([np.flatnonzero(purple | red), np.flatnonzero(~red)[1:]])
+    ids = around[on]
+    x = np.fromiter(map(attrgetter("x"), pts), float, len(pts))[ids]
+    y = np.fromiter(map(attrgetter("y"), pts), float, len(pts))[ids]
+    lengths = np.fromiter(map(math.hypot, (x[:-1] - x[1:]).tolist(), (y[:-1] - y[1:]).tolist()),
+                          float, len(ids) - 1)
+    at_purple = purple[on]
+    starts = at_purple[:-1]  # each arc's first link starts at its purple
+    arc_of = np.cumsum(starts) - 1  # the arc each link lies on
+    longest = np.flatnonzero(
+        lengths == np.maximum.reduceat(lengths, np.flatnonzero(starts))[arc_of])
+    dropped = lengths.copy()
+    dropped[longest[np.diff(arc_of[longest], prepend=-1) > 0]] = 0.0
+    full, drop = np.zeros(2 * k), np.zeros(2 * k)
+    np.add.at(full, arc_of, lengths)  # one link at a time, in chain order
+    np.add.at(drop, arc_of, dropped)
+    full[arc_of[starts & at_purple[1:]]] = math.inf  # one link, purple to purple
+    (red_drop, blue_drop), (red_full, blue_full) = drop.reshape(2, k), full.reshape(2, k)
     return np.array([red_drop + blue_drop, red_drop + blue_full,
                      red_full + blue_drop, red_full + blue_full])
 
@@ -165,23 +179,17 @@ class DPTables:
 
     `ends[label, s, j]`, for j in [s, 2k), is the entry for the span of s arcs
     that ends at purple j mod k, so starts at purple (j - s) mod k; the cells
-    below s are unused and hold inf. `choice[label, s, i]` encodes the option
-    that won for the span starting at purple i:
-
-    - span 1: 0 is the arc's base entry, 1 the direct chord on top of the
-      arc's PC entry;
-    - span s >= 2: c < s - 1 is Case I split at d = c + 1 (PC over span d plus
-      its chord, then the label over span s - d); otherwise Case II variant
-      c - (s - 1) of `_CASE2[label]`.
-
-    Span 0 is unused.
+    below s are unused and hold inf. Span 0 is unused. Only values are
+    stored: `_pick` finds the option that reached an entry when
+    reconstruction visits it, from `ends`, `base` and `chord`.
     """
 
     instance: Instance
     purple_ids: list
     arcs: Sequence[Sequence[int]]  # arc i's interior ids, as `split_arcs` lists them
-    ends: np.ndarray    # float, (4, k, 2k): optimum of the span under the label's assumption
-    choice: np.ndarray  # small unsigned int, (4, k, k): the winning option, as above
+    ends: np.ndarray   # float, (4, k, 2k): optimum of the span under the label's assumption
+    base: np.ndarray   # float, (4, k): arc i's base entries, as `arc_base_values` forms them
+    chord: np.ndarray  # float, (k, k): chord[d, i] = ||p_i p_{(i + d) % k}||
 
     @property
     def value(self) -> np.ndarray:
@@ -200,6 +208,8 @@ _CASE2 = {
     B_: [(N_, B_), (B_, N_)],
     N_: [(N_, N_)],
 }
+_CASE2_PARTS = {lab: tuple(np.array(side) for side in zip(*variants))
+                for lab, variants in _CASE2.items()}  # (left labels, right labels)
 
 # Final pairings that split the circle at purple 0 and purple s.
 _PAIRINGS = [(P_, N_), (N_, P_), (R_, B_), (B_, R_)]
@@ -208,18 +218,20 @@ _PAIR_LEFT, _PAIR_RIGHT = np.array(_PAIRINGS).T
 
 def fill_tables(instance: Instance, purple_ids: Sequence[int],
                 arcs: Sequence[Sequence[int]]) -> DPTables:
-    """Fill the four tables in increasing clockwise-span order.
+    """Fill the four tables in increasing clockwise-span order; values only.
 
     `left[d, i]`, PC over span d from purple i plus its chord, is the left
     part of a Case I split at d; the right part, the label over span s - d
     from purple i + d, ends where the span ends, at purple i + s. So the Case I
     options of span s are one broadcast sum of `left[1:s]` and the view
     `ends[:, s-1:0:-1, s:s+k]` (row d - 1 is split d), written into an option
-    buffer. The Case II variants follow them in `_CASE2` order, written by
-    two sums whose operands are basic slices; a slot a label has no variant
-    for gets an inf left part. One argmin per span picks the first minimum in
-    (split, variant) order; its index is the span's `choice`, and the flat
-    index it names is read back as the span's entries.
+    buffer after three Case II slots, which one more sum of basic slices
+    writes. Split 1 and Case II's (N, label) variant share their right part,
+    the label over span s - 1 from purple i + 1, so `left[1]` holds the
+    smaller of their left parts; as float rounding is monotone,
+    min(a + c, b + c) is min(a, b) + c exactly. One min-reduce per span writes
+    the span's entries straight into `ends`. Which option reached an entry
+    is left to `_pick`.
     """
     k = len(purple_ids)
     coords = np.array([instance.coords(p) for p in purple_ids]).T
@@ -228,48 +240,36 @@ def fill_tables(instance: Instance, purple_ids: Sequence[int],
     chord = np.hypot(*(coords[:, None, :] - ahead))
 
     ends = np.full((4, k, 2 * k), math.inf)
-    choice = np.zeros((4, k, k), dtype=np.min_scalar_type(k + 1))  # span s picks up to s + 2
     left = np.empty((k, k))
 
     # span 1: the arc's base entry, or the direct purple edge on top of its PC
     # entry (which PC itself never prefers).
     base = arc_base_values(instance, purple_ids, arcs)
-    direct = base[P_] + chord[1]
-    first = np.minimum(base, direct)
-    choice[:, 1] = base > direct
+    first = np.minimum(base, base[P_] + chord[1])
     ends[:, 1, 1:k + 1] = first
     ends[:, 1, k + 1:] = first[:, :k - 1]
-    np.add(first[P_], chord[1], out=left[1])
+    np.minimum(first[P_] + chord[1], first[N_], out=left[1])
 
-    # Span s uses options[:, :s + 3]: s - 1 splits, then four Case II slots.
-    # Slot s - 1 holds variant (N, label) for every label. Slots s, s + 1 and
-    # s + 2 hold the right parts N, B and R under the left parts in
+    # Span s uses options[:, :s + 2]: three Case II slots, then s - 1 splits.
+    # The slots hold the right parts N, B and R under the left parts in
     # case2_left: (P, N), (R, B) and (B, R) for P, (R, N) and (B, N) for R and
     # B, and inf where a label has no such variant.
     case2_left = np.full((4, 3, k), math.inf)
     case2_left[:N_, 0] = first[:N_]
     case2_left[P_, 1:] = first[R_:N_]
-    first_n = first[N_]
-    options = np.empty((4, k + 3, k))
-    flat = options.reshape(-1)
-    at = np.arange(4)[:, None] * options[0].size + np.arange(k)  # flat index of slot 0
-    add = np.add
+    options = np.empty((4, k + 2, k))
+    case2 = options[:, :3]
+    add, reduce = np.add, np.minimum.reduce
     for s in range(2, k):
-        opts = options[:, :s + 3]
-        right = ends[:, s - 1, s:s + k]  # every label over span s - 1 from purple i + 1
-        add(left[1:s], ends[:, s - 1:0:-1, s:s + k], out=opts[:, :s - 1])
-        add(first_n, right, out=opts[:, s - 1])
-        add(case2_left, right[N_:P_:-1], out=opts[:, s:])
-        pick = opts.argmin(axis=1)
-        choice[:, s] = pick
-        pick *= k
-        pick += at
-        row = flat[pick]
-        ends[:, s, s:s + k] = row
+        row = ends[:, s, s:s + k]  # span s from every purple
+        # labels N, B and R over span s - 1 from purple i + 1
+        add(case2_left, ends[N_:P_:-1, s - 1, s:s + k], case2)
+        add(left[1:s], ends[:, s - 1:0:-1, s:s + k], options[:, 3:s + 2])
+        reduce(options[:, :s + 2], 1, None, row)
         ends[:, s, s + k:] = row[:, :k - s]
-        add(row[P_], chord[s], out=left[s])
+        add(row[P_], chord[s], left[s])
 
-    return DPTables(instance, list(purple_ids), arcs, ends, choice)
+    return DPTables(instance, list(purple_ids), arcs, ends, base, chord)
 
 
 def combine_final(tables: DPTables) -> tuple[float, int, int]:
@@ -285,13 +285,41 @@ def combine_final(tables: DPTables) -> tuple[float, int, int]:
     return float(total.flat[best]), best // len(_PAIRINGS) + 1, best % len(_PAIRINGS)
 
 
+def _pick(tables: DPTables, lab: int, s: int, i: int) -> int:
+    """The option that reached value[lab, s, i]: the first minimum in canonical order.
+
+    Span 1: 0 is the arc's base entry, 1 the direct chord on top of the arc's
+    PC entry. Span s >= 2: c < s - 1 is Case I split at d = c + 1 (PC over
+    span d plus its chord, then the label over span s - d); otherwise Case II
+    variant c - (s - 1) of `_CASE2[lab]`. The option row is rebuilt from the
+    filled tables with the sums `fill_tables` forms, before any fold, so the
+    pick resolves ties in (split, variant) order. O(s).
+    """
+    ends, chord = tables.ends, tables.chord
+    if s == 1:
+        return int(tables.base[lab, i] > tables.base[P_, i] + chord[1, i])
+    lefts, rights = _CASE2_PARTS[lab]
+    # PC over span d from purple i ends at i + d; the right part of split d
+    # ends where the span ends, at i + s.
+    end = i + s
+    return int(np.concatenate([
+        ends[P_, 1:s, i + 1:end].diagonal() + chord[1:s, i] + ends[lab, s - 1:0:-1, end],
+        ends[lefts, 1, i + 1] + ends[rights, s - 1, end],
+    ]).argmin())
+
+
 def _reconstruct(tables: DPTables, lab: int, i: int, s: int, pairs: list):
+    """Append the edges of entry value[lab, s, i] to `pairs`.
+
+    The tables store no choices: each entry the walk visits asks `_pick`
+    which option reached it, O(s) each, so the walk costs O(k^2) at most.
+    """
     stack = [(lab, i, s)]
     pid = tables.purple_ids
     k = len(pid)
     while stack:
         lab, i, s = stack.pop()
-        c = int(tables.choice[lab, s, i])
+        c = _pick(tables, lab, s, i)
         if s == 1 and c == 0:  # the arc's base entry
             arc_pairs = base_arc_costs(tables.instance, pid[i], pid[(i + 1) % k],
                                        tables.arcs[i]).edges[lab]

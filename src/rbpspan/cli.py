@@ -7,6 +7,7 @@ invariant failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Optional
@@ -313,9 +314,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """`build_parser()`, built once per process on first use.
+
+    Usage errors look `sys.stderr` up when they are printed, so a cached
+    parser still writes to the current stream.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except PreconditionError as exc:

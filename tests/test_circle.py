@@ -8,8 +8,11 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rbpspan
 from rbpspan import circle
@@ -21,6 +24,7 @@ from rbpspan.circle import (
     NotConcyclicError,
     P_,
     R_,
+    _pick,
     arc_base_values,
     base_arc_costs,
     combine_final,
@@ -305,8 +309,10 @@ def _reference_dp(inst, purple_ids, arcs):
     Span 1 is the arc's base entry, or the direct chord on top of its PC entry
     when that is strictly cheaper. A longer span takes the first minimum over
     Case I at splits 1, ..., s - 1, then the Case II variants in `_CASE2`
-    order. Each sum is formed in the order `fill_tables` forms it, so values
-    agree exactly.
+    order. Each sum is formed in the order `fill_tables` forms it before its
+    fold, so values agree exactly. Also returns the entries whose minimum
+    both split 1 and Case II's (N, label) variant reach: the two options the
+    fill folds into one, which must still pick split 1.
     """
     k = len(purple_ids)
     xy = [inst.coords(p) for p in purple_ids]
@@ -318,6 +324,7 @@ def _reference_dp(inst, purple_ids, arcs):
     bases = [base_arc_costs(inst, purple_ids[i], purple_ids[(i + 1) % k], arcs[i]).values
              for i in range(k)]
     dp = {}
+    fold_ties = []
     for i in range(k):
         for lab in range(4):
             base, direct = bases[i][lab], bases[i][P_] + chord(i, 1)
@@ -330,12 +337,15 @@ def _reference_dp(inst, purple_ids, arcs):
                 options += [(dp[left, 1, i][0] + dp[right, s - 1, (i + 1) % k][0],
                              ("II", vi)) for vi, (left, right) in enumerate(_CASE2[lab])]
                 dp[lab, s, i] = min(options, key=lambda option: option[0])
-    return dp
+                # options[s - 1] is Case II variant 0, which is (N, label)
+                if options[0][0] == options[s - 1][0] == dp[lab, s, i][0]:
+                    fold_ties.append((lab, s, i))
+    return dp, fold_ties
 
 
 def _decoded(t, lab, s, i):
-    """The option a `choice` entry names, by the encoding `DPTables` documents."""
-    c = int(t.choice[lab, s, i])
+    """The option `_pick` finds for an entry, by the encoding it documents."""
+    c = _pick(t, lab, s, i)
     if s == 1:
         return ("base",) if c == 0 else ("direct",)
     return ("I", c + 1) if c < s - 1 else ("II", c - (s - 1))
@@ -345,19 +355,44 @@ def test_fill_tables_matches_reference_dp():
     cases = [_circle_instance(k, extra, seed) for k in range(2, 15)
              for extra in (0, k // 2, 2 * k) for seed in range(2)]
     cases += [_lattice_circle(r2, seed) for r2 in (25, 65) for seed in range(40)]
+    # 24-point lattice circles (k = 4..11) where split 1 and the (N, label)
+    # variant tie at the minimum of many entries.
+    tie_cases = [_lattice_circle(325, seed) for seed in range(10)]
     checked = 0
-    for inst in cases:
+    for inst, tied in [(inst, False) for inst in cases] + [(inst, True) for inst in tie_cases]:
         if inst.k < 2:
             continue
         cx, cy, _, _ = fit_circle(inst)
         purple_ids, arcs = split_arcs(inst, cx, cy)
         t = fill_tables(inst, purple_ids, arcs)
         values = t.value
-        for (lab, s, i), (value, how) in _reference_dp(inst, purple_ids, arcs).items():
+        dp, fold_ties = _reference_dp(inst, purple_ids, arcs)
+        for (lab, s, i), (value, how) in dp.items():
             assert values[lab, s, i] == value, (lab, s, i)
             assert _decoded(t, lab, s, i) == how, (lab, s, i)
+        assert all(dp[key][1] == ("I", 1) for key in fold_ties)
+        assert fold_ties or not tied
         checked += 1
-    assert checked >= 150
+    assert checked >= 160
+
+
+@given(st.floats(0.0, allow_nan=False), st.floats(0.0, allow_nan=False),
+       st.floats(0.0, allow_nan=False))
+@example(0.0, 0.0, 0.0)
+@example(5e-324, 1e-323, 2.2250738585072014e-308)
+@example(1.7976931348623157e308, 1.7976931348623155e308, 1e292)
+@example(math.inf, 1.0, 0.0)
+@example(1.0, 2.0, math.inf)
+@settings(deadline=None, max_examples=300)
+@hypothesis.seed(754)
+def test_add_then_min_equals_min_then_add(a, b, c):
+    # [DERIVED: IEEE addition rounds monotonically, so for a <= b, a + c <= b + c
+    # after rounding; overflow to inf keeps the order.] fill_tables relies on
+    # this to fold split 1 and Case II's (N, label) variant, which share the
+    # right part c, into one left part min(a, b).
+    a, b, c = np.float64(a), np.float64(b), np.float64(c)
+    with np.errstate(over="ignore"):
+        assert np.minimum(a + c, b + c) == np.minimum(a, b) + c
 
 
 def test_fill_tables_memory_budget():
@@ -378,7 +413,7 @@ def test_fill_tables_memory_budget():
 def test_infeasible_base_choice_is_an_internal_error_under_python_O(tmp_path):
     # On an all-purple circle every arc is empty, so its RC, BC and NC base
     # entries are infeasible, and every final pairing reconstructs one of
-    # those labels down to span 1. Pointing those span-1 choices at the base
+    # those labels down to span 1. Pointing those span-1 picks at the base
     # entry must stop the solve with exit code 3, also when asserts are off.
     path = tmp_path / "purple.txt"
     path.write_text(_circle_text([("P", 60 * i) for i in range(6)]))
@@ -386,15 +421,14 @@ def test_infeasible_base_choice_is_an_internal_error_under_python_O(tmp_path):
         import sys
         from rbpspan import circle
         from rbpspan.cli import main
-        fill = circle.fill_tables
+        pick = circle._pick
 
-        def doctored(*args):
-            tables = fill(*args)
-            infeasible = circle.arc_base_values(*args) == float('inf')
-            tables.choice[:, 1][infeasible] = 0
-            return tables
+        def doctored(tables, lab, s, i):
+            if s == 1 and tables.base[lab, i] == float('inf'):
+                return 0
+            return pick(tables, lab, s, i)
 
-        circle.fill_tables = doctored
+        circle._pick = doctored
         print(sys.flags.optimize, main(['solve', {str(path)!r}, '--algo', 'circle']))
     """
     env = dict(os.environ, PYTHONPATH=str(Path(rbpspan.__file__).resolve().parents[1]))

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, and output formats."""
 
+import io
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from rbpspan.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from rbpspan import circle, cli, line
@@ -167,6 +169,30 @@ class TestSolve:
         with pytest.raises(SystemExit) as exc:
             main(["solve", e1_file, "--algo", "bogus"])
         assert exc.value.code == EXIT_USAGE
+
+    def test_parser_is_built_once_and_errors_go_to_the_current_stderr(self, e1_file,
+                                                                      capsys, monkeypatch):
+        builds = []
+
+        def counting_build():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert main(["solve", e1_file]) == EXIT_OK
+            capsys.readouterr()
+            for stream in (io.StringIO(), io.StringIO()):
+                monkeypatch.setattr(sys, "stderr", stream)
+                with pytest.raises(SystemExit) as exc:
+                    main(["solve", e1_file, "--algo", "bogus"])
+                assert exc.value.code == EXIT_USAGE
+                assert "invalid choice: 'bogus'" in stream.getvalue()
+        finally:
+            cli._parser.cache_clear()
+        assert builds == [1]
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["solve", str(tmp_path / "none.txt")]) == EXIT_PRECONDITION
