@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .graphops import (
     BLUE_SIDE,
     RED_SIDE,
@@ -23,15 +25,23 @@ UNION_GUARANTEE = 2.0
 GUARANTEES = {"approx-a": GUARANTEE, "approx-union": UNION_GUARANTEE}  # by Solution.solver
 
 
+def _pair_array(trees: list[EdgeSet]) -> np.ndarray:
+    """The (u, v) pairs of all `trees` as one (m, 2) array."""
+    return np.concatenate([np.empty((0, 2), dtype=np.int64)]
+                          + [np.column_stack((t.u, t.v)) for t in trees])
+
+
 def approx_union(instance: Instance) -> Solution:
     """Union of the two per-side MSTs; a 2-approximation."""
-    pairs = set()
+    trees = []
     red_side = instance.red_side()
     blue_side = instance.blue_side()
     if len(red_side) >= 2:
-        pairs.update(kruskal_mst(instance, red_side, RED_SIDE).pairs())
+        trees.append(kruskal_mst(instance, red_side, RED_SIDE))
     if len(blue_side) >= 2:
-        pairs.update(kruskal_mst(instance, blue_side, BLUE_SIDE).pairs())
+        trees.append(kruskal_mst(instance, blue_side, BLUE_SIDE))
+    # A purple edge may lie in both trees.
+    pairs = np.unique(_pair_array(trees), axis=0)
     return solution_stats(instance, make_edge_set(instance, pairs), solver="approx-union")
 
 
@@ -39,19 +49,21 @@ def approx_a(instance: Instance) -> Solution:
     """MST of the purple points, then optimal Kruskal-style red and blue attachment.
 
     A (rho/2 + 1)-approximation, about 1.6 with the best known Steiner ratio bound.
+    The three trees have disjoint color classes, so they share no edge.
     """
-    pairs: set[tuple[int, int]] = set()
+    trees = []
     purple_pairs: list[tuple[int, int]] = []
     if instance.k >= 2:
-        purple_pairs = kruskal_mst(instance, instance.P, (Color.PURPLE,)).pairs()
-        pairs.update(purple_pairs)
+        trees.append(kruskal_mst(instance, instance.P, (Color.PURPLE,)))
+        purple_pairs = trees[0].pairs()
     red_side = instance.red_side()
     blue_side = instance.blue_side()
     if len(red_side) >= 2:
-        pairs.update(constrained_mst(instance, red_side, purple_pairs, (Color.RED,)).pairs())
+        trees.append(constrained_mst(instance, red_side, purple_pairs, (Color.RED,)))
     if len(blue_side) >= 2:
-        pairs.update(constrained_mst(instance, blue_side, purple_pairs, (Color.BLUE,)).pairs())
-    return solution_stats(instance, make_edge_set(instance, pairs), solver="approx-a")
+        trees.append(constrained_mst(instance, blue_side, purple_pairs, (Color.BLUE,)))
+    return solution_stats(instance, make_edge_set(instance, _pair_array(trees)),
+                          solver="approx-a")
 
 
 @dataclass(frozen=True)
@@ -78,7 +90,7 @@ def ratio_report(instance: Instance, approx_solution: Solution,
     if isinstance(reference, Solution):
         reference = reference.edge_set
     if isinstance(reference, EdgeSet):
-        if not is_rbp_spanning(instance, reference.edges):
+        if not is_rbp_spanning(instance, reference):
             raise PreconditionError("reference edge set is not RBP-spanning")
         ref_weight = reference.weight
     else:

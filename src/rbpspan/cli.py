@@ -132,12 +132,11 @@ SOLVERS = {
 def cmd_solve(args) -> int:
     instance = _read_instance(args.input)
     solution = SOLVERS[args.algo](instance, args.tolerance)
-    if not is_rbp_spanning(instance, solution.edges):
+    edge_set = solution.edge_set
+    if not is_rbp_spanning(instance, edge_set):
         print("internal error: solver output is not RBP-spanning", file=sys.stderr)
         return EXIT_INTERNAL
-    out = []
-    for e in solution.edges:
-        out.append(f"{e.u} {e.v}")
+    out = list(map("%d %d".__mod__, zip(edge_set.u.tolist(), edge_set.v.tolist())))
     out.append("")
     out.append(stats_block(solution).rstrip("\n"))
     _write(args.out, "\n".join(out) + "\n")

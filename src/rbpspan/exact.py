@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,9 +37,32 @@ class ExchangeSequence:
         return len(self.edge_indices)
 
 
-def _side_masks(instance: Instance, edges: Sequence[Edge], in_x: np.ndarray, side,
-                u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class GroundArrays(NamedTuple):
+    """Per-edge data of a ground edge list that stays fixed for a whole solve."""
+
+    w: np.ndarray                   # edge lengths
+    u: np.ndarray                   # edge ends, as arrays
+    v: np.ndarray
+    ends: list[tuple[int, int]]     # edge ends, as Python ints
+    sides: tuple[tuple[np.ndarray, list[int]], ...]  # (edge mask, vertex ids) per color side
+
+
+def ground_arrays(instance: Instance, edges: Sequence[Edge]) -> GroundArrays:
+    """The `GroundArrays` of `edges`; sides are RED_SIDE, then BLUE_SIDE."""
+    ends = [e.pair for e in edges]
+    u = np.array([a for a, _ in ends], dtype=np.int64)
+    v = np.array([b for _, b in ends], dtype=np.int64)
+    sides = tuple((np.array([e.color_class in side for e in edges], dtype=bool),
+                   [p.id for p in instance.points if p.color in side])
+                  for side in (RED_SIDE, BLUE_SIDE))
+    return GroundArrays(np.array([e.length for e in edges], dtype=float), u, v, ends, sides)
+
+
+def _side_masks(n: int, ground: GroundArrays, in_x: np.ndarray, in_side: np.ndarray,
+                vertices: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Connectivity of one color side of the candidate set X, as masks over E.
+
+    `in_side` and `vertices` are the side's entry of `ground.sides`.
 
     Returns `removable[e]`: X-e keeps this side connected, and `keep[e, f]`:
     X-e+f keeps it connected, that is e is removable or f joins the two parts
@@ -50,13 +73,13 @@ def _side_masks(instance: Instance, edges: Sequence[Edge], in_x: np.ndarray, sid
     A BFS that misses a side vertex raises AssertionError; this is
     `solve_exact`'s only per-round check that X still spans.
     """
-    n, m = instance.n, len(edges)
-    in_side = np.array([e.color_class in side for e in edges], dtype=bool)
+    u, v, ends = ground.u, ground.v, ground.ends
+    m = len(ends)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for ei in np.flatnonzero(in_x & in_side).tolist():
-        adj[edges[ei].u].append((edges[ei].v, ei))
-        adj[edges[ei].v].append((edges[ei].u, ei))
-    vertices = [p.id for p in instance.points if p.color in side]
+        a, b = ends[ei]
+        adj[a].append((b, ei))
+        adj[b].append((a, ei))
     path = np.zeros((n, n), dtype=bool)  # path[w, a]: a is on the tree path from the root to w
     order, tree_edges = vertices[:1], []  # BFS order; tree_edges[i] reaches order[i + 1]
     seen = set(order)
@@ -80,7 +103,8 @@ def _side_masks(instance: Instance, edges: Sequence[Edge], in_x: np.ndarray, sid
 
 
 def build_exchange_graph(instance: Instance, edges: Sequence[Edge],
-                         x_indices: frozenset[int]) -> np.ndarray:
+                         x_indices: frozenset[int],
+                         ground: Optional[GroundArrays] = None) -> np.ndarray:
     """Exchange graph for candidate set X over edge list E, as an arc-weight matrix.
 
     Nodes are the edge indices 0..m-1, then the source m and the sink m+1.
@@ -89,17 +113,19 @@ def build_exchange_graph(instance: Instance, edges: Sequence[Edge],
     e->f (e in X, f not in X, X-e+f red-connected, weight +w(f));
     f->e (f not in X, e in X, X+f-e blue-connected, weight -w(e));
     e->sink (e in X, X-e red-connected, weight 0).
+    `ground` is `ground_arrays(instance, edges)`, made here if not given.
     """
+    if ground is None:
+        ground = ground_arrays(instance, edges)
     m = len(edges)
     source, sink = m, m + 1
-    w = np.array([e.length for e in edges], dtype=float)
-    u = np.array([e.u for e in edges], dtype=np.int64)
-    v = np.array([e.v for e in edges], dtype=np.int64)
+    w = ground.w
     in_x = np.zeros(m, dtype=bool)
     in_x[list(x_indices)] = True
     out_x = ~in_x
-    red_removable, red_keep = _side_masks(instance, edges, in_x, RED_SIDE, u, v)
-    blue_removable, blue_keep = _side_masks(instance, edges, in_x, BLUE_SIDE, u, v)
+    red, blue = ground.sides
+    red_removable, red_keep = _side_masks(instance.n, ground, in_x, *red)
+    blue_removable, blue_keep = _side_masks(instance.n, ground, in_x, *blue)
 
     graph = np.full((m + 2, m + 2), math.inf)
     graph[source, :m] = np.where(in_x & blue_removable, -w, math.inf)
@@ -112,7 +138,9 @@ def build_exchange_graph(instance: Instance, edges: Sequence[Edge],
 
 
 def find_min_exchange_sequence(instance: Instance, edges: Sequence[Edge],
-                               x_indices: frozenset[int]) -> Optional[ExchangeSequence]:
+                               x_indices: frozenset[int],
+                               ground: Optional[GroundArrays] = None
+                               ) -> Optional[ExchangeSequence]:
     """Minimum-cost source-to-sink exchange, ties by hop count then node order.
 
     Negative arc weights are handled by an exact-hop-count dynamic program
@@ -120,9 +148,10 @@ def find_min_exchange_sequence(instance: Instance, edges: Sequence[Edge],
     exchange theory). It stops at the first hop that lowers no node's best
     cost over fewer hops, as no later hop can lower one then. At most N - 1
     hops of O(N^2) over the N = m + 2 nodes: O(m^3) time and O(m^2) memory
-    per call. Returns None when no exchange exists.
+    per call. Returns None when no exchange exists. `ground` is as for
+    `build_exchange_graph`.
     """
-    graph = build_exchange_graph(instance, edges, x_indices)
+    graph = build_exchange_graph(instance, edges, x_indices, ground)
     n_nodes = len(graph)
     source, sink = n_nodes - 2, n_nodes - 1
 
@@ -203,6 +232,7 @@ def solve_exact(instance: Instance, return_trace: bool = False):
     best candidate visited at that cardinality (convexity diagnostic).
     """
     edges = ground_set(instance)
+    ground = ground_arrays(instance, edges)
     m = len(edges)
     x = frozenset(range(m))
     weight = math.fsum(e.length for e in edges)
@@ -210,7 +240,7 @@ def solve_exact(instance: Instance, return_trace: bool = False):
     best_weight, best_x = weight, x
 
     for _ in range(m + 1):
-        seq = find_min_exchange_sequence(instance, edges, x)
+        seq = find_min_exchange_sequence(instance, edges, x, ground)
         if seq is None:
             break
         removed = set(seq.edge_indices[0::2])
@@ -223,7 +253,8 @@ def solve_exact(instance: Instance, return_trace: bool = False):
         if weight < best_weight:
             best_weight, best_x = weight, x
 
-    edge_set = make_edge_set(instance, [edges[i].pair for i in sorted(best_x)])
+    best = sorted(best_x)
+    edge_set = make_edge_set(instance, np.column_stack((ground.u[best], ground.v[best])))
     solution = solution_stats(instance, edge_set, solver="exact")
     if return_trace:
         return solution, trace

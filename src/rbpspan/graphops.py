@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
-from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import islice, repeat
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .model import (
+    _CLASS_OF,
+    INVALID_CLASS,
     Color,
     Edge,
     EdgeSet,
@@ -16,8 +18,7 @@ from .model import (
     PreconditionError,
     Solution,
     _orient_sign,
-    edge_between,
-    edge_color,
+    hypot_lengths,
     hypot_slack,
     orient_filter,
 )
@@ -72,9 +73,6 @@ class DisjointSets:
         return all(self.find(v) == r0 for v in vertices[1:])
 
 
-# Edge color class by the two point colors; 3 marks the invalid red-blue pair.
-_CLASS_OF = np.array([[3 if edge_color(a, b) is None else int(edge_color(a, b)) for b in Color]
-                      for a in Color], dtype=np.int8)
 _FIRST_BLOCK = 1024
 # `_grid_pairs` counts pairs up to r * _GRID_MARGIN long as found; `_shells` keeps its
 # grids to at most _MAX_CELLS cells along an axis, which that margin needs.
@@ -135,9 +133,8 @@ class SortedPairs:
             self._pos = 0
         start = self._pos
         end = self._block_end(min(len(self._length), start + max(len(self._made), _FIRST_BLOCK)))
-        dist = self._instance.distance
-        block = [(dist(u, v), u, v) for u, v in zip(self._u[start:end].tolist(),
-                                                    self._v[start:end].tolist())]
+        u, v = self._u[start:end], self._v[start:end]
+        block = list(zip(hypot_lengths(self._instance, u, v), u.tolist(), v.tolist()))
         block.sort()
         self._made.extend(block)
         self._pos = end
@@ -165,14 +162,11 @@ def sorted_side_pairs(instance: Instance, classes: Sequence[Color],
     as a reader iterates (see `_shells`).
     """
     ids = np.array(sorted(vertices), dtype=np.int64)
-    pts = [instance.points[i] for i in ids.tolist()]
-    colors = [p.color for p in pts]
-    color = np.array(colors, dtype=np.int8)
-    xs = np.array([p.x for p in pts], dtype=float)
-    ys = np.array([p.y for p in pts], dtype=float)
+    color = instance.colors[ids]
+    xs, ys = instance.xs[ids], instance.ys[ids]
     admitted = np.zeros(4, dtype=bool)
     admitted[[int(c) for c in classes]] = True
-    r, b, p = colors.count(Color.RED), colors.count(Color.BLUE), colors.count(Color.PURPLE)
+    r, b, p = np.bincount(color, minlength=3).tolist()
     per_class = (r * (r - 1) // 2 + r * p, b * (b - 1) // 2 + b * p, p * (p - 1) // 2)
     count = sum(c for c, ok in zip(per_class, admitted.tolist()) if ok)
     return SortedPairs(instance, count, _shells(ids, xs, ys, color, admitted, count))
@@ -300,20 +294,34 @@ def kruskal(n: int, sorted_pairs: Iterable[tuple[float, int, int]], vertices: Se
     (u, v) is a group of two, and groups may reach outside `vertices`.
     Returns the total length and the (u, v) pairs taken, or None if the
     result does not connect `vertices`. Reading stops once `vertices` are
-    connected: every later pair would close a cycle.
+    connected: every later pair would close a cycle. The union-find is a
+    parent list with path halving, inlined in the loop over the pairs.
     """
-    ds = DisjointSets(n)
-    union = ds.union
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
     for group in premerged:
+        root = find(group[0])
         for other in group[1:]:
-            union(group[0], other)
+            parent[find(other)] = root
     # Each taken pair joins two components that hold ids of `vertices`.
-    left = max(len({ds.find(v) for v in vertices}) - 1, 0)
+    left = max(len({find(v) for v in vertices}) - 1, 0)
     total = 0.0
     chosen = []
     if left:
         for length, u, v in sorted_pairs:
-            if union(u, v):
+            ru = u
+            while parent[ru] != ru:
+                parent[ru] = ru = parent[parent[ru]]
+            rv = v
+            while parent[rv] != rv:
+                parent[rv] = rv = parent[parent[rv]]
+            if ru != rv:
+                parent[ru] = rv
                 total += length
                 chosen.append((u, v))
                 left -= 1
@@ -349,48 +357,56 @@ def constrained_mst(instance: Instance, vertices: Sequence[int],
     if result is None:
         raise InfeasibleGraphError("admitted edges do not connect the vertex set")
     total, chosen = result
-    # Kruskal takes pairs in (length, u, v) order, which is Edge.sort_key.
-    return EdgeSet(instance, tuple(edge_between(instance, u, v) for u, v in chosen), total)
+    # Kruskal takes pairs u < v in (length, u, v) order, the order of an EdgeSet.
+    pairs = np.array(chosen, dtype=np.int64).reshape(-1, 2)
+    u, v = pairs[:, 0], pairs[:, 1]
+    return EdgeSet(instance, u, v, np.array(hypot_lengths(instance, u, v), dtype=float), total)
 
 
-def is_rbp_spanning(instance: Instance, edges: Iterable[Edge]) -> bool:
-    """True iff red+purple edges connect R∪P and blue+purple edges connect B∪P."""
-    red_ds = DisjointSets(instance.n)
-    blue_ds = DisjointSets(instance.n)
-    for e in edges:
-        if e.color_class in RED_SIDE:
-            red_ds.union(e.u, e.v)
-        if e.color_class in BLUE_SIDE:
-            blue_ds.union(e.u, e.v)
-    return (red_ds.connected_over(instance.red_side())
-            and blue_ds.connected_over(instance.blue_side()))
+def is_rbp_spanning(instance: Instance, edges: Union[EdgeSet, Iterable[Edge]]) -> bool:
+    """True iff red+purple edges connect R∪P and blue+purple edges connect B∪P.
+
+    An EdgeSet is read from its arrays; any other iterable of `Edge` works too.
+    """
+    if isinstance(edges, EdgeSet):
+        u, v, codes = edges.u, edges.v, edges.color_class
+    else:
+        edges = list(edges)
+        u = np.array([e.u for e in edges], dtype=np.int64)
+        v = np.array([e.v for e in edges], dtype=np.int64)
+        codes = np.array([INVALID_CLASS if e.color_class is None else e.color_class
+                          for e in edges], dtype=np.int8)
+    for side, vertices in ((RED_SIDE, instance.red_side()), (BLUE_SIDE, instance.blue_side())):
+        on_side = np.isin(codes, side)
+        # Kruskal over the side's pairs in any order: None iff they leave `vertices` apart.
+        if kruskal(instance.n, zip(repeat(0.0), u[on_side].tolist(), v[on_side].tolist()),
+                   vertices) is None:
+            return False
+    return True
 
 
 # Candidate pairs of purple edges tested per block of the crossing count.
 _CROSS_BLOCK = 4096
 
 
-def _purple_crossings(instance: Instance, purple: Sequence[Edge]) -> tuple[int, np.ndarray]:
-    """Pairs of `purple` edges that properly cross: (count, count per edge of `purple`).
+def _purple_crossings(instance: Instance, u: np.ndarray, v: np.ndarray
+                      ) -> tuple[int, np.ndarray]:
+    """Pairs of the edges (u[i], v[i]) that properly cross: (count, count per edge).
 
     Each pair i < j without a shared endpoint whose closed bounding boxes
-    overlap is tested as `edges_properly_cross(instance, purple[i], purple[j])`
-    tests it. Other pairs cannot cross properly: a proper crossing point lies
+    overlap is tested as `edges_properly_cross` tests edges i and j. Other pairs cannot cross properly: a proper crossing point lies
     in both closed boxes. A sweep along the axis the edges spread over more
     (so that edges on a vertical line are not all candidates) finds the pairs
     whose boxes overlap, `_CROSS_BLOCK` pairs at a time, so memory stays
-    O(len(purple) + block). `orient_filter`, the float test of `_orient_sign`,
+    O(len(u) + block). `orient_filter`, the float test of `_orient_sign`,
     gives the orientation signs; `_orient_sign` itself decides only the
     entries that test leaves open, and o3, o4 are taken only where o1 * o2 < 0.
     """
-    p = len(purple)
+    p = len(u)
     per_edge = np.zeros(p, dtype=np.int64)
     if p < 2:
         return 0, per_edge
-    u = np.array([e.u for e in purple], dtype=np.int64)
-    v = np.array([e.v for e in purple], dtype=np.int64)
-    xs = np.array([pt.x for pt in instance.points], dtype=float)
-    ys = np.array([pt.y for pt in instance.points], dtype=float)
+    xs, ys = instance.xs, instance.ys
     lo, hi, lo2, hi2 = (np.minimum(xs[u], xs[v]), np.maximum(xs[u], xs[v]),
                         np.minimum(ys[u], ys[v]), np.maximum(ys[u], ys[v]))
     if hi2.max() - lo2.min() > hi.max() - lo.min():
@@ -412,24 +428,25 @@ def _purple_crossings(instance: Instance, purple: Sequence[Edge]) -> tuple[int, 
         i, j = np.minimum(i, j), np.maximum(i, j)
         keep = (u[i] != u[j]) & (u[i] != v[j]) & (v[i] != u[j]) & (v[i] != v[j])
         i, j = i[keep], j[keep]
-        keep = _orient_signs(instance, xs, ys, u[i], v[i], u[j]) \
-            * _orient_signs(instance, xs, ys, u[i], v[i], v[j]) < 0
+        keep = _orient_signs(instance, u[i], v[i], u[j]) \
+            * _orient_signs(instance, u[i], v[i], v[j]) < 0
         i, j = i[keep], j[keep]
-        keep = _orient_signs(instance, xs, ys, u[j], v[j], u[i]) \
-            * _orient_signs(instance, xs, ys, u[j], v[j], v[i]) < 0
+        keep = _orient_signs(instance, u[j], v[j], u[i]) \
+            * _orient_signs(instance, u[j], v[j], v[i]) < 0
         i, j = i[keep], j[keep]
         crossings += len(i)
         per_edge += np.bincount(i, minlength=p) + np.bincount(j, minlength=p)
     return crossings, per_edge
 
 
-def _orient_signs(instance: Instance, xs: np.ndarray, ys: np.ndarray,
-                  a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _orient_signs(instance: Instance, a: np.ndarray, b: np.ndarray, c: np.ndarray
+                  ) -> np.ndarray:
     """`_orient_sign` of the points with ids a[t], b[t], c[t], for every t.
 
     `orient_filter` decides in floats, with the same operations and threshold
     as `_orient_sign`; only the entries it leaves open call `_orient_sign`.
     """
+    xs, ys = instance.xs, instance.ys
     with np.errstate(over="ignore", invalid="ignore"):
         det, certain = orient_filter((xs[a], ys[a]), (xs[b], ys[b]), (xs[c], ys[c]))
     sign = np.where(det > 0, 1, -1)
@@ -441,25 +458,24 @@ def _orient_signs(instance: Instance, xs: np.ndarray, ys: np.ndarray,
 
 def solution_stats(instance: Instance, edge_set: EdgeSet, solver: str = "") -> Solution:
     """Weight, per-color counts, max degree, and purple-purple crossing statistics."""
-    counts = {Color.RED: 0, Color.BLUE: 0, Color.PURPLE: 0}
-    degree = [0] * instance.n
-    for e in edge_set.edges:
-        if e.color_class is None:
-            raise PreconditionError("solution contains an invalid red-blue edge")
-        counts[e.color_class] += 1
-        degree[e.u] += 1
-        degree[e.v] += 1
-    purple = [e for e in edge_set.edges if e.color_class == Color.PURPLE]
-    crossings, per_edge = _purple_crossings(instance, purple)
+    codes = edge_set.color_class
+    red, blue, purple, invalid = np.bincount(codes, minlength=INVALID_CLASS + 1).tolist()
+    if invalid:
+        raise PreconditionError("solution contains an invalid red-blue edge")
+    degree = (np.bincount(edge_set.u, minlength=instance.n)
+              + np.bincount(edge_set.v, minlength=instance.n))
+    is_purple = codes == Color.PURPLE
+    u, v = edge_set.u[is_purple], edge_set.v[is_purple]
+    crossings, per_edge = _purple_crossings(instance, u, v)
     return Solution(
         edge_set=edge_set,
-        red_edges=counts[Color.RED],
-        blue_edges=counts[Color.BLUE],
-        purple_edges=counts[Color.PURPLE],
-        max_degree=max(degree) if degree else 0,
+        red_edges=red,
+        blue_edges=blue,
+        purple_edges=purple,
+        max_degree=int(degree.max()),
         purple_crossings=crossings,
         solver=solver,
-        purple_crossings_per_edge=dict(zip((e.pair for e in purple), per_edge.tolist())),
+        purple_crossings_per_edge=dict(zip(zip(u.tolist(), v.tolist()), per_edge.tolist())),
     )
 
 

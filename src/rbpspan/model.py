@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 REL_TOL = 1e-9          # default relative tolerance for weight comparisons
 DIST_TIE_TOL = 1e-12    # tolerance for the equal-distance (general position) check
@@ -80,10 +84,21 @@ class Edge:
         return (self.u, self.v)
 
 
-class Instance:
-    """Immutable colored point set with derived R/B/P id subsets."""
+# Edge color class code by the two point colors; INVALID_CLASS marks the red-blue pair.
+INVALID_CLASS = 3
+_CLASS_OF = np.array([[INVALID_CLASS if edge_color(a, b) is None else int(edge_color(a, b))
+                       for b in Color] for a in Color], dtype=np.int8)
+_CLASS_COLOR = (Color.RED, Color.BLUE, Color.PURPLE, None)  # code -> Edge.color_class
 
-    __slots__ = ("points", "R", "B", "P")
+
+class Instance:
+    """Immutable colored point set with derived R/B/P id subsets.
+
+    `xs`, `ys` (float64) and `colors` (int8 `Color` codes) hold the points
+    by id as read-only arrays.
+    """
+
+    __slots__ = ("points", "R", "B", "P", "xs", "ys", "colors")
 
     def __init__(self, points: Iterable[Point]):
         pts = tuple(points)
@@ -106,6 +121,14 @@ class Instance:
         object.__setattr__(self, "R", tuple(p.id for p in pts if p.color == Color.RED))
         object.__setattr__(self, "B", tuple(p.id for p in pts if p.color == Color.BLUE))
         object.__setattr__(self, "P", tuple(p.id for p in pts if p.color == Color.PURPLE))
+        colors = np.full(len(pts), Color.PURPLE, dtype=np.int8)
+        colors[list(self.R)] = Color.RED
+        colors[list(self.B)] = Color.BLUE
+        for name, array in (("xs", np.array([p.x for p in pts], dtype=float)),
+                            ("ys", np.array([p.y for p in pts], dtype=float)),
+                            ("colors", colors)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Instance is immutable")
@@ -155,14 +178,20 @@ class Instance:
         return out
 
 
-def edge_between(instance: Instance, u: int, v: int) -> Edge:
-    """Edge between two point ids, canonically ordered, with length and color class."""
+def _canonical(instance: Instance, u: int, v: int) -> tuple[int, int]:
+    """(u, v) ordered u < v; PreconditionError if they are equal or either is unknown."""
     if u == v:
         raise PreconditionError(f"edge endpoints must differ (got {u})")
     if u > v:
         u, v = v, u
     if u < 0 or v >= instance.n:
         raise PreconditionError(f"edge ({u}, {v}) references an unknown point id")
+    return u, v
+
+
+def edge_between(instance: Instance, u: int, v: int) -> Edge:
+    """Edge between two point ids, canonically ordered, with length and color class."""
+    u, v = _canonical(instance, u, v)
     return Edge(u, v, instance.distance(u, v),
                 edge_color(instance.color_of(u), instance.color_of(v)))
 
@@ -189,29 +218,87 @@ def allowed_edge_count(n_red: int, n_blue: int, n_purple: int) -> int:
             - math.comb(n_purple, 2))
 
 
-@dataclass(frozen=True)
+def hypot_lengths(instance: Instance, u: np.ndarray, v: np.ndarray) -> list[float]:
+    """`instance.distance(u[i], v[i])` for every i: the same math.hypot floats."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = instance.xs[u] - instance.xs[v]
+        dy = instance.ys[u] - instance.ys[v]
+    return list(map(math.hypot, dx.tolist(), dy.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class EdgeSet:
-    """A candidate or final solution graph: sorted edges plus total weight."""
+    """A candidate or final solution graph: sorted edge arrays plus total weight.
+
+    Edge i joins point ids u[i] < v[i] (int64) and is length[i] long, the
+    float64 `Instance.distance`; edges are in (length, u, v) order, which is
+    `Edge.sort_key`. color_class[i] is the int8 class code of `_CLASS_OF`,
+    INVALID_CLASS for a red-blue pair. Array fields make the dataclass `==`
+    meaningless, so edge sets compare by identity.
+    """
 
     instance: Instance
-    edges: tuple[Edge, ...]
+    u: np.ndarray
+    v: np.ndarray
+    length: np.ndarray
     weight: float
+    color_class: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        colors = self.instance.colors
+        object.__setattr__(self, "color_class", _CLASS_OF[colors[self.u], colors[self.v]])
+        for array in (self.u, self.v, self.length, self.color_class):
+            array.flags.writeable = False
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as `Edge` objects, made on first read."""
+        return tuple(map(Edge, self.u.tolist(), self.v.tolist(), self.length.tolist(),
+                         [_CLASS_COLOR[c] for c in self.color_class.tolist()]))
 
     def pairs(self) -> list[tuple[int, int]]:
-        return [e.pair for e in self.edges]
+        return list(zip(self.u.tolist(), self.v.tolist()))
 
 
 def make_edge_set(instance: Instance, pairs: Iterable[tuple[int, int]]) -> EdgeSet:
-    canon = set()
-    for u, v in pairs:
-        if u > v:
-            u, v = v, u
-        if (u, v) in canon:
-            raise PreconditionError(f"duplicate edge ({u}, {v})")
-        canon.add((u, v))
-    edges = sorted((edge_between(instance, u, v) for u, v in canon),
-                   key=lambda e: e.sort_key)
-    return EdgeSet(instance, tuple(edges), math.fsum(e.length for e in edges))
+    """The edge set of distinct point-id pairs, given in any order and orientation.
+
+    `pairs` is an iterable of (u, v) pairs or an (m, 2) integer array. A
+    repeated pair raises PreconditionError (the first repeat in input order),
+    and so, after that check, does a pair with equal or unknown ids. The
+    weight is the `math.fsum` of the lengths.
+    """
+    if not isinstance(pairs, np.ndarray):
+        try:
+            pairs = np.fromiter(chain.from_iterable(pairs), dtype=np.int64)
+        except OverflowError:
+            raise PreconditionError("an edge references a point id beyond int64") from None
+    pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
+    u, v = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+    bad = (u == v) | (u < 0) | (v >= instance.n)
+    if bad.any():
+        _sorted_without_repeats(u, v, np.lexsort((v, u)))
+        i = int(np.argmax(bad))
+        _canonical(instance, int(u[i]), int(v[i]))  # raises the pair's error
+    length = np.array(hypot_lengths(instance, u, v), dtype=float)
+    order = np.lexsort((v, u, length))
+    u, v = _sorted_without_repeats(u, v, order)
+    length = length[order]
+    return EdgeSet(instance, u, v, length, math.fsum(length.tolist()))
+
+
+def _sorted_without_repeats(u: np.ndarray, v: np.ndarray, order: np.ndarray
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """u[order], v[order]; `order` is a stable sort that puts equal pairs together.
+
+    Raises PreconditionError on the first pair that repeats an earlier one in input order.
+    """
+    u, v, later = u[order], v[order], order[1:]
+    repeats = later[(u[1:] == u[:-1]) & (v[1:] == v[:-1])]
+    if len(repeats):
+        i = np.flatnonzero(order == repeats.min())[0]
+        raise PreconditionError(f"duplicate edge ({u[i]}, {v[i]})")
+    return u, v
 
 
 @dataclass(frozen=True)

@@ -213,5 +213,6 @@ def test_criterion_9_scaling():
     ok = 8.0 <= line_ratio <= 13.0 and 5.0 <= circle_ratio <= 12.0 and exact_ok
     _report(9, ok,
             f"line 1e6/1e5 time ratio {line_ratio:.2f} (want [8, 13]); "
-            f"circle k=200/100 ratio {circle_ratio:.2f} (want [5, 12]); "
+            f"circle k=200/100 ratio {circle_ratio:.2f} (want [5, 12]; medians "
+            f"{circle_res[100] * 1e3:.2f} ms and {circle_res[200] * 1e3:.2f} ms); "
             f"exact n<=14 max {max(exact_res.values()):.2f}s (want < 60)")

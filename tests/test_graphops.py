@@ -7,7 +7,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from rbpspan import graphops
+from rbpspan import cli, graphops
 from rbpspan.graphops import (
     BLUE_SIDE,
     RED_SIDE,
@@ -25,12 +25,16 @@ from rbpspan.generators import gen_random
 from rbpspan.line import solve_line
 from rbpspan.model import (
     Color,
+    Edge,
     Instance,
     Point,
+    PreconditionError,
+    edge_between,
     edge_color,
     edges_properly_cross,
     make_edge_set,
     parse_instance,
+    serialize_instance,
 )
 from util import e1, line_instance
 
@@ -145,6 +149,26 @@ class TestRbpSpanning:
         es = make_edge_set(inst, [(0, 1)])
         assert is_rbp_spanning(inst, es.edges)
 
+    def test_arrays_and_edges_match_the_union_find_loop(self):
+        # The union-find loop over Edge objects that the array check replaced.
+        def reference(inst, edges):
+            sides = [(DisjointSets(inst.n), RED_SIDE, inst.red_side()),
+                     (DisjointSets(inst.n), BLUE_SIDE, inst.blue_side())]
+            for ds, side, _ in sides:
+                for e in edges:
+                    if e.color_class in side:
+                        ds.union(e.u, e.v)
+            return all(ds.connected_over(vertices) for ds, _, vertices in sides)
+
+        results = []
+        for seed in range(40):
+            inst = _instance(_random_coords(12, seed), seed)
+            es = make_edge_set(inst, _random_pairs(inst.n, 10 + seed, seed))
+            expected = reference(inst, es.edges)
+            assert is_rbp_spanning(inst, es) == is_rbp_spanning(inst, es.edges) == expected
+            results.append(expected)
+        assert any(results) and not all(results)
+
 
 class TestStats:
     def test_e1_optimal_stats(self):
@@ -208,6 +232,24 @@ def _reference_side_pairs(instance, classes, vertices):
                 out.append((instance.distance(uu, vv), uu, vv))
     out.sort()
     return out
+
+
+def _reference_make_edge_set(instance, pairs):
+    """The per-pair make_edge_set that the array one replaced, kept as the reference.
+
+    Returns (edges, weight): one `Edge` per distinct pair in (length, u, v)
+    order and the fsum of their lengths.
+    """
+    canon = set()
+    for u, v in pairs:
+        if u > v:
+            u, v = v, u
+        if (u, v) in canon:
+            raise PreconditionError(f"duplicate edge ({u}, {v})")
+        canon.add((u, v))
+    edges = sorted((edge_between(instance, u, v) for u, v in canon),
+                   key=lambda e: e.sort_key)
+    return tuple(edges), math.fsum(e.length for e in edges)
 
 
 def _reference_kruskal(n, sorted_pairs, vertices, premerged=()):
@@ -419,6 +461,125 @@ class TestSortedSidePairs:
         assert len(tree.edges) == len(verts) - 1
         assert sum(built) < 0.05 * total
         assert len(made) < 0.05 * total
+
+
+def _assert_same_edge_set(inst, pairs):
+    """make_edge_set of `pairs`, given as tuples and as an array, against the reference."""
+    ref_edges, ref_weight = _reference_make_edge_set(inst, pairs)
+    for given in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+        got = make_edge_set(inst, given)
+        assert got.edges == ref_edges
+        assert got.pairs() == [e.pair for e in ref_edges]
+        assert got.weight == ref_weight
+        assert got.length.tolist() == [e.length for e in ref_edges]
+
+
+def _assert_same_error(inst, pairs):
+    with pytest.raises(PreconditionError) as expected:
+        _reference_make_edge_set(inst, pairs)
+    with pytest.raises(PreconditionError) as got:
+        make_edge_set(inst, pairs)
+    assert str(got.value) == str(expected.value)
+
+
+def _random_pairs(n, m, seed):
+    """Up to m distinct pairs of ids below n, each in a random orientation, in random order."""
+    rng = random.Random(seed)
+    pairs = list({tuple(sorted(rng.sample(range(n), 2))) for _ in range(m)})
+    rng.shuffle(pairs)
+    return [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+
+
+class TestMakeEdgeSet:
+    def test_seeded_random_sets(self):
+        for seed in range(10):
+            inst = _instance(_random_coords(60, seed), seed)
+            _assert_same_edge_set(inst, _random_pairs(inst.n, 200, seed))
+
+    def test_lattice_distance_ties(self):
+        for seed in range(10):
+            inst = _instance(_lattice_coords(60, 9, seed), seed)
+            _assert_same_edge_set(inst, _random_pairs(inst.n, 400, seed))
+        # Every pair of a full lattice ties with others.
+        inst = _instance([(float(x), float(y)) for x in range(6) for y in range(6)], 3)
+        _assert_same_edge_set(inst, _random_pairs(inst.n, 2000, 3))
+
+    def test_concyclic_points(self):
+        rng = random.Random(9)
+        angles = sorted({rng.random() * 2.0 * math.pi for _ in range(50)})
+        inst = _instance([(math.cos(a), math.sin(a)) for a in angles], 9)
+        for seed in range(5):
+            _assert_same_edge_set(inst, _random_pairs(inst.n, 300, seed))
+
+    def test_equal_lengths_order_by_ids(self):
+        # Four sides and two diagonals of a square: two runs of equal lengths.
+        inst = _instance([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)], 4)
+        _assert_same_edge_set(inst, [(3, 2), (1, 3), (0, 3), (2, 1), (2, 0), (1, 0)])
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-300, 2.0 ** 40 * math.ulp(0.0)])
+    def test_huge_tiny_and_subnormal_coordinates(self, scale):
+        for seed in range(4):
+            for coords in (_random_coords(40, seed, scale), _lattice_coords(40, 8, seed, scale)):
+                inst = _instance(coords, seed)
+                _assert_same_edge_set(inst, _random_pairs(inst.n, 150, seed))
+
+    def test_lattice_of_the_smallest_subnormal(self):
+        for seed in range(4):
+            inst = _instance(_lattice_coords(40, 8, seed, math.ulp(0.0)), seed)
+            _assert_same_edge_set(inst, _random_pairs(inst.n, 150, seed))
+
+    def test_red_blue_pairs_are_kept(self):
+        inst = parse_instance("R 0 0\nB 1 0\nP 0 2\nB 3 3\nR 1 1")
+        pairs = [(0, 1), (1, 4), (3, 0), (2, 1), (4, 3)]
+        _assert_same_edge_set(inst, pairs)
+        assert sum(e.color_class is None for e in make_edge_set(inst, pairs).edges) == 4
+
+    def test_empty(self):
+        _assert_same_edge_set(e1(), [])
+        assert make_edge_set(e1(), []).weight == 0.0
+
+    @pytest.mark.parametrize("pairs", [
+        [(0, 1), (1, 0)],
+        [(0, 1), (2, 3), (3, 2), (1, 0)],
+        [(1, 2), (2, 1), (2, 1)],
+        [(2, 2)],
+        [(0, 1), (3, 3)],
+        [(-1, 2)], [(2, -1)], [(0, 4)], [(4, 0)], [(-1, 4)], [(0, 10 ** 6)],
+        [(0, 4), (4, 0)],
+        [(0, 1), (1, 1), (1, 0)],
+        [(0, 1), (2, 9), (1, 0)],
+    ])
+    def test_errors(self, pairs):
+        _assert_same_error(e1(), pairs)
+
+
+def test_approx_solve_builds_no_edge(tmp_path, monkeypatch):
+    inst = gen_random(300, 0.4, 0.4, "plane", seed=12)
+    path, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    path.write_text(serialize_instance(inst))
+    solutions = []
+
+    def approx_a(instance):
+        solutions.append(cli_approx_a(instance))
+        return solutions[-1]
+
+    cli_approx_a = cli.approx_a
+    monkeypatch.setattr(cli, "approx_a", approx_a)
+    made = []
+    edge_init = Edge.__init__
+
+    def counting_init(self, *args):
+        made.append(args)
+        edge_init(self, *args)
+
+    monkeypatch.setattr(Edge, "__init__", counting_init)
+    assert cli.main(["solve", str(path), "--algo", "approx-a", "--out", str(out)]) == 0
+    assert made == []
+    edges = solutions[0].edges
+    assert solutions[0].edges is edges and len(made) == len(edges)
+    edge_lines = out.read_text().split("\n\n")[0].splitlines()
+    pairs = [tuple(map(int, line.split())) for line in edge_lines]
+    assert edges == _reference_make_edge_set(parse_instance(path.read_text()), pairs)[0]
 
 
 class _CountingPairs:
