@@ -9,12 +9,12 @@ split of a span reads its right parts from one basic-slice view, with no
 gather, and one min-reduce per span writes its entries. `DPTables.value` is
 the start-indexed view of the same memory. The tables hold values only:
 reconstruction rebuilds the option row of each entry it visits and picks
-its first minimum (`_pick`). The base case of each purple-to-purple arc is
-the collinear solver's segment case split, `line.segment_options`, with
-chord lengths as link lengths; `split_arcs` cuts the angular order into
-those arcs. `arc_base_values` forms the four base values of all arcs in one
-pass, and reconstruction asks `base_arc_costs` for the edges of only the
-arcs it visits.
+its first minimum (`_pick`). The base case of each purple-to-purple arc,
+which `split_arcs` cuts from the angular order, is the collinear solver's
+segment case split: `arc_chains` runs the chain kernel `line.chain_sums`
+once over the red and blue chains around the circle, with chord lengths as
+link lengths. Reconstruction collects the base entries it visits and reads
+their edges in one masked pass over the links (`_base_edges`).
 
 `solve_circle` is O(n log n + k^3) for n points, k of them purple: the
 n log n is `split_arcs`' angular sort, and `fit_circle` is O(n), as it
@@ -28,15 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .graphops import BLUE_SIDE, RED_SIDE, kruskal_mst, solution_stats
-from .line import axis_ends, segment_options
-from .model import Color, Instance, PreconditionError, Solution, make_edge_set
+from .line import axis_ends, chain_sums, python_max
+from .model import Color, Instance, PreconditionError, Solution, hypot_lengths, make_edge_set
 
 CONCYCLIC_TOL = 1e-9
 
@@ -64,16 +63,18 @@ def fit_circle(instance: Instance):
 
     Residual is the maximum radial deviation relative to the radius.
     """
-    pts = instance.points
-    n = len(pts)
+    n = instance.n
     if n <= 2:
         return (0.0, 0.0, 1.0, 0.0)
-    a, b, spread = axis_ends(pts)
-    ic = max((i for i in range(n) if i not in (a.id, b.id)),
-             key=lambda i: instance.distance(i, a.id) + instance.distance(i, b.id))
+    a, b, spread = axis_ends(instance)
+    ids = np.arange(n)
+    sums = (np.array(hypot_lengths(instance, ids, a), dtype=float)
+            + np.array(hypot_lengths(instance, ids, b), dtype=float))
+    sums[[a, b]] = -math.inf
+    xs, ys = instance.xs, instance.ys
     _, exp = math.frexp(spread)
-    (ax, ay), (bx, by), (qx, qy) = ((math.ldexp(p.x, -exp), math.ldexp(p.y, -exp))
-                                    for p in (a, b, pts[ic]))
+    (ax, ay), (bx, by), (qx, qy) = ((math.ldexp(xs[i], -exp), math.ldexp(ys[i], -exp))
+                                    for i in (a, b, int(sums.argmax())))
     d = 2.0 * (ax * (by - qy) + bx * (qy - ay) + qx * (ay - by))
     if d == 0.0:
         raise NotConcyclicError(math.inf)
@@ -81,7 +82,9 @@ def fit_circle(instance: Instance):
     cx = (sa * (by - qy) + sb * (qy - ay) + sq * (ay - by)) / d
     cy = (sa * (qx - bx) + sb * (ax - qx) + sq * (bx - ax)) / d
     cx, cy, r = (math.ldexp(t, exp) for t in (cx, cy, math.hypot(ax - cx, ay - cy)))
-    residual = max(abs(math.hypot(p.x - cx, p.y - cy) - r) for p in pts) / r
+    with np.errstate(over="ignore", invalid="ignore"):
+        radii = np.array(list(map(math.hypot, (xs - cx).tolist(), (ys - cy).tolist())))
+        residual = python_max(np.abs(radii - r)) / r
     return (cx, cy, r, residual)
 
 
@@ -100,44 +103,22 @@ def split_arcs(instance: Instance, cx: float, cy: float):
     return [order[idx] for idx in ppos], arcs
 
 
-@dataclass
-class _ArcBase:
-    """Base-case values and edges for one purple-to-purple arc."""
+def arc_chains(instance: Instance, purple_ids: Sequence[int], arcs: Sequence[Sequence[int]]):
+    """The arcs' chains and their base entries: (chain, arc_of, dropped, base).
 
-    values: tuple  # (PC, RC, BC, NC)
-    edges: tuple   # edge pair lists (or None where infeasible), same order
-
-
-def base_arc_costs(instance: Instance, a: int, b: int, interior: Sequence[int]) -> _ArcBase:
-    """The four boundary-condition optima for one arc, by `line.segment_options`.
-
-    The direct purple edge a-b is never included here; the DP adds it as a
-    degenerate Case I step, so an empty arc has NC = +inf.
-    """
-    reds = [i for i in interior if instance.color_of(i) == Color.RED]
-    blues = [i for i in interior if instance.color_of(i) == Color.BLUE]
-    options = segment_options(a, b, reds, blues, lambda nodes: [
-        instance.distance(u, v) for u, v in zip(nodes, nodes[1:])])
-    return _ArcBase(tuple(red[0] + blue[0] for red, blue in options),
-                    tuple(None if red[1] is None or blue[1] is None else red[1] + blue[1]
-                          for red, blue in options))
-
-
-def arc_base_values(instance: Instance, purple_ids: Sequence[int],
-                    arcs: Sequence[Sequence[int]]) -> np.ndarray:
-    """`base_arc_costs(...).values` of every arc at once, as a (4, k) array.
-
-    One pass lists the links of every arc's red chain and then of every
-    arc's blue chain, a chain being the arc's purple, the arc's points of
-    that color and the next purple. Each arc's sums are formed link by link in chain order, the drop sum with the
-    arc's first longest link counted as 0.0, so every value is the float that
-    `line.chain` forms; each link's length is `math.hypot` of the coordinate
-    differences, as in `Instance.distance`. No edge list is built;
-    `_reconstruct` asks `base_arc_costs` for the edges of the arcs it visits.
-    O(n).
+    `chain` lists the ids of the red chain around the circle, each purple
+    followed by the red points of the arc after it and purple 0 again at the
+    end, and then of the blue chain, which starts where the red one ends. Link
+    j joins chain[j] and chain[j + 1] and lies on arc_of[j]: i on arc i's red
+    chain, k + i on its blue one. `line.chain_sums` gives each arc chain's
+    full and drop sums, with `hypot_lengths` link lengths, and `dropped` its
+    dropped link. base[:, i] is arc i's (PC, RC, BC, NC): a color whose
+    endpoints are pre-connected takes its drop sum, the other its full sum,
+    which is inf for a one-link chain, purple to purple. The direct purple
+    edge is never part of a base entry; the DP adds it on top of PC, so an
+    empty arc has NC = +inf. O(n).
     """
     k = len(purple_ids)
-    pts = instance.points
     sizes = np.fromiter(map(len, arcs), np.intp, k)
     # every id in angular order from purple 0, and purple 0 again
     purple = np.zeros(k + int(sizes.sum()) + 1, bool)
@@ -146,31 +127,18 @@ def arc_base_values(instance: Instance, purple_ids: Sequence[int],
     around = np.empty(len(purple), np.intp)
     around[purple] = [*purple_ids, purple_ids[0]]
     around[~purple] = np.fromiter(chain.from_iterable(arcs), np.intp, len(purple) - k - 1)
-    is_red = np.zeros(len(pts), bool)
-    is_red[list(instance.R)] = True
-    red = is_red[around]
-    # The red chain around the circle, then the blue one, which starts where
-    # the red one ends, at purple 0: arcs 0..k-1 are red, k..2k-1 blue.
+    red = instance.colors[around] == Color.RED
     on = np.concatenate([np.flatnonzero(purple | red), np.flatnonzero(~red)[1:]])
     ids = around[on]
-    x = np.fromiter(map(attrgetter("x"), pts), float, len(pts))[ids]
-    y = np.fromiter(map(attrgetter("y"), pts), float, len(pts))[ids]
-    lengths = np.fromiter(map(math.hypot, (x[:-1] - x[1:]).tolist(), (y[:-1] - y[1:]).tolist()),
-                          float, len(ids) - 1)
     at_purple = purple[on]
     starts = at_purple[:-1]  # each arc's first link starts at its purple
-    arc_of = np.cumsum(starts) - 1  # the arc each link lies on
-    longest = np.flatnonzero(
-        lengths == np.maximum.reduceat(lengths, np.flatnonzero(starts))[arc_of])
-    dropped = lengths.copy()
-    dropped[longest[np.diff(arc_of[longest], prepend=-1) > 0]] = 0.0
-    full, drop = np.zeros(2 * k), np.zeros(2 * k)
-    np.add.at(full, arc_of, lengths)  # one link at a time, in chain order
-    np.add.at(drop, arc_of, dropped)
-    full[arc_of[starts & at_purple[1:]]] = math.inf  # one link, purple to purple
+    full, drop, dropped = chain_sums(
+        np.array(hypot_lengths(instance, ids[:-1], ids[1:]), dtype=float), starts)
+    full[at_purple[np.flatnonzero(starts) + 1]] = math.inf  # one link, purple to purple
     (red_drop, blue_drop), (red_full, blue_full) = drop.reshape(2, k), full.reshape(2, k)
-    return np.array([red_drop + blue_drop, red_drop + blue_full,
+    base = np.array([red_drop + blue_drop, red_drop + blue_full,
                      red_full + blue_drop, red_full + blue_full])
+    return ids, np.cumsum(starts) - 1, dropped, base
 
 
 @dataclass
@@ -184,12 +152,13 @@ class DPTables:
     reconstruction visits it, from `ends`, `base` and `chord`.
     """
 
-    instance: Instance
     purple_ids: list
-    arcs: Sequence[Sequence[int]]  # arc i's interior ids, as `split_arcs` lists them
     ends: np.ndarray   # float, (4, k, 2k): optimum of the span under the label's assumption
-    base: np.ndarray   # float, (4, k): arc i's base entries, as `arc_base_values` forms them
+    base: np.ndarray   # float, (4, k): arc i's base entries, as `arc_chains` forms them
     chord: np.ndarray  # float, (k, k): chord[d, i] = ||p_i p_{(i + d) % k}||
+    chain: np.ndarray    # int: the arcs' red, then blue chain ids, as `arc_chains` lists them
+    arc_of: np.ndarray   # int: the arc chain each link of `chain` lies on
+    dropped: np.ndarray  # int, (2k,): each arc chain's first longest link
 
     @property
     def value(self) -> np.ndarray:
@@ -244,7 +213,7 @@ def fill_tables(instance: Instance, purple_ids: Sequence[int],
 
     # span 1: the arc's base entry, or the direct purple edge on top of its PC
     # entry (which PC itself never prefers).
-    base = arc_base_values(instance, purple_ids, arcs)
+    ids, arc_of, dropped, base = arc_chains(instance, purple_ids, arcs)
     first = np.minimum(base, base[P_] + chord[1])
     ends[:, 1, 1:k + 1] = first
     ends[:, 1, k + 1:] = first[:, :k - 1]
@@ -269,7 +238,7 @@ def fill_tables(instance: Instance, purple_ids: Sequence[int],
         ends[:, s, s + k:] = row[:, :k - s]
         add(row[P_], chord[s], left[s])
 
-    return DPTables(instance, list(purple_ids), arcs, ends, base, chord)
+    return DPTables(list(purple_ids), ends, base, chord, ids, arc_of, dropped)
 
 
 def combine_final(tables: DPTables) -> tuple[float, int, int]:
@@ -308,11 +277,13 @@ def _pick(tables: DPTables, lab: int, s: int, i: int) -> int:
     ]).argmin())
 
 
-def _reconstruct(tables: DPTables, lab: int, i: int, s: int, pairs: list):
-    """Append the edges of entry value[lab, s, i] to `pairs`.
+def _reconstruct(tables: DPTables, lab: int, i: int, s: int, pairs: list, bases: list):
+    """Append the chords of entry value[lab, s, i] to `pairs`, its base entries to `bases`.
 
-    The tables store no choices: each entry the walk visits asks `_pick`
-    which option reached it, O(s) each, so the walk costs O(k^2) at most.
+    A base entry is a (label, arc) pair; `_base_edges` reads the edges of all
+    of them at once. The tables store no choices: each entry the walk visits
+    asks `_pick` which option reached it, O(s) each, so the walk costs O(k^2)
+    at most.
     """
     stack = [(lab, i, s)]
     pid = tables.purple_ids
@@ -321,11 +292,9 @@ def _reconstruct(tables: DPTables, lab: int, i: int, s: int, pairs: list):
         lab, i, s = stack.pop()
         c = _pick(tables, lab, s, i)
         if s == 1 and c == 0:  # the arc's base entry
-            arc_pairs = base_arc_costs(tables.instance, pid[i], pid[(i + 1) % k],
-                                       tables.arcs[i]).edges[lab]
-            if arc_pairs is None:  # raised, not asserted, so that it holds under python -O
+            if tables.base[lab, i] == math.inf:  # raised, not asserted: it holds under python -O
                 raise AssertionError(f"circle DP chose an infeasible base arc at purple {i}")
-            pairs.extend(arc_pairs)
+            bases.append((lab, i))
         elif s == 1:  # the direct chord on top of the arc's PC entry
             u, v = pid[i], pid[(i + 1) % k]
             pairs.append((u, v) if u < v else (v, u))
@@ -340,6 +309,24 @@ def _reconstruct(tables: DPTables, lab: int, i: int, s: int, pairs: list):
             left, right = _CASE2[lab][c - (s - 1)]
             stack.append((left, i, 1))
             stack.append((right, (i + 1) % k, s - 1))
+
+
+def _base_edges(tables: DPTables, bases: list) -> np.ndarray:
+    """The edges of the (label, arc) base entries, as an (m, 2) array, in one pass over the links.
+
+    Each arc's red and blue chains are kept whole, less the dropped link of
+    each color whose endpoints the label pre-connects: red for PC and RC,
+    blue for PC and BC.
+    """
+    k = len(tables.purple_ids)
+    labs, arcs = np.array(bases, dtype=np.intp).reshape(-1, 2).T
+    visited, cut = np.zeros(2 * k, bool), np.zeros(2 * k, bool)
+    visited[arcs] = visited[arcs + k] = True
+    cut[arcs] = (labs == P_) | (labs == R_)
+    cut[arcs + k] = (labs == P_) | (labs == B_)
+    keep = visited[tables.arc_of]
+    keep[tables.dropped[cut]] = False
+    return np.column_stack((tables.chain[:-1][keep], tables.chain[1:][keep]))
 
 
 def solve_circle(instance: Instance, tolerance: float = CONCYCLIC_TOL) -> Solution:
@@ -368,9 +355,11 @@ def solve_circle(instance: Instance, tolerance: float = CONCYCLIC_TOL) -> Soluti
 
     left, right = _PAIRINGS[variant]
     pairs: list[tuple[int, int]] = []
-    _reconstruct(tables, left, 0, s, pairs)
-    _reconstruct(tables, right, s, k - s, pairs)
-    edge_set = make_edge_set(instance, pairs)
+    bases: list[tuple[int, int]] = []
+    _reconstruct(tables, left, 0, s, pairs, bases)
+    _reconstruct(tables, right, s, k - s, pairs, bases)
+    edge_set = make_edge_set(instance, np.concatenate(
+        [np.array(pairs, dtype=np.intp).reshape(-1, 2), _base_edges(tables, bases)]))
     if not math.isclose(edge_set.weight, best, rel_tol=1e-9, abs_tol=1e-9):
         raise AssertionError("reconstructed weight disagrees with DP optimum")
     return solution_stats(instance, edge_set, solver="circle")

@@ -3,14 +3,17 @@
 `solve_line` is O(n log n): `prepare_sorted` sorts the points along the line
 and `make_edge_set` sorts the edges. The core pass, `solve_sorted`, is O(n).
 
-The segment case split, `segment_options`, is also the base case of the
-circle DP's purple-to-purple arcs.
+`chain_sums` is the one chain kernel: the per-segment full and drop sums of
+the red and blue chains between consecutive purple points. The collinear
+solver's segment case split and the circle DP's base case both read it.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Sequence
+
+import numpy as np
 
 from .graphops import solution_stats
 from .model import Color, Instance, PreconditionError, Solution, make_edge_set
@@ -24,150 +27,123 @@ class NotCollinearError(PreconditionError):
         self.residual = residual
 
 
-def axis_ends(pts):
+def axis_ends(instance: Instance):
     """(a, b, spread) on the axis the points spread over more, x on ties.
 
-    a and b are the first lowest and the first highest point on that axis.
+    a and b are the ids of the first lowest and the first highest point on that axis.
     """
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    spread_x, spread_y = max(xs) - min(xs), max(ys) - min(ys)
-    if spread_x >= spread_y:
-        return min(pts, key=lambda p: p.x), max(pts, key=lambda p: p.x), spread_x
-    return min(pts, key=lambda p: p.y), max(pts, key=lambda p: p.y), spread_y
+    xs, ys = instance.xs, instance.ys
+    spread_x = float(xs.max()) - float(xs.min())
+    spread_y = float(ys.max()) - float(ys.min())
+    keys, spread = (xs, spread_x) if spread_x >= spread_y else (ys, spread_y)
+    return int(keys.argmin()), int(keys.argmax()), spread
+
+
+def python_max(values: np.ndarray) -> float:
+    """The float Python's max() returns over `values`: nan only if the first one is."""
+    return float(values[0] if math.isnan(values[0]) else np.nanmax(values))
 
 
 def collinearity_residual(instance: Instance) -> float:
     """Maximum perpendicular offset relative to the bounding-box scale."""
-    pts = instance.points
-    if len(pts) <= 2:
+    if instance.n <= 2:
         return 0.0
-    a, b, scale = axis_ends(pts)
+    a, b, scale = axis_ends(instance)
     if scale == 0.0:
         return 0.0
-    dx, dy = b.x - a.x, b.y - a.y
+    xs, ys = instance.xs, instance.ys
+    ax, ay = float(xs[a]), float(ys[a])
+    dx, dy = float(xs[b]) - ax, float(ys[b]) - ay
     norm = math.hypot(dx, dy)
-    worst = max(abs(dx * (p.y - a.y) - dy * (p.x - a.x)) for p in pts) / norm
-    return worst / scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = np.abs(dx * (ys - ay) - dy * (xs - ax))
+    return python_max(offsets) / norm / scale
 
 
 def prepare_sorted(instance: Instance):
     """Project onto the dominant direction and sort.
 
-    Returns (ids, t, colors): the point ids in order along the line, t[u] the
-    position of point u, and colors[i] the color of ids[i].
+    Returns (ids, t, colors) as arrays: the point ids in order along the line,
+    t[u] the position of point u, and colors[i] the color of ids[i].
     """
-    pts = instance.points
-    a, b, _ = axis_ends(pts)
-    dx, dy = b.x - a.x, b.y - a.y
+    a, b, _ = axis_ends(instance)
+    xs, ys = instance.xs, instance.ys
+    ax, ay = float(xs[a]), float(ys[a])
+    dx, dy = float(xs[b]) - ax, float(ys[b]) - ay
     norm = math.hypot(dx, dy)
     if norm == 0.0:
         dx, dy, norm = 1.0, 0.0, 1.0
-    ux, uy = dx / norm, dy / norm
-    t = [(p.x - a.x) * ux + (p.y - a.y) * uy for p in pts]
-    order = sorted(range(len(pts)), key=t.__getitem__)
-    colors = [int(pts[i].color) for i in order]
-    return order, t, colors
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (xs - ax) * (dx / norm) + (ys - ay) * (dy / norm)
+    order = np.argsort(t, kind="stable")
+    return order, t, instance.colors[order]
 
 
-def chain(nodes: Sequence[int], lengths: Sequence[float], drop_largest: bool = False):
-    """Links between consecutive nodes as (cost, pairs); lengths[a] is link a's length.
+def chain_sums(lengths: np.ndarray, starts: np.ndarray):
+    """(full, drop, dropped) of each segment of a chain's links.
 
-    With drop_largest the single largest link (the first on ties) is omitted;
-    its endpoints are assumed pre-connected elsewhere.
+    `starts` marks each segment's first link, and starts[0] is set. full is
+    the sum of the segment's links, drop the same sum with its first longest
+    link counted as 0.0, and dropped that link's index. Both sums are formed
+    link by link in chain order from 0.0 (`np.add.at`), as a Python loop forms
+    them; `np.add.reduceat` and `.sum()` may sum pairwise and give other
+    floats. O(len(lengths)).
     """
-    skip = lengths.index(max(lengths)) if drop_largest and lengths else -1
-    cost = 0.0
-    pairs = []
-    for a, length in enumerate(lengths):
-        if a == skip:
-            continue
-        u, v = nodes[a], nodes[a + 1]
-        pairs.append((u, v) if u < v else (v, u))
-        cost += length
-    return cost, pairs
-
-
-def segment_options(a: int, b: int, reds: Sequence[int], blues: Sequence[int], links):
-    """The four boundary options of one segment between purple nodes a and b.
-
-    `reds` and `blues` are the segment's interior nodes of each color, in
-    order from a to b, and links(nodes) lists the lengths of the links
-    between consecutive nodes. Options are PC, RC, BC, NC: the endpoints
-    pre-connected in both colors, red only, blue only, or neither. A color
-    whose endpoints are pre-connected drops its chain's largest link; the
-    other keeps its chain in full. Each option is a (red chain, blue chain)
-    pair of (cost, pairs); a full chain of a color with no interior node is
-    (inf, None). The direct purple edge a-b is never part of an option.
-    """
-    red_drop = blue_drop = (0.0, [])
-    red_full = blue_full = (math.inf, None)
-    if reds:
-        nodes = [a, *reds, b]
-        lengths = links(nodes)
-        red_drop, red_full = chain(nodes, lengths, True), chain(nodes, lengths)
-    if blues:
-        nodes = [a, *blues, b]
-        lengths = links(nodes)
-        blue_drop, blue_full = chain(nodes, lengths, True), chain(nodes, lengths)
-    return ((red_drop, blue_drop), (red_drop, blue_full),
-            (red_full, blue_drop), (red_full, blue_full))
+    first = np.flatnonzero(starts)
+    segment = np.cumsum(starts) - 1
+    longest = np.flatnonzero(lengths == np.maximum.reduceat(lengths, first)[segment])
+    dropped = longest[np.diff(segment[longest], prepend=-1) > 0]
+    kept = lengths.copy()
+    kept[dropped] = 0.0
+    full, drop = np.zeros(len(first)), np.zeros(len(first))
+    np.add.at(full, segment, lengths)
+    np.add.at(drop, segment, kept)
+    return full, drop, dropped
 
 
 def solve_sorted(ids: Sequence[int], t: Sequence[float], colors: Sequence[int]):
     """Core linear pass over points sorted along the line; returns (weight, pairs).
 
-    Inputs are as `prepare_sorted` returns them: ids in order along the line,
-    t[u] the position of point u, colors[i] the color of ids[i].
+    Inputs are as `prepare_sorted` returns them, as arrays or lists: ids in
+    order along the line, t[u] the position of point u, colors[i] the color
+    of ids[i]. Each color's chain, its points and the purple ones in order,
+    goes through `chain_sums`, split at the purple points, with t differences
+    as link lengths. The end segments keep their chains in full. An interior
+    segment between purple a and b takes Case B, the purple edge a-b plus
+    both chains without their longest link, if it costs no more than Case A,
+    both chains in full; a color with no point between a and b has no full
+    chain. pairs is an (m, 2) array.
     """
-    RED, BLUE, PURPLE = int(Color.RED), int(Color.BLUE), int(Color.PURPLE)
-    n = len(ids)
-
-    def links(seq):
-        return [t[v] - t[u] for u, v in zip(seq, seq[1:])]
-
-    def nodes(lo, hi, color):
-        return [ids[i] for i in range(lo, hi) if colors[i] == color]
-
-    ppos = [i for i in range(n) if colors[i] == PURPLE]
-    pairs: list[tuple[int, int]] = []
-    weight = 0.0
-
-    if not ppos:
-        chains = [nodes(0, n, color) for color in (RED, BLUE)]
-    else:
-        # End segments: chain each color to the nearest purple endpoint.
-        first, last = ids[ppos[0]], ids[ppos[-1]]
-        chains = [nodes(0, ppos[0], color) + [first] for color in (RED, BLUE)]
-        chains += [[last] + nodes(ppos[-1] + 1, n, color) for color in (RED, BLUE)]
-    for seq in chains:
-        cost, chain_pairs = chain(seq, links(seq))
-        weight += cost
-        pairs.extend(chain_pairs)
-
-    # Interior segments between consecutive purple points.
-    for pi, pj in zip(ppos, ppos[1:]):
-        a, b = ids[pi], ids[pj]
-        cost, seg_pairs = segment_best(t[b] - t[a], a, b, nodes(pi + 1, pj, RED),
-                                       nodes(pi + 1, pj, BLUE), links)
-        weight += cost
-        pairs.extend(seg_pairs)
-    return weight, pairs
-
-
-def segment_best(g: float, a: int, b: int, reds: Sequence[int], blues: Sequence[int], links):
-    """Cheaper of the two cases for one interior segment between purple nodes a and b.
-
-    Case B is the purple edge a-b, of length g, plus option PC of
-    `segment_options`; Case A is option NC, both chains in full. Case B wins
-    ties. Costs add the purple edge first, then red, then blue.
-    """
-    (red_b, blue_b), _, _, (red_a, blue_a) = segment_options(a, b, reds, blues, links)
-    cost_b = g + red_b[0] + blue_b[0]
-    cost_a = red_a[0] + blue_a[0]
-    if cost_b <= cost_a:
-        return cost_b, [(a, b) if a < b else (b, a)] + red_b[1] + blue_b[1]
-    return cost_a, red_a[1] + blue_a[1]
+    ids = np.asarray(ids, dtype=np.intp)
+    pos = np.asarray(t, dtype=float)[ids]
+    colors = np.asarray(colors)
+    purple = colors == Color.PURPLE
+    ppos = np.flatnonzero(purple)
+    last = ppos[-1] if len(ppos) else -1
+    chains, weight = [], 0.0
+    for color in (Color.RED, Color.BLUE):
+        on = np.flatnonzero(purple | (colors == color))
+        starts = purple[on[:-1]]
+        starts[:1] = True
+        full, drop, dropped = chain_sums(np.diff(pos[on]), starts)
+        first = np.flatnonzero(starts)
+        # a segment is interior if it starts at a purple point other than the last
+        interior = purple[on[first]] & (on[first] < last)
+        full[interior & purple[on[first + 1]]] = math.inf  # one link, purple to purple
+        weight += float(full[~interior].sum())
+        chains.append((ids[on], full[interior], drop[interior], dropped[interior]))
+    (_, red_full, red_drop, _), (_, blue_full, blue_drop, _) = chains
+    cost_b = np.diff(pos[ppos]) + red_drop + blue_drop
+    cost_a = red_full + blue_full
+    case_b = cost_b <= cost_a
+    weight += float(np.where(case_b, cost_b, cost_a).sum())
+    purple_ids = ids[ppos]
+    pairs = [np.column_stack((purple_ids[:-1][case_b], purple_ids[1:][case_b]))]
+    for node, _, _, dropped in chains:
+        kept = np.ones_like(node[1:], dtype=bool)
+        kept[dropped[case_b]] = False
+        pairs.append(np.column_stack((node[:-1][kept], node[1:][kept])))
+    return weight, np.concatenate(pairs)
 
 
 def solve_line(instance: Instance, tolerance: float = COLLINEAR_TOL) -> Solution:

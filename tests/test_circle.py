@@ -24,9 +24,8 @@ from rbpspan.circle import (
     NotConcyclicError,
     P_,
     R_,
+    _base_edges,
     _pick,
-    arc_base_values,
-    base_arc_costs,
     combine_final,
     fill_tables,
     fit_circle,
@@ -34,9 +33,9 @@ from rbpspan.circle import (
     split_arcs,
 )
 from rbpspan.line import axis_ends
-from rbpspan.model import Instance, Point, parse_instance
+from rbpspan.model import Color, Instance, Point, parse_instance
 from rbpspan.oracle import oracle_forest
-from util import seeded_instances
+from util import reference_chain, seeded_instances
 
 
 def _circle_text(spec):
@@ -113,20 +112,49 @@ class TestSolveCircle:
             oracle_forest(inst).weight, rel=1e-9)
 
 
-class TestBaseArcCosts:
+def _arc_base(inst, a, b):
+    """The (PC, RC, BC, NC) base entries `fill_tables` forms for the arc from purple a to b."""
+    t = _tables(inst)
+    i = t.purple_ids.index(a)
+    assert t.purple_ids[(i + 1) % len(t.purple_ids)] == b
+    return tuple(t.base[:, i].tolist())
+
+
+def _reference_base(inst, a, b, interior):
+    """An arc's (PC, RC, BC, NC) and their edges, from `reference_chain` on each color's chain.
+
+    A color whose endpoints are pre-connected drops its first longest link;
+    the other keeps its chain in full, which a color with no interior point
+    lacks (inf, and no edges).
+    """
+    chains = []
+    for color in (Color.RED, Color.BLUE):
+        nodes = [a, *(u for u in interior if inst.color_of(u) == color), b]
+        lengths = [inst.distance(u, v) for u, v in zip(nodes, nodes[1:])]
+        links = [tuple(sorted(pair)) for pair in zip(nodes, nodes[1:])]
+        drop, dropped = reference_chain(lengths, True)
+        full = (reference_chain(lengths)[0], links) if len(nodes) > 2 else (math.inf, None)
+        chains.append(((drop, links[:dropped] + links[dropped + 1:]), full))
+    (red_drop, red_full), (blue_drop, blue_full) = chains
+    options = [(red_drop, blue_drop), (red_drop, blue_full), (red_full, blue_drop),
+               (red_full, blue_full)]
+    return ([red[0] + blue[0] for red, blue in options],
+            [None if red[1] is None or blue[1] is None else sorted(red[1] + blue[1])
+             for red, blue in options])
+
+
+class TestArcBase:
     def test_empty_arc(self):
         # [TRIVIAL: no interior points; the direct chord is supplied by the DP]
         inst = parse_instance(_circle_text([("P", 0), ("P", 90)]))
-        base = base_arc_costs(inst, 0, 1, [])
-        pc, rc, bc, nc = base.values
+        pc, rc, bc, nc = _arc_base(inst, 0, 1)
         assert pc == 0.0
         assert rc == bc == nc == math.inf
 
     def test_one_red_point(self):
         # [DERIVED: PC keeps the shorter attachment; blue side unbuildable]
         inst = parse_instance(_circle_text([("P", 0), ("R", 30), ("P", 90)]))
-        base = base_arc_costs(inst, 0, 2, [1])
-        pc, rc, bc, nc = base.values
+        pc, rc, bc, nc = _arc_base(inst, 0, 2)
         d01, d12 = inst.distance(0, 1), inst.distance(1, 2)
         assert pc == pytest.approx(min(d01, d12))
         assert bc == pytest.approx(d01 + d12)
@@ -135,16 +163,16 @@ class TestBaseArcCosts:
     def test_one_red_one_blue(self):
         # [DERIVED: NC needs both full chains through both endpoints]
         inst = parse_instance(_circle_text([("P", 0), ("R", 30), ("B", 60), ("P", 90)]))
-        base = base_arc_costs(inst, 0, 3, [1, 2])
-        nc = base.values[3]
+        nc = _arc_base(inst, 0, 3)[3]
         expected = (inst.distance(0, 1) + inst.distance(1, 3)
                     + inst.distance(0, 2) + inst.distance(2, 3))
         assert nc == pytest.approx(expected)
 
 
-def test_arc_base_values_equal_base_arc_costs():
-    # [DERIVED: the batch pass sums every chain in the order `line.chain` does,
-    # so the values agree exactly, also where links tie for the longest]
+def test_arc_base_equals_reference_chains():
+    # [DERIVED: the chain kernel sums every chain link by link in order, as
+    # `reference_chain` does, so the values agree exactly, also where links tie
+    # for the longest; `_base_edges` drops the same link the reference drops]
     cases = [_circle_instance(k, extra, seed) for k in (2, 3, 7, 30)
              for extra in (0, 1, k, 4 * k) for seed in range(3)]
     cases += [_lattice_circle(r2, seed) for r2 in (25, 65) for seed in range(40)]
@@ -155,9 +183,14 @@ def test_arc_base_values_equal_base_arc_costs():
         cx, cy, _, _ = fit_circle(inst)
         purple_ids, arcs = split_arcs(inst, cx, cy)
         k = len(purple_ids)
-        expected = [list(base_arc_costs(inst, purple_ids[i], purple_ids[(i + 1) % k],
-                                        arcs[i]).values) for i in range(k)]
-        assert arc_base_values(inst, purple_ids, arcs).T.tolist() == expected
+        tables = fill_tables(inst, purple_ids, arcs)
+        for i in range(k):
+            values, edges = _reference_base(inst, purple_ids[i], purple_ids[(i + 1) % k], arcs[i])
+            assert tables.base[:, i].tolist() == values
+            for lab in range(4):
+                if edges[lab] is not None:
+                    found = np.sort(_base_edges(tables, [(lab, i)]), axis=1).tolist()
+                    assert sorted(map(tuple, found)) == edges[lab]
         checked += 1
     assert checked >= 100
 
@@ -283,9 +316,9 @@ def test_fit_circle_anchors_on_axis_ends_at_every_scale(monkeypatch):
     # underflow or overflow.
     anchors = []
 
-    def recording_axis_ends(pts):
-        a, b, spread = axis_ends(pts)
-        anchors.append((a.id, b.id))
+    def recording_axis_ends(instance):
+        a, b, spread = axis_ends(instance)
+        anchors.append((a, b))
         return a, b, spread
 
     monkeypatch.setattr(circle, "axis_ends", recording_axis_ends)
@@ -321,7 +354,7 @@ def _reference_dp(inst, purple_ids, arcs):
         (ax, ay), (bx, by) = xy[i], xy[(i + s) % k]
         return float(np.hypot(ax - bx, ay - by))
 
-    bases = [base_arc_costs(inst, purple_ids[i], purple_ids[(i + 1) % k], arcs[i]).values
+    bases = [_reference_base(inst, purple_ids[i], purple_ids[(i + 1) % k], arcs[i])[0]
              for i in range(k)]
     dp = {}
     fold_ties = []

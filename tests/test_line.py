@@ -2,21 +2,22 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rbpspan.line import (
     NotCollinearError,
+    chain_sums,
     collinearity_residual,
     prepare_sorted,
-    segment_best,
     solve_line,
     solve_sorted,
 )
 from rbpspan.model import parse_instance
 from rbpspan.oracle import oracle_forest, oracle_subsets
-from util import e1, line_instance, seeded_instances, segment_instance
+from util import e1, line_instance, reference_chain, seeded_instances, segment_instance
 
 
 class TestSolveLine:
@@ -71,18 +72,11 @@ class TestSolveLine:
                 oracle_forest(inst).weight, rel=1e-9)
 
 
-class TestSegmentBest:
+class TestInteriorSegment:
     def _seg(self, spec):
-        """segment_best on the segment between the first and last purple point."""
-        inst = line_instance(spec)
-        ids, t, colors = prepare_sorted(inst)
-        ppos = [i for i, c in enumerate(colors) if c == 2]
-        pi, pj = ppos[0], ppos[-1]
-        a, b = ids[pi], ids[pj]
-        reds = [ids[i] for i in range(pi + 1, pj) if colors[i] == 0]
-        blues = [ids[i] for i in range(pi + 1, pj) if colors[i] == 1]
-        return segment_best(t[b] - t[a], a, b, reds, blues,
-                            lambda seq: [t[v] - t[u] for u, v in zip(seq, seq[1:])])
+        """(weight, sorted pairs) of solve_sorted on one segment: purple only at both ends."""
+        weight, pairs = solve_sorted(*prepare_sorted(line_instance(spec)))
+        return weight, sorted(map(tuple, np.sort(pairs, axis=1).tolist()))
 
     def test_both_colors_case_b_wins(self):
         # [DERIVED: A=20 vs B=10+4+4=18]
@@ -107,6 +101,13 @@ class TestSegmentBest:
         assert all(p != (0, 7) for p in pairs)  # no purple edge
         assert cost == pytest.approx(20.0)      # both chains in full, 2g
 
+    def test_tie_goes_to_case_b(self):
+        # [DERIVED: Case B = 10 + (2 + 2) + (3 + 3) = 20 = Case A = 10 + 10]
+        inst = line_instance([("P", 0), ("R", 2), ("B", 3), ("B", 7), ("R", 8), ("P", 10)])
+        sol = solve_line(inst)
+        assert (0, 5) in sol.edge_set.pairs()
+        assert sol.weight == 20.0 == oracle_forest(inst).weight
+
     @given(st.integers(0, 10_000))
     @settings(deadline=None, max_examples=50)
     def test_segment_matches_subset_oracle(self, seed):
@@ -114,6 +115,28 @@ class TestSegmentBest:
         inst = segment_instance(seed)
         assert solve_line(inst).weight == pytest.approx(
             oracle_subsets(inst).weight, rel=1e-9)
+
+
+@given(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=20), min_size=1, max_size=8),
+       st.sampled_from([1.0, 10.0]))
+@example([[3], [5], [2, 2], [1]], 1.0)
+@example([[4, 1, 4, 0, 4, 2, 3, 4, 1, 4, 2, 3, 1]], 10.0)
+@settings(deadline=None, max_examples=200)
+def test_chain_sums_match_reference(segments, divisor):
+    # [DERIVED: equal to the sequential sum, also on tied longest links and on
+    # tenths, whose sums depend on the order they are formed in]
+    lengths = [m / divisor for segment in segments for m in segment]
+    starts = np.zeros(len(lengths), bool)
+    starts[np.cumsum([0] + [len(segment) for segment in segments[:-1]])] = True
+    full, drop, dropped = chain_sums(np.array(lengths), starts)
+    offset, expected = 0, ([], [], [])
+    for segment in segments:
+        part = lengths[offset:offset + len(segment)]
+        drop_sum, longest = reference_chain(part, True)
+        for column, value in zip(expected, (reference_chain(part)[0], drop_sum, offset + longest)):
+            column.append(value)
+        offset += len(segment)
+    assert (full.tolist(), drop.tolist(), dropped.tolist()) == expected
 
 
 def test_solve_sorted_weight_matches_pairs():

@@ -52,3 +52,17 @@ def segment_instance(seed, max_interior=5) -> Instance:
     for x in sorted(xs):
         spec.append((rng.choice("RB"), x))
     return line_instance(spec)
+
+
+def reference_chain(lengths, drop_longest=False):
+    """(sum, dropped) of a chain's links, summed one by one in order from 0.0.
+
+    With drop_longest the first longest link is left out of the sum, and
+    dropped is its index; otherwise dropped is None.
+    """
+    dropped = lengths.index(max(lengths)) if drop_longest else None
+    total = 0.0
+    for j, length in enumerate(lengths):
+        if j != dropped:
+            total += length
+    return total, dropped
