@@ -1,28 +1,25 @@
 """Exact minimum RBP spanning graph via matroid intersection on dual graphic matroids.
 
-The candidate edge set starts as the pruned ground set (`ground_set`: every
-purple edge plus the red-class edges of the R∪P Euclidean MST and the
-blue-class edges of the B∪P one) and shrinks one edge per round along a
-minimum-cost alternating exchange sequence, found as a shortest path in an
-auxiliary exchange graph held as one dense (m+2) x (m+2) arc-weight matrix,
-whose arcs come from one BFS tree of each side of the current edge set.
+The candidate edge set starts as the pruned ground set (`ground_set`, an
+`EdgeSet`: every purple edge plus the red-class edges of the R∪P Euclidean
+MST and the blue-class edges of the B∪P one) and shrinks one edge per round
+along a minimum-cost alternating exchange sequence, found as a shortest path
+in an auxiliary exchange graph held as one dense (m+2) x (m+2) arc-weight
+matrix, whose arcs come from one BFS tree of each side of the current edge
+set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from itertools import combinations
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphops import (
-    BLUE_SIDE,
-    RED_SIDE,
-    kruskal,
-    solution_stats,
-)
-from .model import Color, Edge, Instance, Solution, make_edge_set
+from .graphops import BLUE_SIDE, RED_SIDE, kruskal, solution_stats, sorted_side_pairs
+from .model import Color, EdgeSet, Instance, make_edge_set
 
 
 @dataclass(frozen=True)
@@ -37,32 +34,11 @@ class ExchangeSequence:
         return len(self.edge_indices)
 
 
-class GroundArrays(NamedTuple):
-    """Per-edge data of a ground edge list that stays fixed for a whole solve."""
-
-    w: np.ndarray                   # edge lengths
-    u: np.ndarray                   # edge ends, as arrays
-    v: np.ndarray
-    ends: list[tuple[int, int]]     # edge ends, as Python ints
-    sides: tuple[tuple[np.ndarray, list[int]], ...]  # (edge mask, vertex ids) per color side
-
-
-def ground_arrays(instance: Instance, edges: Sequence[Edge]) -> GroundArrays:
-    """The `GroundArrays` of `edges`; sides are RED_SIDE, then BLUE_SIDE."""
-    ends = [e.pair for e in edges]
-    u = np.array([a for a, _ in ends], dtype=np.int64)
-    v = np.array([b for _, b in ends], dtype=np.int64)
-    sides = tuple((np.array([e.color_class in side for e in edges], dtype=bool),
-                   [p.id for p in instance.points if p.color in side])
-                  for side in (RED_SIDE, BLUE_SIDE))
-    return GroundArrays(np.array([e.length for e in edges], dtype=float), u, v, ends, sides)
-
-
-def _side_masks(n: int, ground: GroundArrays, in_x: np.ndarray, in_side: np.ndarray,
-                vertices: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _side_masks(ground: EdgeSet, in_x: np.ndarray, in_side: np.ndarray,
+                vertices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Connectivity of one color side of the candidate set X, as masks over E.
 
-    `in_side` and `vertices` are the side's entry of `ground.sides`.
+    `in_side` marks the side's ground edges and `vertices` are its sorted point ids.
 
     Returns `removable[e]`: X-e keeps this side connected, and `keep[e, f]`:
     X-e+f keeps it connected, that is e is removable or f joins the two parts
@@ -73,15 +49,15 @@ def _side_masks(n: int, ground: GroundArrays, in_x: np.ndarray, in_side: np.ndar
     A BFS that misses a side vertex raises AssertionError; this is
     `solve_exact`'s only per-round check that X still spans.
     """
-    u, v, ends = ground.u, ground.v, ground.ends
-    m = len(ends)
+    u, v, n = ground.u, ground.v, ground.instance.n
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for ei in np.flatnonzero(in_x & in_side).tolist():
-        a, b = ends[ei]
+    side_x = in_x & in_side
+    on = np.flatnonzero(side_x)
+    for a, b, ei in zip(u[on].tolist(), v[on].tolist(), on.tolist()):
         adj[a].append((b, ei))
         adj[b].append((a, ei))
     path = np.zeros((n, n), dtype=bool)  # path[w, a]: a is on the tree path from the root to w
-    order, tree_edges = vertices[:1], []  # BFS order; tree_edges[i] reaches order[i + 1]
+    order, tree_edges = list(vertices[:1]), []  # BFS order; tree_edges[i] reaches order[i + 1]
     seen = set(order)
     for w in order:  # `order` grows as vertices are reached
         path[w, w] = True
@@ -93,19 +69,16 @@ def _side_masks(n: int, ground: GroundArrays, in_x: np.ndarray, in_side: np.ndar
                 path[x] = path[w]
     if len(order) != len(vertices):  # raised, not asserted, so that it holds under python -O
         raise AssertionError("the side of X is not connected")
-    below = np.zeros((m, n), dtype=bool)
+    below = np.zeros((len(u), n), dtype=bool)
     below[tree_edges] = path[:, order[1:]].T
     tree = below.any(axis=1)
-    off = in_x & in_side & ~tree
-    covered = (below[:, u[off]] != below[:, v[off]]).any(axis=1)
-    removable = ~tree | covered
-    return removable, removable[:, None] | (in_side & (below[:, u] != below[:, v]))
+    cut = below[:, u] != below[:, v]  # cut[e, f]: f has exactly one end below e
+    removable = ~tree | (cut & (side_x & ~tree)).any(axis=1)
+    return removable, removable[:, None] | (in_side & cut)
 
 
-def build_exchange_graph(instance: Instance, edges: Sequence[Edge],
-                         x_indices: frozenset[int],
-                         ground: Optional[GroundArrays] = None) -> np.ndarray:
-    """Exchange graph for candidate set X over edge list E, as an arc-weight matrix.
+def build_exchange_graph(ground: EdgeSet, x_indices: frozenset[int]) -> np.ndarray:
+    """Exchange graph for candidate set X over the edges E of `ground`, as an arc-weight matrix.
 
     Nodes are the edge indices 0..m-1, then the source m and the sink m+1.
     Entry [a, b] is the weight of arc a->b, and inf where there is no arc:
@@ -113,33 +86,31 @@ def build_exchange_graph(instance: Instance, edges: Sequence[Edge],
     e->f (e in X, f not in X, X-e+f red-connected, weight +w(f));
     f->e (f not in X, e in X, X+f-e blue-connected, weight -w(e));
     e->sink (e in X, X-e red-connected, weight 0).
-    `ground` is `ground_arrays(instance, edges)`, made here if not given.
+    `ground` holds no red-blue edge, so the red side's edges are the
+    non-blue ones and the blue side's the non-red ones.
     """
-    if ground is None:
-        ground = ground_arrays(instance, edges)
-    m = len(edges)
+    instance, w, codes = ground.instance, ground.length, ground.color_class
+    m = len(w)
     source, sink = m, m + 1
-    w = ground.w
     in_x = np.zeros(m, dtype=bool)
     in_x[list(x_indices)] = True
-    out_x = ~in_x
-    red, blue = ground.sides
-    red_removable, red_keep = _side_masks(instance.n, ground, in_x, *red)
-    blue_removable, blue_keep = _side_masks(instance.n, ground, in_x, *blue)
+    # int(): an array compared with an IntEnum member takes a slow path, about 5 us.
+    red_removable, red_keep = _side_masks(ground, in_x, codes != int(Color.BLUE),
+                                          instance.red_side())
+    blue_removable, blue_keep = _side_masks(ground, in_x, codes != int(Color.RED),
+                                            instance.blue_side())
 
     graph = np.full((m + 2, m + 2), math.inf)
     graph[source, :m] = np.where(in_x & blue_removable, -w, math.inf)
     graph[:m, sink] = np.where(in_x & red_removable, 0.0, math.inf)
-    # Both arc kinds between edges weigh the head's ±w; their tails lie on
-    # opposite sides of X, so no cell holds two arcs.
-    graph[:m, :m] = np.where(in_x[:, None] & out_x & red_keep, w,
-                             np.where(out_x[:, None] & in_x & blue_keep.T, -w, math.inf))
+    # Arcs between edges run from X to E-X (red keep) and from E-X to X (blue
+    # keep); each weighs its head's w, negated for a head in X.
+    arcs = np.where(in_x[:, None], red_keep, blue_keep.T) & (in_x[:, None] != in_x)
+    graph[:m, :m] = np.where(arcs, np.where(in_x, -w, w), math.inf)
     return graph
 
 
-def find_min_exchange_sequence(instance: Instance, edges: Sequence[Edge],
-                               x_indices: frozenset[int],
-                               ground: Optional[GroundArrays] = None
+def find_min_exchange_sequence(ground: EdgeSet, x_indices: frozenset[int]
                                ) -> Optional[ExchangeSequence]:
     """Minimum-cost source-to-sink exchange, ties by hop count then node order.
 
@@ -148,10 +119,9 @@ def find_min_exchange_sequence(instance: Instance, edges: Sequence[Edge],
     exchange theory). It stops at the first hop that lowers no node's best
     cost over fewer hops, as no later hop can lower one then. At most N - 1
     hops of O(N^2) over the N = m + 2 nodes: O(m^3) time and O(m^2) memory
-    per call. Returns None when no exchange exists. `ground` is as for
-    `build_exchange_graph`.
+    per call. Returns None when no exchange exists.
     """
-    graph = build_exchange_graph(instance, edges, x_indices, ground)
+    graph = build_exchange_graph(ground, x_indices)
     n_nodes = len(graph)
     source, sink = n_nodes - 2, n_nodes - 1
 
@@ -181,14 +151,16 @@ def find_min_exchange_sequence(instance: Instance, edges: Sequence[Edge],
     return ExchangeSequence(tuple(reversed(walk[:-1])), float(cost))
 
 
-def ground_set(instance: Instance) -> list[Edge]:
-    """The edges an optimum needs, in (length, u, v) order.
+def ground_set(instance: Instance) -> EdgeSet:
+    """The edges an optimum needs, as an `EdgeSet`.
 
-    Every purple edge, the red-class edges of the tie-broken Euclidean MST of
-    R∪P and the blue-class edges of the tie-broken MST of B∪P; tie-broken
-    means ordered by `Edge.sort_key`, (length, u, v), a strict total order, so
-    each MST is unique. There are at most (|R∪P|-1) + (|B∪P|-1) + C(k, 2) of
-    them, so m <= 2n + C(k, 2).
+    Every purple edge, the red-class edges of the Euclidean MST of R∪P and
+    the blue-class edges of the MST of B∪P, each MST being the tie-broken
+    tree `constrained_mst` returns: Kruskal over `sorted_side_pairs`, which
+    yields the pairs in (length, u, v) order, a strict total order, so each
+    MST is unique. Kruskal connects any side, an empty one too, as every
+    pair within a side is admitted. There are at most
+    (|R∪P|-1) + (|B∪P|-1) + C(k, 2) of them, so m <= 2n + C(k, 2).
 
     Some optimum lies inside this set. Take an optimum with the fewest red
     edges outside the R∪P tree T, and suppose it uses such an edge e. Removing
@@ -203,17 +175,11 @@ def ground_set(instance: Instance) -> list[Edge]:
     more and has one red edge fewer outside T. Blue edges and the B∪P tree
     work the same way, and those exchanges touch no red edge.
     """
-    # Looked up on rbpspan.model at call time, so that a wrapper installed on
-    # model.allowed_edges (perfbench/spans.py) sees the call.
-    from .model import allowed_edges
-
-    edges = allowed_edges(instance)
-    keep = set()
+    pairs = set(combinations(instance.P, 2))
     for side, vertices in ((RED_SIDE, instance.red_side()), (BLUE_SIDE, instance.blue_side())):
-        _, tree = kruskal(instance.n, (e.sort_key for e in edges if e.color_class in side),
-                          vertices)
-        keep.update(tree)
-    return [e for e in edges if e.color_class == Color.PURPLE or e.pair in keep]
+        # The tree of constrained_mst(instance, vertices, (), side), without its EdgeSet.
+        pairs.update(kruskal(instance.n, sorted_side_pairs(instance, side, vertices), vertices)[1])
+    return make_edge_set(instance, pairs)
 
 
 def solve_exact(instance: Instance, return_trace: bool = False):
@@ -231,16 +197,15 @@ def solve_exact(instance: Instance, return_trace: bool = False):
     With return_trace=True also returns the map cardinality -> weight of the
     best candidate visited at that cardinality (convexity diagnostic).
     """
-    edges = ground_set(instance)
-    ground = ground_arrays(instance, edges)
-    m = len(edges)
+    ground = ground_set(instance)
+    m = len(ground.u)
     x = frozenset(range(m))
-    weight = math.fsum(e.length for e in edges)
+    weight = ground.weight
     trace = {m: weight}
     best_weight, best_x = weight, x
 
     for _ in range(m + 1):
-        seq = find_min_exchange_sequence(instance, edges, x, ground)
+        seq = find_min_exchange_sequence(ground, x)
         if seq is None:
             break
         removed = set(seq.edge_indices[0::2])
@@ -248,7 +213,7 @@ def solve_exact(instance: Instance, return_trace: bool = False):
         if not removed <= x or added & x:
             raise AssertionError("an exchange sequence removes an edge outside X or adds one in X")
         x = frozenset((x - removed) | added)
-        weight = math.fsum(edges[i].length for i in sorted(x))
+        weight = math.fsum(ground.length[list(x)].tolist())
         trace[len(x)] = weight
         if weight < best_weight:
             best_weight, best_x = weight, x

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from itertools import islice, repeat
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -12,7 +12,6 @@ from .model import (
     _CLASS_OF,
     INVALID_CLASS,
     Color,
-    Edge,
     EdgeSet,
     Instance,
     PreconditionError,
@@ -363,19 +362,9 @@ def constrained_mst(instance: Instance, vertices: Sequence[int],
     return EdgeSet(instance, u, v, np.array(hypot_lengths(instance, u, v), dtype=float), total)
 
 
-def is_rbp_spanning(instance: Instance, edges: Union[EdgeSet, Iterable[Edge]]) -> bool:
-    """True iff red+purple edges connect R∪P and blue+purple edges connect B∪P.
-
-    An EdgeSet is read from its arrays; any other iterable of `Edge` works too.
-    """
-    if isinstance(edges, EdgeSet):
-        u, v, codes = edges.u, edges.v, edges.color_class
-    else:
-        edges = list(edges)
-        u = np.array([e.u for e in edges], dtype=np.int64)
-        v = np.array([e.v for e in edges], dtype=np.int64)
-        codes = np.array([INVALID_CLASS if e.color_class is None else e.color_class
-                          for e in edges], dtype=np.int8)
+def is_rbp_spanning(instance: Instance, edges: EdgeSet) -> bool:
+    """True iff red+purple edges connect R∪P and blue+purple edges connect B∪P."""
+    u, v, codes = edges.u, edges.v, edges.color_class
     for side, vertices in ((RED_SIDE, instance.red_side()), (BLUE_SIDE, instance.blue_side())):
         on_side = np.isin(codes, side)
         # Kruskal over the side's pairs in any order: None iff they leave `vertices` apart.

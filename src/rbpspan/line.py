@@ -45,19 +45,25 @@ def python_max(values: np.ndarray) -> float:
 
 
 def collinearity_residual(instance: Instance) -> float:
-    """Maximum perpendicular offset relative to the bounding-box scale."""
+    """Maximum perpendicular offset relative to the bounding-box scale.
+
+    The offsets from the first axis end and the direction to the second are
+    scaled by the power of two that brings the scale into [0.5, 1) before
+    they are multiplied, as in `circle.fit_circle`: the scaling is exact, and
+    no product overflows or underflows at extreme scales.
+    """
     if instance.n <= 2:
         return 0.0
     a, b, scale = axis_ends(instance)
     if scale == 0.0:
         return 0.0
-    xs, ys = instance.xs, instance.ys
-    ax, ay = float(xs[a]), float(ys[a])
-    dx, dy = float(xs[b]) - ax, float(ys[b]) - ay
-    norm = math.hypot(dx, dy)
+    _, exp = math.frexp(scale)
     with np.errstate(over="ignore", invalid="ignore"):
-        offsets = np.abs(dx * (ys - ay) - dy * (xs - ax))
-    return python_max(offsets) / norm / scale
+        ox = np.ldexp(instance.xs - instance.xs[a], -exp)
+        oy = np.ldexp(instance.ys - instance.ys[a], -exp)
+        dx, dy = float(ox[b]), float(oy[b])
+        offsets = np.abs(dx * oy - dy * ox)
+    return python_max(offsets) / math.hypot(dx, dy) / math.ldexp(scale, -exp)
 
 
 def prepare_sorted(instance: Instance):

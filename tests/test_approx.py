@@ -73,7 +73,7 @@ class TestApproxA:
         for inst in seeded_instances(20, n_min=3, n_max=10, base_seed=1200):
             for solver in (approx_a, approx_union):
                 sol = solver(inst)
-                assert is_rbp_spanning(inst, sol.edges)
+                assert is_rbp_spanning(inst, sol.edge_set)
 
 
 class TestSteinerFamilyRatio:

@@ -14,16 +14,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rbpspan
+from rbpspan import cli
 from rbpspan.exact import (
     build_exchange_graph,
     find_min_exchange_sequence,
     ground_set,
     solve_exact,
 )
-from rbpspan.graphops import BLUE_SIDE, DisjointSets, RED_SIDE, is_rbp_spanning, kruskal_mst
-from rbpspan.model import Color, Instance, Point, allowed_edges, make_edge_set, parse_instance
+from rbpspan.generators import gen_random
+from rbpspan.graphops import (
+    BLUE_SIDE,
+    RED_SIDE,
+    DisjointSets,
+    is_rbp_spanning,
+    kruskal,
+    kruskal_mst,
+)
+from rbpspan.model import (
+    Color,
+    Instance,
+    Point,
+    allowed_edges,
+    make_edge_set,
+    parse_instance,
+    serialize_instance,
+)
 from rbpspan.oracle import oracle_forest
 from util import E1_TEXT, e1, line_instance, seeded_instances
+
+
+def _all_allowed(inst):
+    """Every allowed edge as an EdgeSet, indexed as `allowed_edges(inst)`."""
+    return make_edge_set(inst, [e.pair for e in allowed_edges(inst)])
 
 
 def _side_connected(inst, edges, chosen, side):
@@ -40,9 +62,10 @@ class TestExchangeGraph:
     def test_e1_full_source_arcs(self):
         # [DERIVED: connectivity conditions enumerated directly]
         inst = e1()
-        edges = allowed_edges(inst)
+        ground = _all_allowed(inst)
+        edges = ground.edges
         x = frozenset(range(len(edges)))
-        g = build_exchange_graph(inst, edges, x)
+        g = build_exchange_graph(ground, x)
         source = len(edges)
         src_targets = set(np.flatnonzero(np.isfinite(g[source])).tolist())
         for i in range(len(edges)):
@@ -54,9 +77,10 @@ class TestExchangeGraph:
     def test_h0_path_iff_removable_both_sides(self):
         # [TRIVIAL: condition conjunction]
         inst = e1()
-        edges = allowed_edges(inst)
+        ground = _all_allowed(inst)
+        edges = ground.edges
         x = frozenset(range(len(edges)))
-        g = build_exchange_graph(inst, edges, x)
+        g = build_exchange_graph(ground, x)
         sink = len(edges) + 1
         sink_sources = set(np.flatnonzero(np.isfinite(g[:, sink])).tolist())
         for i in range(len(edges)):
@@ -66,13 +90,13 @@ class TestExchangeGraph:
     def test_non_spanning_x_raises_under_python_O(self):
         # The BFS reach check is the only per-round spanning check in
         # solve_exact, so it must not be an assert that -O strips.
-        script = ("from rbpspan.model import allowed_edges, parse_instance\n"
+        script = ("from rbpspan.model import make_edge_set, parse_instance\n"
                   "from rbpspan.exact import build_exchange_graph\n"
                   f"inst = parse_instance({E1_TEXT!r})\n"
-                  "edges = allowed_edges(inst)\n"
-                  "x = frozenset(i for i, e in enumerate(edges) if 2 not in e.pair)\n"
+                  "ground = make_edge_set(inst, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])\n"
+                  "x = frozenset(i for i, e in enumerate(ground.pairs()) if 2 not in e)\n"
                   "try:\n"
-                  "    build_exchange_graph(inst, edges, x)\n"
+                  "    build_exchange_graph(ground, x)\n"
                   "except AssertionError as exc:\n"
                   "    print('AssertionError', exc)\n")
         env = dict(os.environ, PYTHONPATH=str(Path(rbpspan.__file__).resolve().parents[1]))
@@ -85,26 +109,27 @@ class TestExchangeGraph:
         # among all allowed edges and for every X that solve_exact's rounds visit]
         for inst in (seeded_instances(12, n_min=4, n_max=7, base_seed=900)
                      + [_lattice(3000 + s) for s in range(12)]):
-            edges = allowed_edges(inst)
-            ground = {e.pair for e in ground_set(inst)}
-            _assert_arcs_match_definition(
-                inst, edges, frozenset(i for i, e in enumerate(edges) if e.pair in ground))
-            edges, visited = _exact_rounds(inst)
+            everything = _all_allowed(inst)
+            ground = set(ground_set(inst).pairs())
+            _assert_arcs_match_definition(everything, frozenset(
+                i for i, pair in enumerate(everything.pairs()) if pair in ground))
+            ground, visited = _exact_rounds(inst)
             for x in visited:
-                _assert_arcs_match_definition(inst, edges, x)
+                _assert_arcs_match_definition(ground, x)
 
 
 def _exact_rounds(inst):
     """The ground set and every candidate set X that solve_exact's exchange rounds visit."""
-    edges = ground_set(inst)
-    visited = [frozenset(range(len(edges)))]
-    while (seq := find_min_exchange_sequence(inst, edges, visited[-1])) is not None:
+    ground = ground_set(inst)
+    visited = [frozenset(range(len(ground.u)))]
+    while (seq := find_min_exchange_sequence(ground, visited[-1])) is not None:
         visited.append(visited[-1].symmetric_difference(seq.edge_indices))
-    return edges, visited
+    return ground, visited
 
 
-def _assert_arcs_match_definition(inst, edges, x):
-    g = build_exchange_graph(inst, edges, x)
+def _assert_arcs_match_definition(ground, x):
+    g = build_exchange_graph(ground, x)
+    inst, edges = ground.instance, ground.edges
     m = len(edges)
     source, sink = m, m + 1
     for a in range(m):
@@ -152,9 +177,10 @@ class TestExchangeSequence:
     def test_e1_removes_heaviest_redundant_edge(self):
         # [DERIVED: exhaustive path enumeration on this 7-node graph]
         inst = e1()
-        edges = allowed_edges(inst)
+        ground = _all_allowed(inst)
+        edges = ground.edges
         x = frozenset(range(len(edges)))
-        seq = find_min_exchange_sequence(inst, edges, x)
+        seq = find_min_exchange_sequence(ground, x)
         assert seq is not None and seq.hops == 1
         removed = edges[seq.edge_indices[0]]
         assert removed.length == max(e.length for e in edges)
@@ -163,30 +189,31 @@ class TestExchangeSequence:
     def test_tree_has_no_sequence(self):
         # [TRIVIAL: nothing removable from a spanning tree]
         inst = line_instance([("P", 0), ("P", 1), ("P", 3)])
-        edges = allowed_edges(inst)
-        tree = frozenset(i for i, e in enumerate(edges) if e.pair in {(0, 1), (1, 2)})
-        assert find_min_exchange_sequence(inst, edges, tree) is None
+        ground = _all_allowed(inst)
+        tree = frozenset(i for i, pair in enumerate(ground.pairs()) if pair in {(0, 1), (1, 2)})
+        assert find_min_exchange_sequence(ground, tree) is None
 
     def test_matches_full_hop_dp_every_round(self):
         # [DERIVED: reference DP without the convergence stop, on every round of the solves]
         for inst in (seeded_instances(40, n_min=4, n_max=14, base_seed=950)
                      + [_lattice(3000 + s) for s in range(40)]):
-            edges, visited = _exact_rounds(inst)
+            ground, visited = _exact_rounds(inst)
             for x in visited:
-                seq = find_min_exchange_sequence(inst, edges, x)
-                expect = _full_hop_dp(build_exchange_graph(inst, edges, x))
+                seq = find_min_exchange_sequence(ground, x)
+                expect = _full_hop_dp(build_exchange_graph(ground, x))
                 assert (None if seq is None else (seq.edge_indices, seq.cost)) == expect
 
     def test_negative_cost_whenever_a_side_has_a_cycle(self):
         # [DERIVED: checked against the cycle condition on random instances]
         for inst in seeded_instances(20, n_min=4, n_max=7, base_seed=400):
-            edges = allowed_edges(inst)
+            ground = _all_allowed(inst)
+            edges = ground.edges
             x = frozenset(range(len(edges)))
             red_cycle = sum(1 for e in edges if e.color_class in RED_SIDE) \
                 > len(inst.red_side()) - 1
             blue_cycle = sum(1 for e in edges if e.color_class in BLUE_SIDE) \
                 > len(inst.blue_side()) - 1
-            seq = find_min_exchange_sequence(inst, edges, x)
+            seq = find_min_exchange_sequence(ground, x)
             if red_cycle or blue_cycle:
                 assert seq is not None and seq.cost < 0.0
             else:
@@ -224,8 +251,8 @@ class TestSolveExact:
         inst = e1()
         sol, trace = solve_exact(inst, return_trace=True)
         assert sol.weight == pytest.approx(min(trace.values()))
-        assert is_rbp_spanning(inst, sol.edges)
-        assert max(trace) == len(ground_set(inst))
+        assert is_rbp_spanning(inst, sol.edge_set)
+        assert max(trace) == len(ground_set(inst).u)
 
 
 def _colored(coords, seed, max_purple=6):
@@ -242,7 +269,7 @@ def _colored(coords, seed, max_purple=6):
 def _assert_matches_oracle(inst):
     sol = solve_exact(inst)
     opt = oracle_forest(inst)
-    assert is_rbp_spanning(inst, sol.edges)
+    assert is_rbp_spanning(inst, sol.edge_set)
     assert math.isclose(sol.weight, opt.weight, rel_tol=1e-9, abs_tol=0.0), \
         (sol.weight, opt.weight)
 
@@ -278,14 +305,14 @@ class TestGroundSet:
 
     def test_sorted_and_contains_every_purple_edge(self):
         for inst in self.BATCH:
-            ground = ground_set(inst)
+            ground = ground_set(inst).edges
             assert [e.sort_key for e in ground] == sorted(e.sort_key for e in ground)
             purple = {e.pair for e in allowed_edges(inst) if e.color_class == Color.PURPLE}
             assert purple <= {e.pair for e in ground}
 
     def test_side_edges_lie_in_the_side_msts(self):
         for inst in self.BATCH:
-            ground = ground_set(inst)
+            ground = ground_set(inst).edges
             for cls, side in ((Color.RED, inst.red_side()), (Color.BLUE, inst.blue_side())):
                 tree = set(kruskal_mst(inst, side).pairs()) if side else set()
                 assert {e.pair for e in ground if e.color_class == cls} <= tree
@@ -294,27 +321,73 @@ class TestGroundSet:
         for inst in self.BATCH:
             bound = (max(len(inst.red_side()) - 1, 0) + max(len(inst.blue_side()) - 1, 0)
                      + math.comb(inst.k, 2))
-            assert len(ground_set(inst)) <= bound
+            assert len(ground_set(inst).u) <= bound
 
     def test_no_purple_is_the_two_side_trees(self):
         inst = _colored([(x, y) for x in range(3) for y in range(3)], seed=3, max_purple=0)
         assert inst.k == 0
         expect = (set(kruskal_mst(inst, inst.R).pairs())
                   | set(kruskal_mst(inst, inst.B).pairs()))
-        assert {e.pair for e in ground_set(inst)} == expect
+        assert set(ground_set(inst).pairs()) == expect
         _assert_matches_oracle(inst)
 
     def test_single_point_side(self):
         inst = parse_instance("R 0 0\nB 1 0\nB 2 0\nB 2 1")
-        ground = ground_set(inst)
+        ground = ground_set(inst).edges
         assert all(e.color_class == Color.BLUE for e in ground) and len(ground) == 2
         _assert_matches_oracle(inst)
-        assert ground_set(parse_instance("B 3 4")) == []
+        assert ground_set(parse_instance("B 3 4")).pairs() == []
 
     def test_all_purple_keeps_every_edge(self):
         inst = parse_instance("P 0 0\nP 1 0\nP 0 1\nP 1 1\nP 3 2")
-        assert ground_set(inst) == allowed_edges(inst)
+        assert list(ground_set(inst).edges) == allowed_edges(inst)
         _assert_matches_oracle(inst)
+
+    @pytest.mark.parametrize("scale, offset",
+                             [(1.0, 0.0), (1e-9, 0.0), (1.0, 1e12), (1e-300, 0.0), (1e200, 0.0)])
+    @pytest.mark.parametrize("make", [_lattice, _concyclic_plus_one, _collinear_plus_one])
+    def test_matches_the_edge_list_definition(self, make, scale, offset):
+        # [DERIVED: the Edge-based ground set: a Python sort of every allowed edge
+        # by Edge.sort_key, each side's Kruskal tree over it, and every purple edge]
+        for s in range(120):
+            inst = _transformed(make(4000 + s), scale, offset)
+            edges = allowed_edges(inst)
+            keep = set()
+            for side, vertices in ((RED_SIDE, inst.red_side()), (BLUE_SIDE, inst.blue_side())):
+                _, tree = kruskal(inst.n, (e.sort_key for e in edges if e.color_class in side),
+                                  vertices)
+                keep.update(tree)
+            expect = [e.pair for e in edges if e.color_class == Color.PURPLE or e.pair in keep]
+            assert ground_set(inst).pairs() == expect
+
+
+class TestSolvePathWithoutEdge:
+    """`rbpspan solve` with the exact solver, alone or under auto, never builds an `Edge`."""
+
+    @pytest.mark.parametrize("algo", ["exact", "auto"])
+    def test_output_unchanged_when_edge_raises(self, algo, tmp_path, monkeypatch, capsys):
+        paths = []
+        for name, text in (("plane", serialize_instance(gen_random(18, 0.4, 0.4, seed=3))),
+                           ("e1", E1_TEXT)):
+            path = tmp_path / f"{name}.txt"
+            path.write_text(text)
+            paths.append(str(path))
+        expected = []
+        for path in paths:
+            assert cli.main(["solve", path, "--algo", algo]) == cli.EXIT_OK
+            expected.append(capsys.readouterr().out)
+
+        def no_edge(*args):
+            raise AssertionError("an Edge was built")
+
+        monkeypatch.setattr(rbpspan.model, "Edge", no_edge)
+        for path, out in zip(paths, expected):
+            assert cli.main(["solve", path, "--algo", algo]) == cli.EXIT_OK
+            assert capsys.readouterr().out == out
+
+    def test_exact_imports_no_edge_list_helpers(self):
+        assert not hasattr(rbpspan.exact, "Edge")
+        assert not hasattr(rbpspan.exact, "allowed_edges")
 
 
 class TestDegenerateInputs:
@@ -371,5 +444,5 @@ class TestExactTies:
         inst = _lattice(seed)
         sol = solve_exact(inst)
         alt = make_edge_set(inst, other)
-        assert is_rbp_spanning(inst, alt.edges) and alt.weight == sol.weight
+        assert is_rbp_spanning(inst, alt) and alt.weight == sol.weight
         assert list(sol.edge_set.pairs()) == expect

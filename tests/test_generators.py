@@ -85,7 +85,7 @@ class TestSteinerFamily:
     def test_two_chain_is_feasible(self):
         for t in (0, 1, 5):
             fam = gen_steiner_family(t)
-            assert is_rbp_spanning(fam.instance, fam.two_chain.edges)
+            assert is_rbp_spanning(fam.instance, fam.two_chain)
 
     def test_two_chain_weight_approaches_twice_smt(self):
         # [DERIVED: each chain tends to the Steiner minimal tree weight sqrt(3)]

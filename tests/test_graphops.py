@@ -136,18 +136,18 @@ class TestRbpSpanning:
         # [TRIVIAL]
         inst = e1()
         es = make_edge_set(inst, [(0, 1), (0, 2), (1, 3)])
-        assert is_rbp_spanning(inst, es.edges)
+        assert is_rbp_spanning(inst, es)
 
     def test_red_point_isolated(self):
         # [TRIVIAL]
         inst = e1()
         es = make_edge_set(inst, [(0, 1)])
-        assert not is_rbp_spanning(inst, es.edges)
+        assert not is_rbp_spanning(inst, es)
 
     def test_purple_edge_serves_both_sides(self):
         inst = parse_instance("P 0 0\nP 1 0")
         es = make_edge_set(inst, [(0, 1)])
-        assert is_rbp_spanning(inst, es.edges)
+        assert is_rbp_spanning(inst, es)
 
     def test_arrays_and_edges_match_the_union_find_loop(self):
         # The union-find loop over Edge objects that the array check replaced.
@@ -165,7 +165,7 @@ class TestRbpSpanning:
             inst = _instance(_random_coords(12, seed), seed)
             es = make_edge_set(inst, _random_pairs(inst.n, 10 + seed, seed))
             expected = reference(inst, es.edges)
-            assert is_rbp_spanning(inst, es) == is_rbp_spanning(inst, es.edges) == expected
+            assert is_rbp_spanning(inst, es) == expected
             results.append(expected)
         assert any(results) and not all(results)
 

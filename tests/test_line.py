@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rbpspan.cli import EXIT_OK, main
 from rbpspan.line import (
     NotCollinearError,
     chain_sums,
@@ -149,3 +150,18 @@ def test_solve_sorted_weight_matches_pairs():
 
 def test_collinearity_residual_zero_on_lines():
     assert collinearity_residual(line_instance([("P", 0), ("R", 3), ("P", 9)])) == 0.0
+
+
+@pytest.mark.parametrize("exponent", ["e200", "e-200"])
+def test_collinearity_residual_at_extreme_scales(exponent, tmp_path, capsys):
+    # [DERIVED: the unit-scale copy's residual is 0.5217; at these scales the
+    # unscaled products overflow to inf - inf or underflow to 0 and read 0.0]
+    rows = (("P", 0, 0), ("R", 3, 5), ("B", 2, 4), ("P", 6, 3))
+    text = "".join(f"{c} {x}{exponent} {y}{exponent}\n" for c, x, y in rows)
+    unit = collinearity_residual(parse_instance("".join(f"{c} {x} {y}\n" for c, x, y in rows)))
+    residual = collinearity_residual(parse_instance(text))
+    assert residual > 0.5 and residual == pytest.approx(unit, rel=1e-12)
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    assert main(["solve", str(path), "--algo", "auto"]) == EXIT_OK
+    assert "solver line" not in capsys.readouterr().out
