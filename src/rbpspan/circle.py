@@ -94,9 +94,9 @@ def split_arcs(instance: Instance, cx: float, cy: float):
     Arc i holds the ids strictly between purple i and purple (i + 1) mod k,
     in angular order.
     """
-    pts = instance.points
-    order = sorted(range(instance.n), key=lambda i: math.atan2(pts[i].y - cy, pts[i].x - cx))
-    ppos = [idx for idx, i in enumerate(order) if pts[i].color == Color.PURPLE]
+    xs, ys = instance.xs.tolist(), instance.ys.tolist()
+    order = sorted(range(instance.n), key=lambda i: math.atan2(ys[i] - cy, xs[i] - cx))
+    ppos = np.flatnonzero(instance.colors[order] == Color.PURPLE).tolist()
     arcs = [order[lo + 1:hi] for lo, hi in zip(ppos, ppos[1:])]
     if ppos:
         arcs.append(order[ppos[-1] + 1:] + order[:ppos[0]])
@@ -203,7 +203,7 @@ def fill_tables(instance: Instance, purple_ids: Sequence[int],
     is left to `_pick`.
     """
     k = len(purple_ids)
-    coords = np.array([instance.coords(p) for p in purple_ids]).T
+    coords = np.stack((instance.xs, instance.ys))[:, purple_ids]
     # chord[d, i] = ||p_i p_{(i + d) % k}||, with ahead[:, d, i] = coords[:, (i + d) % k]
     ahead = sliding_window_view(np.hstack([coords, coords]), k, axis=1)[:, :k]
     chord = np.hypot(*(coords[:, None, :] - ahead))

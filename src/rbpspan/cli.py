@@ -26,6 +26,7 @@ from .generators import (
 from .graphops import is_rbp_spanning, stats_block
 from .line import COLLINEAR_TOL, NotCollinearError, collinearity_residual, solve_line
 from .model import (
+    INVALID_CLASS,
     Instance,
     PreconditionError,
     Solution,
@@ -224,9 +225,11 @@ def cmd_render(args) -> int:
     edge_set = None
     if args.solution:
         edge_set = make_edge_set(instance, _parse_edge_list(_read_text(args.solution)))
-        for e in edge_set.edges:
-            if e.color_class is None:
-                raise PreconditionError(f"edge ({e.u}, {e.v}) joins a red and a blue point")
+        red_blue = edge_set.color_class == INVALID_CLASS
+        if red_blue.any():
+            i = int(red_blue.argmax())
+            raise PreconditionError(
+                f"edge ({edge_set.u[i]}, {edge_set.v[i]}) joins a red and a blue point")
     _write(args.out, render_svg(instance, edge_set, size=args.size))
     return EXIT_OK
 

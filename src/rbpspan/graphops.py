@@ -365,8 +365,8 @@ def constrained_mst(instance: Instance, vertices: Sequence[int],
 def is_rbp_spanning(instance: Instance, edges: EdgeSet) -> bool:
     """True iff red+purple edges connect R∪P and blue+purple edges connect B∪P."""
     u, v, codes = edges.u, edges.v, edges.color_class
-    for side, vertices in ((RED_SIDE, instance.red_side()), (BLUE_SIDE, instance.blue_side())):
-        on_side = np.isin(codes, side)
+    for side, vertices in ((Color.RED, instance.red_side()), (Color.BLUE, instance.blue_side())):
+        on_side = (codes == int(Color.PURPLE)) | (codes == int(side))  # not INVALID_CLASS
         # Kruskal over the side's pairs in any order: None iff they leave `vertices` apart.
         if kruskal(instance.n, zip(repeat(0.0), u[on_side].tolist(), v[on_side].tolist()),
                    vertices) is None:

@@ -12,7 +12,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-REL_TOL = 1e-9          # default relative tolerance for weight comparisons
 DIST_TIE_TOL = 1e-12    # tolerance for the equal-distance (general position) check
 CROSS_TOL = 1e-12       # relative threshold below which orientation falls back to exact
 # np.hypot and math.hypot (Instance.distance) each lie within one ulp of the
@@ -44,7 +43,7 @@ class Color(enum.IntEnum):
 
 
 _COLOR_CODES = {"R": Color.RED, "B": Color.BLUE, "P": Color.PURPLE}
-_CODE_OF = {Color.RED: "R", Color.BLUE: "B", Color.PURPLE: "P"}
+_CODE_OF = "RBP"  # the letter of each Color code
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,69 +94,81 @@ class Instance:
     """Immutable colored point set with derived R/B/P id subsets.
 
     `xs`, `ys` (float64) and `colors` (int8 `Color` codes) hold the points
-    by id as read-only arrays.
+    by id as read-only arrays, the only stored form of the points.
     """
 
-    __slots__ = ("points", "R", "B", "P", "xs", "ys", "colors")
+    __slots__ = ("R", "B", "P", "xs", "ys", "colors")
 
-    def __init__(self, points: Iterable[Point]):
+    def __new__(cls, points: Iterable[Point]):
         pts = tuple(points)
-        if not pts:
-            raise InstanceFormatError("instance has no points")
+        xs, ys = np.array([(p.x, p.y) for p in pts], dtype=float).reshape(-1, 2).T
         for i, p in enumerate(pts):
             if p.id != i:
+                _check_finite(xs[:i], ys[:i])  # an earlier non-finite point is named first
                 raise InstanceFormatError(f"point id {p.id} at position {i}: ids must be dense")
-            if not (math.isfinite(p.x) and math.isfinite(p.y)):
-                raise InstanceFormatError(f"point {i} has non-finite coordinates")
-        seen: dict[tuple[float, float], int] = {}
-        for p in pts:
-            key = (p.x, p.y)
-            if key in seen:
-                raise InstanceFormatError(
-                    f"points {seen[key]} and {p.id} coincide at ({p.x}, {p.y})"
-                )
-            seen[key] = p.id
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "R", tuple(p.id for p in pts if p.color == Color.RED))
-        object.__setattr__(self, "B", tuple(p.id for p in pts if p.color == Color.BLUE))
-        object.__setattr__(self, "P", tuple(p.id for p in pts if p.color == Color.PURPLE))
-        colors = np.full(len(pts), Color.PURPLE, dtype=np.int8)
-        colors[list(self.R)] = Color.RED
-        colors[list(self.B)] = Color.BLUE
-        for name, array in (("xs", np.array([p.x for p in pts], dtype=float)),
-                            ("ys", np.array([p.y for p in pts], dtype=float)),
-                            ("colors", colors)):
+        return cls.from_arrays(xs, ys, [p.color for p in pts])
+
+    @classmethod
+    def from_arrays(cls, xs, ys, colors) -> Instance:
+        """The instance of points (xs[i], ys[i]) with `Color` codes colors[i], as read-only copies.
+
+        InstanceFormatError names the first fault: no points, a non-finite coordinate, or a
+        point at the place of an earlier one (-0.0 is 0.0), named with the first such point.
+        """
+        xs, ys, colors = (np.array(xs, dtype=float), np.array(ys, dtype=float),
+                          np.array(colors, dtype=np.int8))
+        if not xs.shape == ys.shape == colors.shape == (len(xs),):
+            raise InstanceFormatError("xs, ys and colors must be 1-d arrays of one length")
+        if not len(xs):
+            raise InstanceFormatError("instance has no points")
+        _check_finite(xs, ys)
+        order = np.lexsort((ys, xs))  # stable, -0.0 sorting as 0.0: equal points in id order
+        sx, sy = xs[order], ys[order]
+        repeats = order[1:][(sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])]
+        if len(repeats):
+            j = int(repeats.min())
+            i = int(np.flatnonzero((xs == xs[j]) & (ys == ys[j]))[0])
+            raise InstanceFormatError(f"points {i} and {j} coincide at {(xs.item(j), ys.item(j))}")
+        instance = object.__new__(cls)
+        for name, color in (("R", Color.RED), ("B", Color.BLUE), ("P", Color.PURPLE)):
+            object.__setattr__(instance, name, tuple(np.flatnonzero(colors == int(color)).tolist()))
+        for name, array in (("xs", xs), ("ys", ys), ("colors", colors)):
             array.flags.writeable = False
-            object.__setattr__(self, name, array)
+            object.__setattr__(instance, name, array)
+        return instance
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Instance is immutable")
 
     @property
+    def points(self) -> tuple[Point, ...]:
+        """The points as `Point` objects, made on each read."""
+        return tuple(map(Point, range(self.n), map(_CLASS_COLOR.__getitem__, self.colors.tolist()),
+                         self.xs.tolist(), self.ys.tolist()))
+
+    @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.xs)
 
     @property
     def k(self) -> int:
         return len(self.P)
 
     def color_of(self, i: int) -> Color:
-        return self.points[i].color
+        return _CLASS_COLOR[self.colors[i]]
 
     def coords(self, i: int) -> tuple[float, float]:
-        p = self.points[i]
-        return (p.x, p.y)
+        return (self.xs.item(i), self.ys.item(i))
 
     def distance(self, u: int, v: int) -> float:
-        a, b = self.points[u], self.points[v]
-        return math.hypot(a.x - b.x, a.y - b.y)
+        return math.hypot(self.xs.item(u) - self.xs.item(v), self.ys.item(u) - self.ys.item(v))
 
     def red_side(self) -> tuple[int, ...]:
         """Ids of R ∪ P, sorted."""
-        return tuple(sorted(self.R + self.P))
+        return tuple(np.flatnonzero(self.colors != int(Color.BLUE)).tolist())
 
     def blue_side(self) -> tuple[int, ...]:
-        return tuple(sorted(self.B + self.P))
+        return tuple(np.flatnonzero(self.colors != int(Color.RED)).tolist())
 
     def general_position_violations(self, tol: float = DIST_TIE_TOL) -> list[tuple]:
         """Pairs of distinct point pairs at (near-)equal distance.
@@ -165,17 +176,18 @@ class Instance:
         Violations are reported, not fatal; solvers fall back to deterministic
         lexicographic tie-breaking.
         """
-        dists = []
-        n = self.n
-        for u in range(n):
-            for v in range(u + 1, n):
-                dists.append((self.distance(u, v), u, v))
-        dists.sort()
-        out = []
-        for (d1, u1, v1), (d2, u2, v2) in zip(dists, dists[1:]):
-            if d2 - d1 <= tol * max(1.0, d2):
-                out.append(((u1, v1), (u2, v2), d1, d2))
-        return out
+        u, v = np.triu_indices(self.n, 1)
+        dists = sorted(zip(hypot_lengths(self, u, v), u.tolist(), v.tolist()))
+        return [((u1, v1), (u2, v2), d1, d2)
+                for (d1, u1, v1), (d2, u2, v2) in zip(dists, dists[1:])
+                if d2 - d1 <= tol * max(1.0, d2)]
+
+
+def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
+    """InstanceFormatError naming the first point with a non-finite coordinate, if any."""
+    bad = ~(np.isfinite(xs) & np.isfinite(ys))
+    if bad.any():
+        raise InstanceFormatError(f"point {int(bad.argmax())} has non-finite coordinates")
 
 
 def _canonical(instance: Instance, u: int, v: int) -> tuple[int, int]:
@@ -198,17 +210,9 @@ def edge_between(instance: Instance, u: int, v: int) -> Edge:
 
 def allowed_edges(instance: Instance) -> list[Edge]:
     """All non-invalid edges, sorted by (length, u, v)."""
-    edges = []
-    pts = instance.points
-    n = instance.n
-    for u in range(n):
-        cu = pts[u].color
-        for v in range(u + 1, n):
-            cls = edge_color(cu, pts[v].color)
-            if cls is not None:
-                edges.append(Edge(u, v, instance.distance(u, v), cls))
-    edges.sort(key=lambda e: e.sort_key)
-    return edges
+    u, v = np.triu_indices(instance.n, 1)
+    allowed = _CLASS_OF[instance.colors[u], instance.colors[v]] != INVALID_CLASS
+    return list(make_edge_set(instance, np.column_stack((u[allowed], v[allowed]))).edges)
 
 
 def allowed_edge_count(n_red: int, n_blue: int, n_purple: int) -> int:
@@ -389,7 +393,7 @@ def edges_properly_cross(instance: Instance, e1: Edge, e2: Edge) -> bool:
 
 def parse_instance(text: str) -> Instance:
     """Parse the instance text format: one "<R|B|P> <x> <y>" per line, '#' comments."""
-    points = []
+    xs, ys, colors = [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -398,16 +402,18 @@ def parse_instance(text: str) -> Instance:
         if len(parts) != 3 or parts[0] not in _COLOR_CODES:
             raise InstanceFormatError(f"line {lineno}: expected '<R|B|P> <x> <y>', got {raw!r}")
         try:
-            x, y = float(parts[1]), float(parts[2])
+            xs.append(float(parts[1]))
+            ys.append(float(parts[2]))
         except ValueError:
             raise InstanceFormatError(f"line {lineno}: bad coordinate in {raw!r}") from None
-        points.append(Point(len(points), _COLOR_CODES[parts[0]], x, y))
-    return Instance(points)
+        colors.append(_COLOR_CODES[parts[0]])
+    return Instance.from_arrays(xs, ys, colors)
 
 
 def serialize_instance(instance: Instance, landmarks: Optional[dict] = None) -> str:
     """Emit the instance text format; parse(serialize(i)) reproduces i bit-identically."""
-    lines = ["%s %.17g %.17g" % (_CODE_OF[p.color], p.x, p.y) for p in instance.points]
+    lines = ["%s %.17g %.17g" % (_CODE_OF[c], x, y) for c, x, y in
+             zip(instance.colors.tolist(), instance.xs.tolist(), instance.ys.tolist())]
     if landmarks:
         for name in sorted(landmarks):
             lines.append(f"# landmark {name} {landmarks[name]}")

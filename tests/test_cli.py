@@ -285,6 +285,15 @@ class TestRender:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_red_blue_error_names_the_shortest_such_edge(self, tmp_path, capsys):
+        # [DERIVED: edges are checked in (length, u, v) order, not in file order]
+        inst = tmp_path / "rbp.txt"
+        inst.write_text("R 0 0\nB 1 0\nP 0 1\nB 0 3\nR 5 0\n")
+        sol = tmp_path / "sol.txt"
+        sol.write_text("4 1\n0 2\n3 0\n")
+        assert main(["render", str(inst), "--solution", str(sol)]) == EXIT_PRECONDITION
+        assert capsys.readouterr().err == "error: edge (0, 3) joins a red and a blue point\n"
+
     @pytest.mark.parametrize("text", ["0 1\n0 2 x\n1 3\n", "0 1\n\n1 3\nweight 18\n"])
     def test_malformed_edge_line_exits_2(self, e1_file, tmp_path, capsys, text):
         # Every edge line is read or rejected; only the stats block after the blank line is skipped.
@@ -343,3 +352,21 @@ def test_auto_solve_imports_neither_scipy_nor_networkx(tmp_path, n, solver):
                          env=env, check=True)
     assert run.stdout.strip() == "0 []"
     assert f"solver {solver}" in out.read_text()
+
+
+@pytest.mark.parametrize("n, mode, solver", [(40, "plane", "approx-a"), (30, "line", "line"),
+                                             (30, "circle", "circle"), (12, "plane", "exact")])
+def test_auto_solve_builds_no_point(tmp_path, capsys, monkeypatch, n, mode, solver):
+    # Parsing and every solver read the Instance arrays: no `Point` is built.
+    path = tmp_path / "in.txt"
+    path.write_text(serialize_instance(gen_random(n, 0.4, 0.4, mode=mode, seed=7)))
+    assert main(["solve", str(path), "--algo", "auto"]) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert f"solver {solver}\n" in expected
+
+    def no_point(*args):
+        raise AssertionError("a Point was built")
+
+    monkeypatch.setattr(rbpspan.model, "Point", no_point)
+    assert main(["solve", str(path), "--algo", "auto"]) == EXIT_OK
+    assert capsys.readouterr().out == expected

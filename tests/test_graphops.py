@@ -144,6 +144,16 @@ class TestRbpSpanning:
         es = make_edge_set(inst, [(0, 1)])
         assert not is_rbp_spanning(inst, es)
 
+    def test_red_blue_edges_join_neither_side(self):
+        # [DERIVED: a red-blue edge has no color class, so it counts on neither side]
+        inst = parse_instance("R 0 0\nR 2 0\nB 1 0\nB 1 5\nP 1 -1\n")
+        red_blue = [(0, 2), (1, 2), (0, 3), (1, 3)]
+        # each side is connected through red-blue edges only where the other lacks an edge
+        assert not is_rbp_spanning(inst, make_edge_set(inst, red_blue + [(0, 4), (2, 4), (3, 4)]))
+        assert not is_rbp_spanning(inst, make_edge_set(inst, red_blue + [(0, 4), (1, 4), (2, 4)]))
+        assert is_rbp_spanning(inst, make_edge_set(inst, red_blue + [(0, 4), (1, 4), (2, 4),
+                                                                     (3, 4)]))
+
     def test_purple_edge_serves_both_sides(self):
         inst = parse_instance("P 0 0\nP 1 0")
         es = make_edge_set(inst, [(0, 1)])

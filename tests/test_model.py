@@ -65,6 +65,58 @@ class TestParsing:
         with pytest.raises(AttributeError):
             inst.points = ()
 
+    def test_points_are_built_from_the_arrays(self):
+        # [DERIVED: xs, ys and colors are the only stored form of the points]
+        assert "points" not in Instance.__slots__
+        inst = e1()
+        assert inst.points == (Point(0, Color.PURPLE, 0.0, 0.0), Point(1, Color.PURPLE, 10.0, 0.0),
+                               Point(2, Color.RED, 4.0, 0.0), Point(3, Color.BLUE, 6.0, 0.0))
+        again = Instance(inst.points)
+        for name in ("xs", "ys", "colors", "R", "B", "P"):
+            assert str(getattr(again, name)) == str(getattr(inst, name))
+        assert not inst.xs.flags.writeable and not inst.colors.flags.writeable
+
+
+# (rows, ids or None for dense, message): rows are (color, x, y) in input order.
+FORMAT_ERROR_CASES = {
+    "no points": ([], None, "instance has no points"),
+    "sparse ids": ([("P", 0.0, 0.0), ("R", 1.0, 0.0)], [0, 2],
+                   "point id 2 at position 1: ids must be dense"),
+    "first non-finite": ([("P", 0.0, 0.0), ("R", 1.0, math.inf), ("B", math.nan, 2.0)], None,
+                         "point 1 has non-finite coordinates"),
+    "non-finite before a sparse id": ([("P", math.inf, 0.0), ("R", 1.0, 0.0)], [0, 5],
+                                      "point 0 has non-finite coordinates"),
+    "sparse id before a non-finite point": (
+        [("P", 0.0, 0.0), ("R", 1.0, 0.0), ("B", math.nan, 0.0)], [0, 3, 2],
+        "point id 3 at position 1: ids must be dense"),
+    "sparse id before a coincidence": ([("P", 0.0, 0.0), ("R", 0.0, 0.0)], [1, 0],
+                                       "point id 1 at position 0: ids must be dense"),
+    "non-finite after a coincidence": ([("P", 0.0, 0.0), ("R", 0.0, 0.0), ("B", math.inf, 0.0)],
+                                       None, "point 2 has non-finite coordinates"),
+    "zero and negative zero": ([("P", 0.0, 1.0), ("R", -0.0, 1.0)], None,
+                               "points 0 and 1 coincide at (-0.0, 1.0)"),
+    "two duplicate groups": ([("P", 1.0, 1.0), ("B", 0.0, 0.0), ("R", 2.0, 2.0), ("P", -0.0, 0.0),
+                              ("B", 1.0, 1.0)], None, "points 1 and 3 coincide at (-0.0, 0.0)"),
+    "third of a group": ([("P", 5.0, 5.0), ("R", 1.0, 1.0), ("B", 5.0, 5.0), ("P", 5.0, 5.0)], None,
+                         "points 0 and 2 coincide at (5.0, 5.0)"),
+}
+
+
+@pytest.mark.parametrize("rows, ids, message", FORMAT_ERROR_CASES.values(),
+                         ids=FORMAT_ERROR_CASES.keys())
+def test_instance_format_error_messages(rows, ids, message):
+    # [DERIVED: checks in id order: ids and finiteness point by point, then the
+    # first point that repeats an earlier one's place, named with that one]
+    points = [Point(i, {"R": Color.RED, "B": Color.BLUE, "P": Color.PURPLE}[c], x, y)
+              for i, (c, x, y) in zip(ids or range(len(rows)), rows)]
+    with pytest.raises(InstanceFormatError) as raised:
+        Instance(points)
+    assert str(raised.value) == message
+    if ids is None:  # instance text has no ids: they are always dense
+        with pytest.raises(InstanceFormatError) as raised:
+            parse_instance("".join(f"{c} {x!r} {y!r}  # point\n" for c, x, y in rows))
+        assert str(raised.value) == message
+
 
 class TestEdges:
     def test_purple_purple(self):
@@ -125,9 +177,14 @@ class TestAllowedEdges:
         assert len(allowed_edges(inst)) == allowed_edge_count(nr, nb, np_)
 
     def test_sorted_by_length_then_ids(self):
-        edges = allowed_edges(e1())
-        keys = [e.sort_key for e in edges]
-        assert keys == sorted(keys)
+        # [DERIVED: one `edge_between` per allowed pair, sorted by (length, u, v)]
+        lattice = "".join(f"{'RBP'[(x + 2 * y) % 3]} {x} {y}\n" for x in range(4) for y in range(3))
+        for inst in (e1(), parse_instance(lattice), gen_hexagon()):
+            expected = sorted((edge_between(inst, u, v) for u in range(inst.n)
+                               for v in range(u + 1, inst.n)
+                               if edge_color(inst.color_of(u), inst.color_of(v)) is not None),
+                              key=lambda e: e.sort_key)
+            assert allowed_edges(inst) == expected
 
 
 class TestCrossing:
@@ -161,25 +218,42 @@ class TestCrossing:
         assert segments_properly_cross(b, a, d, cc) == r       # endpoint reversal
 
 
+# Coordinates whose text form is easy to get wrong: signed zeros, subnormals, huge values.
+EXTREME_COORDS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1.7976931348623157e308]
+
+
 class TestRoundTrip:
     @given(st.lists(st.tuples(st.sampled_from("RBP"),
-                              st.integers(-1000, 1000),
-                              st.integers(-1000, 1000)),
+                              st.one_of(st.integers(-1000, 1000).map(lambda i: i / 7.0),
+                                        st.sampled_from(EXTREME_COORDS)),
+                              st.one_of(st.integers(-1000, 1000).map(lambda i: i / 13.0),
+                                        st.sampled_from(EXTREME_COORDS))),
                     min_size=1, max_size=12))
-    @settings(deadline=None, max_examples=60)
+    @settings(deadline=None, max_examples=100)
     def test_parse_serialize_round_trip(self, rows):
         seen = set()
         lines = []
-        for c, xi, yi in rows:
-            x, y = xi / 7.0, yi / 13.0
-            if (x, y) in seen:
+        for c, x, y in rows:
+            if (x, y) in seen:  # -0.0 == 0.0: such points coincide
                 continue
             seen.add((x, y))
             lines.append(f"{c} {x!r} {y!r}")
-        if not lines:
-            return
         inst = parse_instance("\n".join(lines))
-        assert parse_instance(serialize_instance(inst)).points == inst.points
+        again = parse_instance(serialize_instance(inst))
+        for name in ("xs", "ys", "colors"):  # bitwise: -0.0 differs from 0.0
+            assert getattr(again, name).tobytes() == getattr(inst, name).tobytes()
+        assert again.points == inst.points
+
+
+def test_general_position_violations_match_pairwise_distances():
+    # [DERIVED: the definition, one `distance` call per pair, sorted by (length, u, v)]
+    inst = parse_instance("P 0 0\nR 3 4\nB 0 5\nP 5 0\nR 1e-9 5\nB 2.5 2.5000000000001\n")
+    dists = sorted((inst.distance(u, v), u, v) for u in range(inst.n) for v in range(u + 1, inst.n))
+    expected = [((u1, v1), (u2, v2), d1, d2)
+                for (d1, u1, v1), (d2, u2, v2) in zip(dists, dists[1:])
+                if d2 - d1 <= 1e-12 * max(1.0, d2)]
+    assert len(expected) >= 3
+    assert inst.general_position_violations() == expected
 
 
 def test_general_position_violations_reported_not_fatal():
