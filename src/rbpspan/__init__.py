@@ -46,7 +46,6 @@ from .model import (
     EdgeSet,
     Instance,
     InstanceFormatError,
-    Point,
     PreconditionError,
     Solution,
     allowed_edge_count,
@@ -79,7 +78,6 @@ __all__ = [
     "NotCollinearError",
     "NotConcyclicError",
     "OracleSizeError",
-    "Point",
     "PreconditionError",
     "RHO_CONJECTURED",
     "RHO_UPPER",

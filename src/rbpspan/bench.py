@@ -12,7 +12,7 @@ from .circle import fill_tables, solve_circle, split_arcs
 from .exact import solve_exact
 from .generators import gen_random
 from .line import solve_line, solve_sorted
-from .model import Color, Instance, Point
+from .model import Color, Instance
 
 EXACT_SEEDS = 16  # instances per n in bench_exact
 
@@ -64,8 +64,7 @@ def bench_line_e2e(sizes: Sequence[int] = (10_000, 100_000), reps: int = 5,
     inputs = {}
     for n in sizes:
         _, ts, colors = _line_arrays(n, seed)
-        inputs[n] = Instance(Point(i, Color(c), t, 0.5 * t)
-                             for i, (t, c) in enumerate(zip(ts, colors)))
+        inputs[n] = Instance(ts, [0.5 * t for t in ts], colors)
     return _alternated_medians(solve_line, inputs, reps)
 
 
@@ -77,14 +76,9 @@ def _circle_instance(k: int, extra: int, seed: int) -> Instance:
         thetas.add(rng.random() * 2.0 * math.pi)
     ordered = sorted(thetas)
     rng.shuffle(ordered)
-    points = []
-    for i, a in enumerate(ordered):
-        if i < k:
-            color = Color.PURPLE
-        else:
-            color = Color.RED if rng.random() < 0.5 else Color.BLUE
-        points.append(Point(i, color, math.cos(a), math.sin(a)))
-    return Instance(points)
+    colors = [Color.PURPLE] * k + [Color.RED if rng.random() < 0.5 else Color.BLUE
+                                   for _ in ordered[k:]]
+    return Instance(list(map(math.cos, ordered)), list(map(math.sin, ordered)), colors)
 
 
 def bench_circle(ks: Sequence[int] = (100, 200), extra: int = 200, reps: int = 5,
@@ -125,6 +119,16 @@ def bench_exact(ns: Sequence[int] = (10, 20, 30, 40), reps: int = 1, seed: int =
               for n in ns for i in range(EXACT_SEEDS)}
     per_instance = _alternated_medians(solve_exact, inputs, reps)
     return {n: _median([per_instance[n, i] for i in range(EXACT_SEEDS)]) for n in ns}
+
+
+# `rbpspan bench --target` name -> (row label, harness, divisor of --reps) per output row
+# group, in output order; the exact and approx harnesses take half the reps.
+TARGETS = {
+    "line": (("line", bench_line, 1), ("line_e2e", bench_line_e2e, 1)),
+    "circle": (("circle", bench_circle, 1), ("circle_e2e", bench_circle_e2e, 1)),
+    "exact": (("exact", bench_exact, 2),),
+    "approx": (("approx_a_e2e", bench_approx, 2),),
+}
 
 
 def scaling_ratio(results: dict, small, large) -> float:

@@ -10,6 +10,7 @@ import argparse
 import functools
 import math
 import sys
+from itertools import chain
 from typing import Optional
 
 from . import bench as bench_mod
@@ -26,7 +27,6 @@ from .generators import (
 from .graphops import is_rbp_spanning, stats_block
 from .line import COLLINEAR_TOL, NotCollinearError, collinearity_residual, solve_line
 from .model import (
-    INVALID_CLASS,
     Instance,
     PreconditionError,
     Solution,
@@ -225,39 +225,18 @@ def cmd_render(args) -> int:
     edge_set = None
     if args.solution:
         edge_set = make_edge_set(instance, _parse_edge_list(_read_text(args.solution)))
-        red_blue = edge_set.color_class == INVALID_CLASS
-        if red_blue.any():
-            i = int(red_blue.argmax())
-            raise PreconditionError(
-                f"edge ({edge_set.u[i]}, {edge_set.v[i]}) joins a red and a blue point")
     _write(args.out, render_svg(instance, edge_set, size=args.size))
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
+    targets = bench_mod.TARGETS
+    if args.target != "all":
+        targets = {args.target: targets[args.target]}
     lines = []
-    if args.target in ("line", "all"):
-        res = bench_mod.bench_line(reps=args.reps, seed=args.seed)
-        for n, t in sorted(res.items()):
-            lines.append("line %d %.6f" % (n, t))
-        res = bench_mod.bench_line_e2e(reps=args.reps, seed=args.seed)
-        for n, t in sorted(res.items()):
-            lines.append("line_e2e %d %.6f" % (n, t))
-    if args.target in ("circle", "all"):
-        res = bench_mod.bench_circle(reps=args.reps, seed=args.seed)
-        for k, t in sorted(res.items()):
-            lines.append("circle %d %.6f" % (k, t))
-        res = bench_mod.bench_circle_e2e(reps=args.reps, seed=args.seed)
-        for k, t in sorted(res.items()):
-            lines.append("circle_e2e %d %.6f" % (k, t))
-    if args.target in ("exact", "all"):
-        res = bench_mod.bench_exact(reps=max(1, args.reps // 2), seed=args.seed)
-        for n, t in sorted(res.items()):
-            lines.append("exact %d %.6f" % (n, t))
-    if args.target in ("approx", "all"):
-        res = bench_mod.bench_approx(reps=max(1, args.reps // 2), seed=args.seed)
-        for n, t in sorted(res.items()):
-            lines.append("approx_a_e2e %d %.6f" % (n, t))
+    for label, harness, reps_divisor in chain.from_iterable(targets.values()):
+        res = harness(reps=max(1, args.reps // reps_divisor), seed=args.seed)
+        lines.extend("%s %d %.6f" % (label, size, t) for size, t in sorted(res.items()))
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -306,8 +285,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("bench", help="run the scaling benchmarks")
-    p.add_argument("--target", choices=("line", "circle", "exact", "approx", "all"),
-                   default="all")
+    p.add_argument("--target", choices=(*bench_mod.TARGETS, "all"), default="all")
     p.add_argument("--reps", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

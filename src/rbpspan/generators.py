@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
     Color,
     EdgeSet,
     Instance,
-    Point,
     PreconditionError,
     make_edge_set,
 )
@@ -28,9 +27,9 @@ def gen_random(n: int, red_frac: float, blue_frac: float, mode: str = "plane",
     if mode not in ("plane", "line", "circle"):
         raise PreconditionError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
-    points = []
+    xs, ys, colors = [], [], []
     used = set()
-    while len(points) < n:
+    while len(xs) < n:
         if mode == "plane":
             x, y = rng.random(), rng.random()
         elif mode == "line":
@@ -49,8 +48,10 @@ def gen_random(n: int, red_frac: float, blue_frac: float, mode: str = "plane",
             color = Color.BLUE
         else:
             color = Color.PURPLE
-        points.append(Point(len(points), color, x, y))
-    return Instance(points)
+        xs.append(x)
+        ys.append(y)
+        colors.append(color)
+    return Instance(xs, ys, colors)
 
 
 # ---------------------------------------------------------------------------
@@ -64,17 +65,13 @@ def gen_hexagon(rotation: float = math.pi / 12.0) -> Instance:
     """
     if not (0.0 < rotation < math.pi / 6.0):
         raise PreconditionError("rotation must lie strictly between 0 and pi/6")
-    points = [Point(0, Color.PURPLE, 0.0, 0.0)]
-    for j in range(6):
-        a = j * math.pi / 3.0
-        points.append(Point(len(points), Color.PURPLE, 3.0 * math.cos(a), 3.0 * math.sin(a)))
-    for j in range(6):
-        a = j * math.pi / 3.0
-        points.append(Point(len(points), Color.RED, math.cos(a), math.sin(a)))
-    for j in range(6):
-        a = j * math.pi / 3.0 + rotation
-        points.append(Point(len(points), Color.BLUE, math.cos(a), math.sin(a)))
-    return Instance(points)
+    xs, ys = [0.0], [0.0]
+    for radius, turn in ((3.0, 0.0), (1.0, 0.0), (1.0, rotation)):
+        for j in range(6):
+            a = j * math.pi / 3.0 + turn
+            xs.append(radius * math.cos(a))
+            ys.append(radius * math.sin(a))
+    return Instance(xs, ys, [Color.PURPLE] * 7 + [Color.RED] * 6 + [Color.BLUE] * 6)
 
 
 def hexagon_star(instance: Instance) -> EdgeSet:
@@ -103,20 +100,20 @@ def gen_steiner_family(t: int) -> SteinerFamily:
     s3 = math.sqrt(3.0)
     corners = [(0.0, 0.0), (1.0, 0.0), (0.5, s3 / 2.0)]
     fermat = (0.5, s3 / 6.0)
-    points = [Point(i, Color.PURPLE, x, y) for i, (x, y) in enumerate(corners)]
+    xs, ys = [x for x, _ in corners], [y for _, y in corners]
+    colors = [Color.PURPLE] * 3
     red_ids = [[] for _ in range(3)]
     blue_ids = [[] for _ in range(3)]
     for c, (cx, cy) in enumerate(corners):
         dx, dy = fermat[0] - cx, fermat[1] - cy
-        for j in range(1, t + 1):
-            f = j / (t + 1.0)
-            red_ids[c].append(len(points))
-            points.append(Point(len(points), Color.RED, cx + f * dx, cy + f * dy))
-        for j in range(1, t + 1):
-            f = (j - 0.5) / (t + 1.0)
-            blue_ids[c].append(len(points))
-            points.append(Point(len(points), Color.BLUE, cx + f * dx, cy + f * dy))
-    instance = Instance(points)
+        for color, ids, lag in ((Color.RED, red_ids[c], 0.0), (Color.BLUE, blue_ids[c], 0.5)):
+            for j in range(1, t + 1):
+                f = (j - lag) / (t + 1.0)
+                ids.append(len(xs))
+                xs.append(cx + f * dx)
+                ys.append(cy + f * dy)
+                colors.append(color)
+    instance = Instance(xs, ys, colors)
 
     pairs = []
     if t == 0:
@@ -247,12 +244,16 @@ def gen_martini(params: MartiniParams = MartiniParams()) -> Martini:
     def on_circle(theta: float) -> tuple[float, float]:
         return (math.cos(theta), cy + math.sin(theta))
 
-    points: list[Point] = []
+    xs: list[float] = []
+    ys: list[float] = []
+    colors: list[Color] = []
     landmarks: dict[str, int] = {}
 
     def add(color: Color, x: float, y: float, name: Optional[str] = None) -> int:
-        pid = len(points)
-        points.append(Point(pid, color, x, y))
+        pid = len(xs)
+        xs.append(x)
+        ys.append(y)
+        colors.append(color)
         if name:
             landmarks[name] = pid
         return pid
@@ -281,8 +282,8 @@ def gen_martini(params: MartiniParams = MartiniParams()) -> Martini:
             add(r_color, -x, y)
 
     def segment_chain(color: Color, a_id: int, b_id: int):
-        ax, ay = points[a_id].x, points[a_id].y
-        bx, by = points[b_id].x, points[b_id].y
+        ax, ay = xs[a_id], ys[a_id]
+        bx, by = xs[b_id], ys[b_id]
         count = cp
         if params.chain_spacing is not None:
             length = math.hypot(bx - ax, by - ay)
@@ -294,7 +295,7 @@ def gen_martini(params: MartiniParams = MartiniParams()) -> Martini:
     segment_chain(Color.RED, landmarks["p_N"], landmarks["p_E"])
     segment_chain(Color.BLUE, q_ids[-1], p_s)
 
-    instance = Instance(points)
+    instance = Instance(xs, ys, colors)
 
     # Quoted geometric guarantees of the construction, asserted at generation time.
     for i in range(params.m):

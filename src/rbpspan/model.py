@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -44,14 +44,6 @@ class Color(enum.IntEnum):
 
 _COLOR_CODES = {"R": Color.RED, "B": Color.BLUE, "P": Color.PURPLE}
 _CODE_OF = "RBP"  # the letter of each Color code
-
-
-@dataclass(frozen=True, slots=True)
-class Point:
-    id: int
-    color: Color
-    x: float
-    y: float
 
 
 def edge_color(cu: Color, cv: Color) -> Optional[Color]:
@@ -99,17 +91,7 @@ class Instance:
 
     __slots__ = ("R", "B", "P", "xs", "ys", "colors")
 
-    def __new__(cls, points: Iterable[Point]):
-        pts = tuple(points)
-        xs, ys = np.array([(p.x, p.y) for p in pts], dtype=float).reshape(-1, 2).T
-        for i, p in enumerate(pts):
-            if p.id != i:
-                _check_finite(xs[:i], ys[:i])  # an earlier non-finite point is named first
-                raise InstanceFormatError(f"point id {p.id} at position {i}: ids must be dense")
-        return cls.from_arrays(xs, ys, [p.color for p in pts])
-
-    @classmethod
-    def from_arrays(cls, xs, ys, colors) -> Instance:
+    def __new__(cls, xs, ys, colors):
         """The instance of points (xs[i], ys[i]) with `Color` codes colors[i], as read-only copies.
 
         InstanceFormatError names the first fault: no points, a non-finite coordinate, or a
@@ -121,7 +103,9 @@ class Instance:
             raise InstanceFormatError("xs, ys and colors must be 1-d arrays of one length")
         if not len(xs):
             raise InstanceFormatError("instance has no points")
-        _check_finite(xs, ys)
+        bad = ~(np.isfinite(xs) & np.isfinite(ys))
+        if bad.any():
+            raise InstanceFormatError(f"point {int(bad.argmax())} has non-finite coordinates")
         order = np.lexsort((ys, xs))  # stable, -0.0 sorting as 0.0: equal points in id order
         sx, sy = xs[order], ys[order]
         repeats = order[1:][(sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])]
@@ -139,12 +123,6 @@ class Instance:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Instance is immutable")
-
-    @property
-    def points(self) -> tuple[Point, ...]:
-        """The points as `Point` objects, made on each read."""
-        return tuple(map(Point, range(self.n), map(_CLASS_COLOR.__getitem__, self.colors.tolist()),
-                         self.xs.tolist(), self.ys.tolist()))
 
     @property
     def n(self) -> int:
@@ -170,8 +148,8 @@ class Instance:
     def blue_side(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.colors != int(Color.RED)).tolist())
 
-    def general_position_violations(self, tol: float = DIST_TIE_TOL) -> list[tuple]:
-        """Pairs of distinct point pairs at (near-)equal distance.
+    def general_position_violations(self) -> list[tuple]:
+        """Pairs of distinct point pairs at equal distance, up to DIST_TIE_TOL relative.
 
         Violations are reported, not fatal; solvers fall back to deterministic
         lexicographic tie-breaking.
@@ -180,14 +158,7 @@ class Instance:
         dists = sorted(zip(hypot_lengths(self, u, v), u.tolist(), v.tolist()))
         return [((u1, v1), (u2, v2), d1, d2)
                 for (d1, u1, v1), (d2, u2, v2) in zip(dists, dists[1:])
-                if d2 - d1 <= tol * max(1.0, d2)]
-
-
-def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
-    """InstanceFormatError naming the first point with a non-finite coordinate, if any."""
-    bad = ~(np.isfinite(xs) & np.isfinite(ys))
-    if bad.any():
-        raise InstanceFormatError(f"point {int(bad.argmax())} has non-finite coordinates")
+                if d2 - d1 <= DIST_TIE_TOL * max(1.0, d2)]
 
 
 def _canonical(instance: Instance, u: int, v: int) -> tuple[int, int]:
@@ -316,7 +287,7 @@ class Solution:
     max_degree: int
     purple_crossings: int
     solver: str
-    purple_crossings_per_edge: dict = None
+    purple_crossings_per_edge: dict
 
     @property
     def weight(self) -> float:
@@ -407,7 +378,7 @@ def parse_instance(text: str) -> Instance:
         except ValueError:
             raise InstanceFormatError(f"line {lineno}: bad coordinate in {raw!r}") from None
         colors.append(_COLOR_CODES[parts[0]])
-    return Instance.from_arrays(xs, ys, colors)
+    return Instance(xs, ys, colors)
 
 
 def serialize_instance(instance: Instance, landmarks: Optional[dict] = None) -> str:

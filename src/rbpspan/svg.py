@@ -4,30 +4,48 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from .model import Color, EdgeSet, Instance, Solution
+from .model import INVALID_CLASS, Color, EdgeSet, Instance, PreconditionError
 
 _COLOR = {Color.RED: "#cc2222", Color.BLUE: "#2244cc", Color.PURPLE: "#882288"}
 
 _MARGIN_FRAC = 0.05
+_POINT_RADIUS = 4.0
 
 
-def render_svg(instance: Instance, edge_set: Optional[EdgeSet] = None,
-               size: int = 640, point_radius: float = 4.0) -> str:
-    """SVG document with edges under points; purple strokes are drawn wider."""
-    if isinstance(edge_set, Solution):
-        edge_set = edge_set.edge_set
-    xs, ys = instance.xs.tolist(), instance.ys.tolist()
-    min_x, max_x = min(xs), max(xs)
-    min_y, max_y = min(ys), max(ys)
-    span = max(max_x - min_x, max_y - min_y, 1e-12)
+def _frame(xs, ys, size: int) -> tuple[float, float, float, float]:
+    """(min_x, min_y, margin, scale) that fit points xs, ys into the size-by-size square.
+
+    The scale is 0.0 where the framed span overflows, as it can near the float range.
+    """
+    xs, ys = xs.tolist(), ys.tolist()
+    min_x, min_y = min(xs), min(ys)
+    span = max(max(xs) - min_x, max(ys) - min_y, 1e-12)
     margin = _MARGIN_FRAC * span
-    scale = size / (span + 2.0 * margin)
-    with np.errstate(all="ignore"):  # inf and nan at extreme spans, as Python floats give
-        px = ((instance.xs - min_x + margin) * scale).tolist()
-        # Flip y so the drawing matches the usual mathematical orientation.
-        py = (size - (instance.ys - min_y + margin) * scale).tolist()
+    return min_x, min_y, margin, size / (span + 2.0 * margin)
+
+
+def render_svg(instance: Instance, edge_set: Optional[EdgeSet] = None, size: int = 640) -> str:
+    """SVG document with edges under points; purple strokes are drawn wider.
+
+    PreconditionError names the first edge, in edge-set order, that joins a red
+    and a blue point.
+    """
+    if edge_set is not None:
+        red_blue = edge_set.color_class == INVALID_CLASS
+        if red_blue.any():
+            i = int(red_blue.argmax())
+            raise PreconditionError(
+                f"edge ({edge_set.u[i]}, {edge_set.v[i]}) joins a red and a blue point")
+    xs, ys = instance.xs, instance.ys
+    min_x, min_y, margin, scale = _frame(xs, ys, size)
+    if scale == 0.0:
+        # Draw a quarter-size copy: its span fits, and a power-of-two factor
+        # leaves every drawn coordinate as it was.
+        xs, ys = xs * 0.25, ys * 0.25
+        min_x, min_y, margin, scale = _frame(xs, ys, size)
+    px = ((xs - min_x + margin) * scale).tolist()
+    # Flip y so the drawing matches the usual mathematical orientation.
+    py = (size - (ys - min_y + margin) * scale).tolist()
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -43,6 +61,6 @@ def render_svg(instance: Instance, edge_set: Optional[EdgeSet] = None,
                          'stroke-width="%.3f"/>' % (px[u], py[u], px[v], py[v], _COLOR[cls], width))
     for x, y, color in zip(px, py, instance.colors.tolist()):
         lines.append('<circle cx="%.3f" cy="%.3f" r="%.3f" fill="%s"/>'
-                     % (x, y, point_radius, _COLOR[color]))
+                     % (x, y, _POINT_RADIUS, _COLOR[color]))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

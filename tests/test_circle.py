@@ -33,7 +33,7 @@ from rbpspan.circle import (
     split_arcs,
 )
 from rbpspan.line import axis_ends
-from rbpspan.model import Color, Instance, Point, parse_instance
+from rbpspan.model import Color, Instance, parse_instance
 from rbpspan.oracle import oracle_forest
 from util import reference_chain, seeded_instances
 
@@ -292,13 +292,12 @@ class TestExactTies:
 
 
 def _scaled(inst, factor):
-    return Instance(Point(p.id, p.color, p.x * factor, p.y * factor) for p in inst.points)
+    return Instance(inst.xs * factor, inst.ys * factor, inst.colors)
 
 
 def _reference_axis_ends(inst):
     """Ids of the first lowest and first highest point on the wider axis, x on ties."""
-    xs = [p.x for p in inst.points]
-    ys = [p.y for p in inst.points]
+    xs, ys = inst.xs.tolist(), inst.ys.tolist()
     keys = xs if max(xs) - min(xs) >= max(ys) - min(ys) else ys
     lo = hi = 0
     for i, t in enumerate(keys):

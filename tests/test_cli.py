@@ -19,7 +19,13 @@ from rbpspan.cli import (
 from rbpspan import circle, cli, line
 from rbpspan.circle import fit_circle
 from rbpspan.generators import gen_random
-from rbpspan.model import parse_instance, serialize_instance
+from rbpspan.model import (
+    Instance,
+    PreconditionError,
+    make_edge_set,
+    parse_instance,
+    serialize_instance,
+)
 from rbpspan.svg import render_svg
 from util import E1_TEXT, e1
 
@@ -240,8 +246,7 @@ class TestValidate:
     def test_circle_at_extreme_scale_is_concyclic(self, tmp_path, capsys, scale):
         inst = gen_random(40, 0.4, 0.4, "circle", seed=7)
         path = tmp_path / "scaled.txt"
-        path.write_text("".join(f"{'RBP'[p.color]} {p.x * scale!r} {p.y * scale!r}\n"
-                                for p in inst.points))
+        path.write_text(serialize_instance(Instance(inst.xs * scale, inst.ys * scale, inst.colors)))
         assert main(["validate", str(path)]) == EXIT_OK
         assert "concyclic yes" in capsys.readouterr().out
 
@@ -337,6 +342,21 @@ def test_render_svg_direct():
     assert svg.count("<circle") == 4
 
 
+def test_render_svg_rejects_a_red_blue_edge():
+    inst = parse_instance("R 0 0\nB 1 0\nP 0 1\n")
+    with pytest.raises(PreconditionError, match=r"^edge \(0, 1\) joins a red and a blue point$"):
+        render_svg(inst, make_edge_set(inst, [(0, 1)]))
+
+
+def test_render_svg_of_a_span_beyond_the_float_range():
+    # [DERIVED: the drawing is scale-free, so a power-of-two copy draws the same bytes]
+    inst = parse_instance("P -1.7e308 0\nR 1.7e308 1\nB 0 -1.7e308\n")
+    svg = render_svg(inst, make_edge_set(inst, [(0, 1)]))
+    assert "nan" not in svg and "inf" not in svg
+    small = Instance(inst.xs * 2.0 ** -20, inst.ys * 2.0 ** -20, inst.colors)
+    assert svg == render_svg(small, make_edge_set(small, [(0, 1)]))
+
+
 @pytest.mark.parametrize("n, solver", [(12, "exact"), (30, "approx-a")])
 def test_auto_solve_imports_neither_scipy_nor_networkx(tmp_path, n, solver):
     # The solve path depends on numpy alone: `import scipy.spatial` by itself
@@ -356,17 +376,12 @@ def test_auto_solve_imports_neither_scipy_nor_networkx(tmp_path, n, solver):
 
 @pytest.mark.parametrize("n, mode, solver", [(40, "plane", "approx-a"), (30, "line", "line"),
                                              (30, "circle", "circle"), (12, "plane", "exact")])
-def test_auto_solve_builds_no_point(tmp_path, capsys, monkeypatch, n, mode, solver):
-    # Parsing and every solver read the Instance arrays: no `Point` is built.
+def test_auto_solve_output_is_repeatable(tmp_path, capsys, n, mode, solver):
+    # Each shape reaches its solver, and a second solve of the same file prints the same bytes.
     path = tmp_path / "in.txt"
     path.write_text(serialize_instance(gen_random(n, 0.4, 0.4, mode=mode, seed=7)))
     assert main(["solve", str(path), "--algo", "auto"]) == EXIT_OK
     expected = capsys.readouterr().out
     assert f"solver {solver}\n" in expected
-
-    def no_point(*args):
-        raise AssertionError("a Point was built")
-
-    monkeypatch.setattr(rbpspan.model, "Point", no_point)
     assert main(["solve", str(path), "--algo", "auto"]) == EXIT_OK
     assert capsys.readouterr().out == expected

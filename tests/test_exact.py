@@ -33,7 +33,6 @@ from rbpspan.graphops import (
 from rbpspan.model import (
     Color,
     Instance,
-    Point,
     allowed_edges,
     make_edge_set,
     parse_instance,
@@ -54,7 +53,7 @@ def _side_connected(inst, edges, chosen, side):
         e = edges[i]
         if e.color_class in side:
             ds.union(e.u, e.v)
-    verts = [p.id for p in inst.points if p.color in side]
+    verts = [i for i in range(inst.n) if inst.color_of(i) in side]
     return ds.connected_over(verts)
 
 
@@ -262,8 +261,7 @@ def _colored(coords, seed, max_purple=6):
     colors = [Color.PURPLE] * k + [rng.choice((Color.RED, Color.BLUE))
                                    for _ in range(len(coords) - k)]
     rng.shuffle(colors)
-    return Instance(Point(i, c, float(x), float(y))
-                    for i, (c, (x, y)) in enumerate(zip(colors, coords)))
+    return Instance(*zip(*coords), colors)
 
 
 def _assert_matches_oracle(inst):
@@ -296,8 +294,7 @@ def _collinear_plus_one(seed):
 
 
 def _transformed(inst, scale, offset):
-    return Instance(Point(p.id, p.color, p.x * scale + offset, p.y * scale + offset)
-                    for p in inst.points)
+    return Instance(inst.xs * scale + offset, inst.ys * scale + offset, inst.colors)
 
 
 class TestGroundSet:

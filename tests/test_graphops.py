@@ -27,7 +27,6 @@ from rbpspan.model import (
     Color,
     Edge,
     Instance,
-    Point,
     PreconditionError,
     edge_between,
     edge_color,
@@ -229,14 +228,13 @@ def _reference_side_pairs(instance, classes, vertices):
     """The pure-Python sorted_side_pairs that the numpy one replaced, kept as the reference."""
     verts = list(vertices)
     cls = set(classes)
-    pts = instance.points
     out = []
     for a in range(len(verts)):
         u = verts[a]
-        cu = pts[u].color
+        cu = instance.color_of(u)
         for b in range(a + 1, len(verts)):
             v = verts[b]
-            ec = edge_color(cu, pts[v].color)
+            ec = edge_color(cu, instance.color_of(v))
             if ec in cls:
                 uu, vv = (u, v) if u < v else (v, u)
                 out.append((instance.distance(uu, vv), uu, vv))
@@ -285,7 +283,11 @@ CLASS_CHOICES = [(Color.RED,), (Color.BLUE,), (Color.PURPLE,), RED_SIDE, BLUE_SI
 
 def _instance(coords, seed=0):
     rng = random.Random(seed)
-    return Instance(Point(i, rng.choice(ALL_CLASSES), x, y) for i, (x, y) in enumerate(coords))
+    return Instance(*zip(*coords), [rng.choice(ALL_CLASSES) for _ in coords])
+
+
+def _purple_instance(coords):
+    return Instance(*zip(*coords), [Color.PURPLE] * len(coords))
 
 
 def _random_coords(n, seed, scale=1.0):
@@ -306,8 +308,7 @@ def _near_tie_points():
     """
     m = math.hypot(17.0, 27.0)
     assert float(np.hypot(17.0, 27.0)) > m
-    coords = [(8.0, -13.5), (25.0, 13.5), (0.0, 0.0), (m, 0.0)]
-    return Instance(Point(i, Color.PURPLE, x, y) for i, (x, y) in enumerate(coords))
+    return _purple_instance([(8.0, -13.5), (25.0, 13.5), (0.0, 0.0), (m, 0.0)])
 
 
 def _assert_same_pairs(inst, classes, vertices):
@@ -413,7 +414,7 @@ class TestSortedSidePairs:
         # 46 purple points have 1035 purple pairs: one more than a block of 1034.
         monkeypatch.setattr(graphops, "_FIRST_BLOCK", size)
         coords = _random_coords(46, 27)
-        inst = Instance(Point(i, Color.PURPLE, x, y) for i, (x, y) in enumerate(coords))
+        inst = _purple_instance(coords)
         _assert_same_pairs(inst, (Color.PURPLE,), range(46))
 
     def test_grid_pairs_find_every_pair_up_to_lim(self):
@@ -666,10 +667,6 @@ def _reference_crossings(instance, edge_set):
                 per_edge[e1.pair] += 1
                 per_edge[e2.pair] += 1
     return crossings, per_edge
-
-
-def _purple_instance(coords):
-    return Instance(Point(i, Color.PURPLE, x, y) for i, (x, y) in enumerate(coords))
 
 
 def _random_edge_set(inst, seed, m):

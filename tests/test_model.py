@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from rbpspan.generators import gen_hexagon
@@ -11,7 +12,6 @@ from rbpspan.model import (
     Color,
     Instance,
     InstanceFormatError,
-    Point,
     PreconditionError,
     allowed_edge_count,
     allowed_edges,
@@ -50,72 +50,67 @@ class TestParsing:
         # [DERIVED: round-trip property over generator outputs]
         inst = gen_hexagon()
         again = parse_instance(serialize_instance(inst))
-        assert again.points == inst.points
-
-    def test_dense_ids_enforced(self):
-        with pytest.raises(InstanceFormatError):
-            Instance([Point(1, Color.RED, 0.0, 0.0)])
+        for name in ("xs", "ys", "colors"):
+            assert getattr(again, name).tobytes() == getattr(inst, name).tobytes()
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InstanceFormatError):
-            Instance([Point(0, Color.RED, math.inf, 0.0)])
+            Instance([math.inf], [0.0], [Color.RED])
 
     def test_instance_immutable(self):
         inst = e1()
         with pytest.raises(AttributeError):
-            inst.points = ()
+            inst.xs = ()
 
-    def test_points_are_built_from_the_arrays(self):
+    def test_arrays_are_read_only_copies(self):
         # [DERIVED: xs, ys and colors are the only stored form of the points]
-        assert "points" not in Instance.__slots__
-        inst = e1()
-        assert inst.points == (Point(0, Color.PURPLE, 0.0, 0.0), Point(1, Color.PURPLE, 10.0, 0.0),
-                               Point(2, Color.RED, 4.0, 0.0), Point(3, Color.BLUE, 6.0, 0.0))
-        again = Instance(inst.points)
+        xs = [0.0, 10.0, 4.0, 6.0]
+        inst = Instance(xs, [0.0] * 4, [Color.PURPLE, Color.PURPLE, Color.RED, Color.BLUE])
+        xs[0] = 99.0
+        assert inst.xs.tolist() == [0.0, 10.0, 4.0, 6.0] and inst.ys.tolist() == [0.0] * 4
+        assert inst.colors.dtype == np.int8 and inst.colors.tolist() == [2, 2, 0, 1]
+        assert (inst.R, inst.B, inst.P) == ((2,), (3,), (0, 1))
+        assert not inst.xs.flags.writeable and not inst.colors.flags.writeable
+        assert not hasattr(inst, "points")
+        again = Instance(inst.xs, inst.ys, inst.colors)
         for name in ("xs", "ys", "colors", "R", "B", "P"):
             assert str(getattr(again, name)) == str(getattr(inst, name))
-        assert not inst.xs.flags.writeable and not inst.colors.flags.writeable
+
+    @pytest.mark.parametrize("xs, ys, colors", [([0.0, 1.0], [0.0], [0, 0]),
+                                                ([[0.0]], [[0.0]], [[0]])])
+    def test_array_shapes_checked(self, xs, ys, colors):
+        with pytest.raises(InstanceFormatError, match="1-d arrays of one length"):
+            Instance(xs, ys, colors)
 
 
-# (rows, ids or None for dense, message): rows are (color, x, y) in input order.
+# (rows, message): rows are (color, x, y) in input order.
 FORMAT_ERROR_CASES = {
-    "no points": ([], None, "instance has no points"),
-    "sparse ids": ([("P", 0.0, 0.0), ("R", 1.0, 0.0)], [0, 2],
-                   "point id 2 at position 1: ids must be dense"),
-    "first non-finite": ([("P", 0.0, 0.0), ("R", 1.0, math.inf), ("B", math.nan, 2.0)], None,
+    "no points": ([], "instance has no points"),
+    "first non-finite": ([("P", 0.0, 0.0), ("R", 1.0, math.inf), ("B", math.nan, 2.0)],
                          "point 1 has non-finite coordinates"),
-    "non-finite before a sparse id": ([("P", math.inf, 0.0), ("R", 1.0, 0.0)], [0, 5],
-                                      "point 0 has non-finite coordinates"),
-    "sparse id before a non-finite point": (
-        [("P", 0.0, 0.0), ("R", 1.0, 0.0), ("B", math.nan, 0.0)], [0, 3, 2],
-        "point id 3 at position 1: ids must be dense"),
-    "sparse id before a coincidence": ([("P", 0.0, 0.0), ("R", 0.0, 0.0)], [1, 0],
-                                       "point id 1 at position 0: ids must be dense"),
     "non-finite after a coincidence": ([("P", 0.0, 0.0), ("R", 0.0, 0.0), ("B", math.inf, 0.0)],
-                                       None, "point 2 has non-finite coordinates"),
-    "zero and negative zero": ([("P", 0.0, 1.0), ("R", -0.0, 1.0)], None,
+                                       "point 2 has non-finite coordinates"),
+    "zero and negative zero": ([("P", 0.0, 1.0), ("R", -0.0, 1.0)],
                                "points 0 and 1 coincide at (-0.0, 1.0)"),
     "two duplicate groups": ([("P", 1.0, 1.0), ("B", 0.0, 0.0), ("R", 2.0, 2.0), ("P", -0.0, 0.0),
-                              ("B", 1.0, 1.0)], None, "points 1 and 3 coincide at (-0.0, 0.0)"),
-    "third of a group": ([("P", 5.0, 5.0), ("R", 1.0, 1.0), ("B", 5.0, 5.0), ("P", 5.0, 5.0)], None,
+                              ("B", 1.0, 1.0)], "points 1 and 3 coincide at (-0.0, 0.0)"),
+    "third of a group": ([("P", 5.0, 5.0), ("R", 1.0, 1.0), ("B", 5.0, 5.0), ("P", 5.0, 5.0)],
                          "points 0 and 2 coincide at (5.0, 5.0)"),
 }
 
 
-@pytest.mark.parametrize("rows, ids, message", FORMAT_ERROR_CASES.values(),
+@pytest.mark.parametrize("rows, message", FORMAT_ERROR_CASES.values(),
                          ids=FORMAT_ERROR_CASES.keys())
-def test_instance_format_error_messages(rows, ids, message):
-    # [DERIVED: checks in id order: ids and finiteness point by point, then the
-    # first point that repeats an earlier one's place, named with that one]
-    points = [Point(i, {"R": Color.RED, "B": Color.BLUE, "P": Color.PURPLE}[c], x, y)
-              for i, (c, x, y) in zip(ids or range(len(rows)), rows)]
+def test_instance_format_error_messages(rows, message):
+    # [DERIVED: finiteness first, then the first point that repeats an earlier
+    # one's place, named with that one; the constructor and the parser agree]
+    colors = ["RBP".index(c) for c, _, _ in rows]
     with pytest.raises(InstanceFormatError) as raised:
-        Instance(points)
+        Instance([x for _, x, _ in rows], [y for _, _, y in rows], colors)
     assert str(raised.value) == message
-    if ids is None:  # instance text has no ids: they are always dense
-        with pytest.raises(InstanceFormatError) as raised:
-            parse_instance("".join(f"{c} {x!r} {y!r}  # point\n" for c, x, y in rows))
-        assert str(raised.value) == message
+    with pytest.raises(InstanceFormatError) as raised:
+        parse_instance("".join(f"{c} {x!r} {y!r}  # point\n" for c, x, y in rows))
+    assert str(raised.value) == message
 
 
 class TestEdges:
@@ -168,12 +163,9 @@ class TestAllowedEdges:
     def test_count_matches_enumeration(self, nr, nb, np_):
         if nr + nb + np_ == 0:
             return
-        pts = []
-        for color, cnt in ((Color.RED, nr), (Color.BLUE, nb), (Color.PURPLE, np_)):
-            for _ in range(cnt):
-                i = len(pts)
-                pts.append(Point(i, color, float(i), float(i * i)))  # distinct coords
-        inst = Instance(pts)
+        colors = [Color.RED] * nr + [Color.BLUE] * nb + [Color.PURPLE] * np_
+        n = len(colors)
+        inst = Instance(range(n), [i * i for i in range(n)], colors)  # distinct coords
         assert len(allowed_edges(inst)) == allowed_edge_count(nr, nb, np_)
 
     def test_sorted_by_length_then_ids(self):
@@ -242,7 +234,23 @@ class TestRoundTrip:
         again = parse_instance(serialize_instance(inst))
         for name in ("xs", "ys", "colors"):  # bitwise: -0.0 differs from 0.0
             assert getattr(again, name).tobytes() == getattr(inst, name).tobytes()
-        assert again.points == inst.points
+
+    @seed(20161)
+    @given(st.lists(st.tuples(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                        st.sampled_from(EXTREME_COORDS + [1e308, -1e308])),
+                              st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                        st.sampled_from(EXTREME_COORDS + [1e308, -1e308])),
+                              st.sampled_from(Color)),
+                    min_size=1, max_size=12, unique_by=lambda row: row[:2]))
+    @settings(deadline=None, max_examples=150)
+    def test_constructor_serialize_parse_round_trip(self, rows):
+        # [DERIVED: %.17g names every finite float exactly; unique_by treats -0.0 as 0.0,
+        # as the coincidence check does]
+        xs, ys, colors = zip(*rows)
+        inst = Instance(xs, ys, colors)
+        again = parse_instance(serialize_instance(inst))
+        for name in ("xs", "ys", "colors"):
+            assert getattr(again, name).tobytes() == getattr(inst, name).tobytes()
 
 
 def test_general_position_violations_match_pairwise_distances():
