@@ -27,19 +27,13 @@ GUARANTEES = {"approx-a": GUARANTEE, "approx-union": UNION_GUARANTEE}  # by Solu
 
 def _pair_array(trees: list[EdgeSet]) -> np.ndarray:
     """The (u, v) pairs of all `trees` as one (m, 2) array."""
-    return np.concatenate([np.empty((0, 2), dtype=np.int64)]
-                          + [np.column_stack((t.u, t.v)) for t in trees])
+    return np.concatenate([np.column_stack((t.u, t.v)) for t in trees])
 
 
 def approx_union(instance: Instance) -> Solution:
     """Union of the two per-side MSTs; a 2-approximation."""
-    trees = []
-    red_side = instance.red_side()
-    blue_side = instance.blue_side()
-    if len(red_side) >= 2:
-        trees.append(kruskal_mst(instance, red_side, RED_SIDE))
-    if len(blue_side) >= 2:
-        trees.append(kruskal_mst(instance, blue_side, BLUE_SIDE))
+    trees = [kruskal_mst(instance, instance.red_side(), RED_SIDE),
+             kruskal_mst(instance, instance.blue_side(), BLUE_SIDE)]
     # A purple edge may lie in both trees.
     pairs = np.unique(_pair_array(trees), axis=0)
     return solution_stats(instance, make_edge_set(instance, pairs), solver="approx-union")
@@ -51,17 +45,11 @@ def approx_a(instance: Instance) -> Solution:
     A (rho/2 + 1)-approximation, about 1.6 with the best known Steiner ratio bound.
     The three trees have disjoint color classes, so they share no edge.
     """
-    trees = []
-    purple_pairs: list[tuple[int, int]] = []
-    if instance.k >= 2:
-        trees.append(kruskal_mst(instance, instance.P, (Color.PURPLE,)))
-        purple_pairs = trees[0].pairs()
-    red_side = instance.red_side()
-    blue_side = instance.blue_side()
-    if len(red_side) >= 2:
-        trees.append(constrained_mst(instance, red_side, purple_pairs, (Color.RED,)))
-    if len(blue_side) >= 2:
-        trees.append(constrained_mst(instance, blue_side, purple_pairs, (Color.BLUE,)))
+    purple = kruskal_mst(instance, instance.P, (Color.PURPLE,))
+    purple_pairs = purple.pairs()
+    trees = [purple,
+             constrained_mst(instance, instance.red_side(), purple_pairs, (Color.RED,)),
+             constrained_mst(instance, instance.blue_side(), purple_pairs, (Color.BLUE,))]
     return solution_stats(instance, make_edge_set(instance, _pair_array(trees)),
                           solver="approx-a")
 

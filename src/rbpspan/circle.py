@@ -9,12 +9,12 @@ split of a span reads its right parts from one basic-slice view, with no
 gather, and one min-reduce per span writes its entries. `DPTables.value` is
 the start-indexed view of the same memory. The tables hold values only:
 reconstruction rebuilds the option row of each entry it visits and picks
-its first minimum (`_pick`). The base case of each purple-to-purple arc,
-which `split_arcs` cuts from the angular order, is the collinear solver's
-segment case split: `arc_chains` runs the chain kernel `line.chain_sums`
-once over the red and blue chains around the circle, with chord lengths as
-link lengths. Reconstruction collects the base entries it visits and reads
-their edges in one masked pass over the links (`_base_edges`).
+its first minimum (`_pick`). The base case of each purple-to-purple arc of
+`split_arcs`' angular order is the collinear solver's segment case split:
+`arc_chains` runs the chain kernel `line.chain_sums` once over the red and
+blue chains around the circle, with chord lengths as link lengths.
+Reconstruction collects the base entries it visits and reads their edges in
+one masked pass over the links (`_base_edges`).
 
 `solve_circle` is O(n log n + k^3) for n points, k of them purple: the
 n log n is `split_arcs`' angular sort, and `fit_circle` is O(n), as it
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -68,8 +67,9 @@ def fit_circle(instance: Instance):
         return (0.0, 0.0, 1.0, 0.0)
     a, b, spread = axis_ends(instance)
     ids = np.arange(n)
-    sums = (np.array(hypot_lengths(instance, ids, a), dtype=float)
-            + np.array(hypot_lengths(instance, ids, b), dtype=float))
+    with np.errstate(over="ignore"):
+        sums = (np.array(hypot_lengths(instance, ids, a), dtype=float)
+                + np.array(hypot_lengths(instance, ids, b), dtype=float))
     sums[[a, b]] = -math.inf
     xs, ys = instance.xs, instance.ys
     _, exp = math.frexp(spread)
@@ -89,21 +89,20 @@ def fit_circle(instance: Instance):
 
 
 def split_arcs(instance: Instance, cx: float, cy: float):
-    """Purple ids in angular order around (cx, cy), and the arc after each one.
+    """(purple_ids, order): the purple ids and every id, in angular order around (cx, cy).
 
-    Arc i holds the ids strictly between purple i and purple (i + 1) mod k,
-    in angular order.
+    `order` is an int array that starts at purple_ids[0]; arc i is the run of
+    ids strictly between purple i and purple (i + 1) mod k in it, so the last
+    arc runs to the end of `order`.
     """
     xs, ys = instance.xs.tolist(), instance.ys.tolist()
-    order = sorted(range(instance.n), key=lambda i: math.atan2(ys[i] - cy, xs[i] - cx))
-    ppos = np.flatnonzero(instance.colors[order] == Color.PURPLE).tolist()
-    arcs = [order[lo + 1:hi] for lo, hi in zip(ppos, ppos[1:])]
-    if ppos:
-        arcs.append(order[ppos[-1] + 1:] + order[:ppos[0]])
-    return [order[idx] for idx in ppos], arcs
+    order = np.array(sorted(range(instance.n), key=lambda i: math.atan2(ys[i] - cy, xs[i] - cx)),
+                     dtype=np.intp)
+    order = np.roll(order, -int((instance.colors[order] == Color.PURPLE).argmax()))
+    return order[instance.colors[order] == Color.PURPLE].tolist(), order
 
 
-def arc_chains(instance: Instance, purple_ids: Sequence[int], arcs: Sequence[Sequence[int]]):
+def arc_chains(instance: Instance, order: np.ndarray):
     """The arcs' chains and their base entries: (chain, arc_of, dropped, base).
 
     `chain` lists the ids of the red chain around the circle, each purple
@@ -116,17 +115,11 @@ def arc_chains(instance: Instance, purple_ids: Sequence[int], arcs: Sequence[Seq
     endpoints are pre-connected takes its drop sum, the other its full sum,
     which is inf for a one-link chain, purple to purple. The direct purple
     edge is never part of a base entry; the DP adds it on top of PC, so an
-    empty arc has NC = +inf. O(n).
+    empty arc has NC = +inf. `order` is `split_arcs`' angular order. O(n).
     """
-    k = len(purple_ids)
-    sizes = np.fromiter(map(len, arcs), np.intp, k)
     # every id in angular order from purple 0, and purple 0 again
-    purple = np.zeros(k + int(sizes.sum()) + 1, bool)
-    purple[np.cumsum(sizes + 1) - sizes - 1] = True
-    purple[-1] = True
-    around = np.empty(len(purple), np.intp)
-    around[purple] = [*purple_ids, purple_ids[0]]
-    around[~purple] = np.fromiter(chain.from_iterable(arcs), np.intp, len(purple) - k - 1)
+    around = np.append(order, order[0])
+    purple = instance.colors[around] == Color.PURPLE
     red = instance.colors[around] == Color.RED
     on = np.concatenate([np.flatnonzero(purple | red), np.flatnonzero(~red)[1:]])
     ids = around[on]
@@ -135,7 +128,7 @@ def arc_chains(instance: Instance, purple_ids: Sequence[int], arcs: Sequence[Seq
     full, drop, dropped = chain_sums(
         np.array(hypot_lengths(instance, ids[:-1], ids[1:]), dtype=float), starts)
     full[at_purple[np.flatnonzero(starts) + 1]] = math.inf  # one link, purple to purple
-    (red_drop, blue_drop), (red_full, blue_full) = drop.reshape(2, k), full.reshape(2, k)
+    (red_drop, blue_drop), (red_full, blue_full) = drop.reshape(2, -1), full.reshape(2, -1)
     base = np.array([red_drop + blue_drop, red_drop + blue_full,
                      red_full + blue_drop, red_full + blue_full])
     return ids, np.cumsum(starts) - 1, dropped, base
@@ -185,8 +178,7 @@ _PAIRINGS = [(P_, N_), (N_, P_), (R_, B_), (B_, R_)]
 _PAIR_LEFT, _PAIR_RIGHT = np.array(_PAIRINGS).T
 
 
-def fill_tables(instance: Instance, purple_ids: Sequence[int],
-                arcs: Sequence[Sequence[int]]) -> DPTables:
+def fill_tables(instance: Instance, purple_ids: Sequence[int], order: np.ndarray) -> DPTables:
     """Fill the four tables in increasing clockwise-span order; values only.
 
     `left[d, i]`, PC over span d from purple i plus its chord, is the left
@@ -213,7 +205,7 @@ def fill_tables(instance: Instance, purple_ids: Sequence[int],
 
     # span 1: the arc's base entry, or the direct purple edge on top of its PC
     # entry (which PC itself never prefers).
-    ids, arc_of, dropped, base = arc_chains(instance, purple_ids, arcs)
+    ids, arc_of, dropped, base = arc_chains(instance, order)
     first = np.minimum(base, base[P_] + chord[1])
     ends[:, 1, 1:k + 1] = first
     ends[:, 1, k + 1:] = first[:, :k - 1]
@@ -337,18 +329,13 @@ def solve_circle(instance: Instance, tolerance: float = CONCYCLIC_TOL) -> Soluti
 
     if instance.k <= 1:
         # No purple edge is possible; the two sides are independent MSTs.
-        pairs = []
-        red_side = instance.red_side()
-        blue_side = instance.blue_side()
-        if len(red_side) >= 2:
-            pairs.extend(kruskal_mst(instance, red_side, RED_SIDE).pairs())
-        if len(blue_side) >= 2:
-            pairs.extend(kruskal_mst(instance, blue_side, BLUE_SIDE).pairs())
+        pairs = (kruskal_mst(instance, instance.red_side(), RED_SIDE).pairs()
+                 + kruskal_mst(instance, instance.blue_side(), BLUE_SIDE).pairs())
         return solution_stats(instance, make_edge_set(instance, pairs), solver="circle")
 
-    purple_ids, arcs = split_arcs(instance, cx, cy)
+    purple_ids, order = split_arcs(instance, cx, cy)
     k = len(purple_ids)
-    tables = fill_tables(instance, purple_ids, arcs)
+    tables = fill_tables(instance, purple_ids, order)
     best, s, variant = combine_final(tables)
     if not math.isfinite(best):
         raise AssertionError("circle DP found no finite combination on feasible input")

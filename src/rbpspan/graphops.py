@@ -1,4 +1,4 @@
-"""Union-find, (constrained) MSTs, RBP validity checking, and solution statistics."""
+"""Kruskal and (constrained) MSTs, RBP validity checking, and solution statistics."""
 
 from __future__ import annotations
 
@@ -28,48 +28,6 @@ BLUE_SIDE = (Color.BLUE, Color.PURPLE)
 
 class InfeasibleGraphError(PreconditionError):
     """The admitted edge set cannot connect the requested vertex set."""
-
-
-class DisjointSets:
-    """Union-find with path compression and union by rank."""
-
-    __slots__ = ("parent", "rank")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def copy(self) -> "DisjointSets":
-        other = DisjointSets(0)
-        other.parent = list(self.parent)
-        other.rank = list(self.rank)
-        return other
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-        return True
-
-    def connected_over(self, vertices: Sequence[int]) -> bool:
-        if len(vertices) <= 1:
-            return True
-        r0 = self.find(vertices[0])
-        return all(self.find(v) == r0 for v in vertices[1:])
 
 
 _FIRST_BLOCK = 1024
@@ -276,11 +234,12 @@ def _last_gap(length: np.ndarray, lim: float) -> int:
 
 
 def _lengths(xs: np.ndarray, ys: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.hypot lengths of the position pairs (a, b)."""
-    dx = xs[a]
-    dx -= xs[b]
-    dy = ys[a]
-    dy -= ys[b]
+    """np.hypot lengths of the position pairs (a, b); inf where a difference overflows."""
+    with np.errstate(over="ignore"):
+        dx = xs[a]
+        dx -= xs[b]
+        dy = ys[a]
+        dy -= ys[b]
     return np.hypot(dx, dy, out=dx)
 
 
@@ -333,9 +292,10 @@ def kruskal(n: int, sorted_pairs: Iterable[tuple[float, int, int]], vertices: Se
 
 def kruskal_mst(instance: Instance, vertices: Sequence[int],
                 classes: Sequence[Color] = (Color.RED, Color.BLUE, Color.PURPLE)) -> EdgeSet:
-    """Minimum spanning tree over `vertices` using edges of the admitted classes."""
-    if len(vertices) < 1:
-        raise PreconditionError("kruskal_mst needs at least one vertex")
+    """Minimum spanning tree over `vertices` using edges of the admitted classes.
+
+    No vertex, like one, gives an empty tree.
+    """
     return constrained_mst(instance, vertices, (), classes)
 
 

@@ -241,7 +241,8 @@ def make_edge_set(instance: Instance, pairs: Iterable[tuple[int, int]]) -> EdgeS
     `pairs` is an iterable of (u, v) pairs or an (m, 2) integer array. A
     repeated pair raises PreconditionError (the first repeat in input order),
     and so, after that check, does a pair with equal or unknown ids. The
-    weight is the `math.fsum` of the lengths.
+    weight is the `math.fsum` of the lengths; finite lengths that sum past
+    the float range raise PreconditionError.
     """
     if not isinstance(pairs, np.ndarray):
         try:
@@ -259,7 +260,11 @@ def make_edge_set(instance: Instance, pairs: Iterable[tuple[int, int]]) -> EdgeS
     order = np.lexsort((v, u, length))
     u, v = _sorted_without_repeats(u, v, order)
     length = length[order]
-    return EdgeSet(instance, u, v, length, math.fsum(length.tolist()))
+    try:
+        weight = math.fsum(length.tolist())
+    except OverflowError:
+        raise PreconditionError("the edge lengths sum past the float range") from None
+    return EdgeSet(instance, u, v, length, weight)
 
 
 def _sorted_without_repeats(u: np.ndarray, v: np.ndarray, order: np.ndarray

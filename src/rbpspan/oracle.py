@@ -13,7 +13,6 @@ from typing import Iterator, Optional, Sequence
 from .graphops import (
     BLUE_SIDE,
     RED_SIDE,
-    DisjointSets,
     kruskal,
     kruskal_mst,
     solution_stats,
@@ -111,62 +110,51 @@ def oracle_forest(instance: Instance, max_purple: int = FOREST_MAX_PURPLE) -> So
     return solution_stats(instance, edge_set, solver="oracle-forest")
 
 
-def oracle_subsets(instance: Instance, max_edges: int = SUBSET_MAX_EDGES) -> Solution:
+def oracle_subsets(instance: Instance) -> Solution:
     """Exhaustive minimum over edge subsets, pruned without changing the minimum.
 
-    Prunes supersets of spanning sets (extra edges only add weight), partial
-    sets at or above the incumbent, and branches whose remaining edges cannot
-    complete connectivity.
+    An include/exclude search over `allowed_edges` in (length, u, v) order.
+    It prunes supersets of spanning sets (extra edges only add weight),
+    partial sets at or above the incumbent, and branches whose chosen and
+    remaining edges together do not span. A list of edges spans when one
+    zero-weight `kruskal` run per side over that side's pairs connects the
+    side, as in `is_rbp_spanning`.
     """
     edges = allowed_edges(instance)
     m = len(edges)
-    if m > max_edges:
+    if m > SUBSET_MAX_EDGES:
         raise OracleSizeError(
-            f"oracle_subsets handles at most {max_edges} allowed edges, got {m}")
+            f"oracle_subsets handles at most {SUBSET_MAX_EDGES} allowed edges, got {m}")
     n = instance.n
-    red_vertices = instance.red_side()
-    blue_vertices = instance.blue_side()
+    # Per side: each edge's zero-weight Kruskal pair, None for an edge off the side.
+    sides = [([(0.0, e.u, e.v) if e.color_class in classes else None for e in edges], vertices)
+             for classes, vertices in ((RED_SIDE, instance.red_side()),
+                                       (BLUE_SIDE, instance.blue_side()))]
 
-    def spanning(red_ds: DisjointSets, blue_ds: DisjointSets) -> bool:
-        return (red_ds.connected_over(red_vertices)
-                and blue_ds.connected_over(blue_vertices))
+    def spans(chosen: Sequence[int]) -> bool:
+        for pairs, vertices in sides:
+            if kruskal(n, [pairs[i] for i in chosen if pairs[i]], vertices) is None:
+                return False
+        return True
 
     best_weight = math.inf
     best_choice: Optional[list[int]] = None
 
-    def completable(idx: int, red_ds: DisjointSets, blue_ds: DisjointSets) -> bool:
-        rd, bd = red_ds.copy(), blue_ds.copy()
-        for e in edges[idx:]:
-            if e.color_class in RED_SIDE:
-                rd.union(e.u, e.v)
-            if e.color_class in BLUE_SIDE:
-                bd.union(e.u, e.v)
-        return spanning(rd, bd)
-
-    def dfs(idx: int, red_ds: DisjointSets, blue_ds: DisjointSets,
-            weight: float, chosen: list[int]):
+    def dfs(idx: int, weight: float, chosen: list[int]):
         nonlocal best_weight, best_choice
-        if spanning(red_ds, blue_ds):
+        if spans(chosen):
             if weight < best_weight:
                 best_weight = weight
                 best_choice = list(chosen)
             return
-        if idx == m or weight >= best_weight:
+        if idx == m or weight >= best_weight or not spans([*chosen, *range(idx, m)]):
             return
-        if not completable(idx, red_ds, blue_ds):
-            return
-        e = edges[idx]
-        rd, bd = red_ds.copy(), blue_ds.copy()
-        if e.color_class in RED_SIDE:
-            rd.union(e.u, e.v)
-        if e.color_class in BLUE_SIDE:
-            bd.union(e.u, e.v)
         chosen.append(idx)
-        dfs(idx + 1, rd, bd, weight + e.length, chosen)
+        dfs(idx + 1, weight + edges[idx].length, chosen)
         chosen.pop()
-        dfs(idx + 1, red_ds, blue_ds, weight, chosen)
+        dfs(idx + 1, weight, chosen)
 
-    dfs(0, DisjointSets(n), DisjointSets(n), 0.0, [])
+    dfs(0, 0.0, [])
     if best_choice is None:
         raise AssertionError("no edge subset spans both sides")
     edge_set = make_edge_set(instance, [edges[i].pair for i in best_choice])

@@ -12,9 +12,10 @@ from rbpspan.approx import (
     approx_union,
     ratio_report,
 )
+from rbpspan.circle import solve_circle
 from rbpspan.exact import solve_exact
 from rbpspan.generators import gen_hexagon, gen_steiner_family
-from rbpspan.graphops import is_rbp_spanning
+from rbpspan.graphops import is_rbp_spanning, stats_block
 from rbpspan.model import PreconditionError, make_edge_set, parse_instance
 from rbpspan.oracle import oracle_forest
 from util import e1, seeded_instances
@@ -74,6 +75,43 @@ class TestApproxA:
             for solver in (approx_a, approx_union):
                 sol = solver(inst)
                 assert is_rbp_spanning(inst, sol.edge_set)
+
+
+# Concyclic instances that lack a color or have at most one purple point, so
+# that a side has fewer than two points or no purple tree is possible.
+_FEW = {
+    "no-red": "P 1 0\nB 0.6 0.8\nP -1 0\nB 0 -1\n",
+    "no-blue": "R 0.6 -0.8\nP 0 1\nR -1 0\nP 0.8 0.6\n",
+    "no-purple": "R 1 0\nB 0 1\nR -1 0\nB -0.6 -0.8\nR 0.6 -0.8\n",
+    "one-purple": "P 1 0\nR 0 1\nB -1 0\nR 0 -1\nB 0.8 -0.6\n",
+    "one-purple-one-blue": "P 1 0\nB 0 1\n",
+    "one-red-point": "R 0 0\n",
+    "one-purple-point": "P 0 0\n",
+}
+
+
+@pytest.mark.parametrize("case, solve, pairs, counts", [
+    ("no-red", approx_union, [(0, 1), (0, 3), (2, 3), (0, 2)], ("5.72285431575", 0, 3, 1, 3)),
+    ("no-red", approx_a, [(0, 1), (0, 3), (0, 2)], ("4.30864075337", 0, 2, 1, 3)),
+    ("no-red", solve_circle, [(0, 1), (0, 3), (0, 2)], ("4.30864075337", 0, 2, 1, 3)),
+    *[(case, solve, pairs, counts) for solve in (approx_union, approx_a, solve_circle)
+      for case, pairs, counts in (
+          ("no-blue", [(1, 3), (0, 3), (1, 2)], ("3.72285431575", 2, 0, 1, 2)),
+          ("no-purple", [(0, 4), (2, 4), (1, 3)], ("4.5806481691", 2, 1, 0, 2)),
+          ("one-purple", [(0, 4), (0, 1), (0, 3), (2, 4)], ("5.35824925288", 2, 2, 0, 3)),
+          ("one-purple-one-blue", [(0, 1)], ("1.41421356237", 0, 1, 0, 1)),
+          ("one-red-point", [], ("0", 0, 0, 0, 0)),
+          ("one-purple-point", [], ("0", 0, 0, 0, 0)))],
+])
+def test_side_trees_on_few_points(case, solve, pairs, counts):
+    # [DERIVED: pairs and stats blocks as the solvers gave them when each side
+    # tree was guarded by a two-point check]
+    sol = solve(parse_instance(_FEW[case]))
+    assert sol.edge_set.pairs() == pairs
+    weight, red, blue, purple, degree = counts
+    assert stats_block(sol) == (
+        f"weight {weight}\nred_edges {red}\nblue_edges {blue}\npurple_edges {purple}\n"
+        f"max_degree {degree}\npurple_crossings 0\nsolver {sol.solver}\n")
 
 
 class TestSteinerFamilyRatio:

@@ -143,6 +143,12 @@ def _reference_base(inst, a, b, interior):
              for red, blue in options])
 
 
+def _cut_arcs(inst, order):
+    """Arc i of `split_arcs`' order: the ids strictly between purple i and purple i + 1."""
+    ppos = [j for j, u in enumerate(order.tolist()) if inst.color_of(u) == Color.PURPLE]
+    return [order[lo + 1:hi].tolist() for lo, hi in zip(ppos, ppos[1:] + [len(order)])]
+
+
 class TestArcBase:
     def test_empty_arc(self):
         # [TRIVIAL: no interior points; the direct chord is supplied by the DP]
@@ -181,9 +187,10 @@ def test_arc_base_equals_reference_chains():
         if inst.k < 2:
             continue
         cx, cy, _, _ = fit_circle(inst)
-        purple_ids, arcs = split_arcs(inst, cx, cy)
+        purple_ids, order = split_arcs(inst, cx, cy)
         k = len(purple_ids)
-        tables = fill_tables(inst, purple_ids, arcs)
+        tables = fill_tables(inst, purple_ids, order)
+        arcs = _cut_arcs(inst, order)
         for i in range(k):
             values, edges = _reference_base(inst, purple_ids[i], purple_ids[(i + 1) % k], arcs[i])
             assert tables.base[:, i].tolist() == values
@@ -237,12 +244,14 @@ def test_fit_circle_residual():
 
 
 def test_split_arcs_angular_order_and_wrap():
-    # [DERIVED: atan2 order is ids 3, 4, 0, 1, 2; the last arc wraps past -pi]
+    # [DERIVED: atan2 order is ids 3, 4, 0, 1, 2; it starts at purple 3, and
+    # the arc after it wraps past -pi]
     inst = parse_instance(_circle_text([("R", 10), ("P", 60), ("B", 100),
                                         ("P", 200), ("R", 300)]))
-    purple_ids, arcs = split_arcs(inst, 0.0, 0.0)
+    purple_ids, order = split_arcs(inst, 0.0, 0.0)
     assert purple_ids == [3, 1]
-    assert arcs == [[4, 0], [2]]
+    assert order.tolist() == [3, 4, 0, 1, 2]
+    assert _cut_arcs(inst, order) == [[4, 0], [2]]
 
 
 def _lattice_circle(r2, seed):
@@ -395,10 +404,10 @@ def test_fill_tables_matches_reference_dp():
         if inst.k < 2:
             continue
         cx, cy, _, _ = fit_circle(inst)
-        purple_ids, arcs = split_arcs(inst, cx, cy)
-        t = fill_tables(inst, purple_ids, arcs)
+        purple_ids, order = split_arcs(inst, cx, cy)
+        t = fill_tables(inst, purple_ids, order)
         values = t.value
-        dp, fold_ties = _reference_dp(inst, purple_ids, arcs)
+        dp, fold_ties = _reference_dp(inst, purple_ids, _cut_arcs(inst, order))
         for (lab, s, i), (value, how) in dp.items():
             assert values[lab, s, i] == value, (lab, s, i)
             assert _decoded(t, lab, s, i) == how, (lab, s, i)

@@ -171,6 +171,18 @@ class TestSolve:
         assert exc.value.code == EXIT_USAGE
         assert "--tolerance" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("algo", ["auto", "exact", "approx-a", "approx-union"])
+    def test_weight_past_the_float_range_exits_2(self, tmp_path, capsys, algo):
+        # Each edge length is finite, but the lengths sum past the float range;
+        # a numpy overflow warning on the way would be an error here.
+        path = tmp_path / "huge.txt"
+        path.write_text("P 0 0\nP 1e308 0\nP -1e308 0\n")
+        assert main(["solve", str(path), "--algo", algo]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "float range" in captured.err
+        assert captured.out == ""
+
     def test_unknown_algo_exits_1(self, e1_file):
         with pytest.raises(SystemExit) as exc:
             main(["solve", e1_file, "--algo", "bogus"])

@@ -25,7 +25,6 @@ from rbpspan.generators import gen_random
 from rbpspan.graphops import (
     BLUE_SIDE,
     RED_SIDE,
-    DisjointSets,
     is_rbp_spanning,
     kruskal,
     kruskal_mst,
@@ -39,7 +38,7 @@ from rbpspan.model import (
     serialize_instance,
 )
 from rbpspan.oracle import oracle_forest
-from util import E1_TEXT, e1, line_instance, seeded_instances
+from util import E1_TEXT, UnionFind, e1, line_instance, seeded_instances
 
 
 def _all_allowed(inst):
@@ -48,7 +47,7 @@ def _all_allowed(inst):
 
 
 def _side_connected(inst, edges, chosen, side):
-    ds = DisjointSets(inst.n)
+    ds = UnionFind(inst.n)
     for i in chosen:
         e = edges[i]
         if e.color_class in side:

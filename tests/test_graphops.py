@@ -11,7 +11,6 @@ from rbpspan import cli, graphops
 from rbpspan.graphops import (
     BLUE_SIDE,
     RED_SIDE,
-    DisjointSets,
     InfeasibleGraphError,
     constrained_mst,
     is_rbp_spanning,
@@ -35,7 +34,7 @@ from rbpspan.model import (
     parse_instance,
     serialize_instance,
 )
-from util import e1, line_instance
+from util import UnionFind, e1, line_instance
 
 
 def _prim_weight(inst, vertices):
@@ -75,6 +74,11 @@ class TestKruskal:
     def test_single_vertex(self):
         tree = kruskal_mst(e1(), (0,))
         assert tree.weight == 0.0 and tree.edges == ()
+
+    def test_no_vertex_is_an_empty_tree(self):
+        tree = kruskal_mst(e1(), ())
+        assert tree.weight == 0.0 and tree.pairs() == []
+        assert tree.u.dtype == tree.v.dtype == np.int64 and tree.length.dtype == float
 
 
 class TestConstrainedMst:
@@ -161,8 +165,8 @@ class TestRbpSpanning:
     def test_arrays_and_edges_match_the_union_find_loop(self):
         # The union-find loop over Edge objects that the array check replaced.
         def reference(inst, edges):
-            sides = [(DisjointSets(inst.n), RED_SIDE, inst.red_side()),
-                     (DisjointSets(inst.n), BLUE_SIDE, inst.blue_side())]
+            sides = [(UnionFind(inst.n), RED_SIDE, inst.red_side()),
+                     (UnionFind(inst.n), BLUE_SIDE, inst.blue_side())]
             for ds, side, _ in sides:
                 for e in edges:
                     if e.color_class in side:
@@ -206,24 +210,6 @@ class TestStats:
         assert "solver line" in block
 
 
-def test_disjoint_sets_copy_is_independent():
-    ds = DisjointSets(3)
-    ds.union(0, 1)
-    other = ds.copy()
-    other.union(1, 2)
-    assert other.connected_over([0, 1, 2])
-    assert ds.connected_over([0, 1]) and not ds.connected_over([0, 2])
-
-
-def test_disjoint_sets_basics():
-    ds = DisjointSets(4)
-    assert ds.union(0, 1) and not ds.union(1, 0)
-    assert ds.connected_over([0, 1]) and not ds.connected_over([0, 2])
-    ds.union(2, 3)
-    ds.union(0, 3)
-    assert ds.connected_over([0, 1, 2, 3])
-
-
 def _reference_side_pairs(instance, classes, vertices):
     """The pure-Python sorted_side_pairs that the numpy one replaced, kept as the reference."""
     verts = list(vertices)
@@ -262,7 +248,7 @@ def _reference_make_edge_set(instance, pairs):
 
 def _reference_kruskal(n, sorted_pairs, vertices, premerged=()):
     """Kruskal reading every pair, as before the early exit."""
-    ds = DisjointSets(n)
+    ds = UnionFind(n)
     for group in premerged:
         for other in group[1:]:
             ds.union(group[0], other)

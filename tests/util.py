@@ -54,6 +54,27 @@ def segment_instance(seed, max_interior=5) -> Instance:
     return line_instance(spec)
 
 
+class UnionFind:
+    """A minimal union-find for reference checks, kept apart from `graphops.kruskal`."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = x = self.parent[self.parent[x]]
+        return x
+
+    def union(self, x, y):
+        """Join the sets of x and y; False if they were one set already."""
+        rx, ry = self.find(x), self.find(y)
+        self.parent[rx] = ry
+        return rx != ry
+
+    def connected_over(self, vertices):
+        return len({self.find(v) for v in vertices}) <= 1
+
+
 def reference_chain(lengths, drop_longest=False):
     """(sum, dropped) of a chain's links, summed one by one in order from 0.0.
 
