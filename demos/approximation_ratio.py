@@ -20,7 +20,7 @@ def main():
     for t in (1, 2, 5, 10, 20, 50):
         family = gen_steiner_family(t)
         solution = approx_a(family.instance)
-        report = ratio_report(family.instance, solution, family.two_chain)
+        report = ratio_report(solution, family.two_chain)
         print(f"{t:>4} {family.instance.n:>7} {solution.weight:>10.4f} "
               f"{family.two_chain.weight:>10.4f} {report.ratio:>8.4f}")
 

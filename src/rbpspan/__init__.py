@@ -42,7 +42,6 @@ from .graphops import (
 from .line import COLLINEAR_TOL, NotCollinearError, collinearity_residual, solve_line
 from .model import (
     Color,
-    Edge,
     EdgeSet,
     Instance,
     InstanceFormatError,
@@ -50,9 +49,7 @@ from .model import (
     Solution,
     allowed_edge_count,
     allowed_edges,
-    edge_between,
     edge_color,
-    edges_properly_cross,
     make_edge_set,
     parse_instance,
     segments_properly_cross,
@@ -67,7 +64,6 @@ __all__ = [
     "COLLINEAR_TOL",
     "CONCYCLIC_TOL",
     "Color",
-    "Edge",
     "EdgeSet",
     "GUARANTEE",
     "InfeasibleGraphError",
@@ -91,9 +87,7 @@ __all__ = [
     "approx_union",
     "collinearity_residual",
     "constrained_mst",
-    "edge_between",
     "edge_color",
-    "edges_properly_cross",
     "fit_circle",
     "gen_hexagon",
     "gen_martini",

@@ -36,7 +36,7 @@ def approx_union(instance: Instance) -> Solution:
              kruskal_mst(instance, instance.blue_side(), BLUE_SIDE)]
     # A purple edge may lie in both trees.
     pairs = np.unique(_pair_array(trees), axis=0)
-    return solution_stats(instance, make_edge_set(instance, pairs), solver="approx-union")
+    return solution_stats(make_edge_set(instance, pairs), solver="approx-union")
 
 
 def approx_a(instance: Instance) -> Solution:
@@ -50,8 +50,7 @@ def approx_a(instance: Instance) -> Solution:
     trees = [purple,
              constrained_mst(instance, instance.red_side(), purple_pairs, (Color.RED,)),
              constrained_mst(instance, instance.blue_side(), purple_pairs, (Color.BLUE,))]
-    return solution_stats(instance, make_edge_set(instance, _pair_array(trees)),
-                          solver="approx-a")
+    return solution_stats(make_edge_set(instance, _pair_array(trees)), solver="approx-a")
 
 
 @dataclass(frozen=True)
@@ -62,12 +61,12 @@ class RatioReport:
     violated: bool
 
 
-def ratio_report(instance: Instance, approx_solution: Solution,
-                 reference: Union[float, EdgeSet, Solution],
+def ratio_report(approx_solution: Solution, reference: Union[float, EdgeSet, Solution],
                  certified: bool = False) -> RatioReport:
     """Approximation ratio against a reference weight or constructed feasible solution.
 
-    A constructed reference (EdgeSet/Solution) must itself be RBP-spanning.
+    A constructed reference (EdgeSet/Solution) must be on the approximation's
+    own `Instance` object and must itself be RBP-spanning.
     With certified=True the reference is a known optimum and a ratio above the
     solver's guarantee is flagged. Only the approximation solvers have a guarantee.
     """
@@ -78,7 +77,9 @@ def ratio_report(instance: Instance, approx_solution: Solution,
     if isinstance(reference, Solution):
         reference = reference.edge_set
     if isinstance(reference, EdgeSet):
-        if not is_rbp_spanning(instance, reference):
+        if reference.instance is not approx_solution.instance:
+            raise PreconditionError("reference edge set is on another instance")
+        if not is_rbp_spanning(reference):
             raise PreconditionError("reference edge set is not RBP-spanning")
         ref_weight = reference.weight
     else:

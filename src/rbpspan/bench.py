@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from statistics import median
 from typing import Sequence
 
 from .approx import approx_a
@@ -15,14 +16,6 @@ from .line import solve_line, solve_sorted
 from .model import Color, Instance
 
 EXACT_SEEDS = 16  # instances per n in bench_exact
-
-
-def _median(samples: Sequence[float]) -> float:
-    s = sorted(samples)
-    mid = len(s) // 2
-    if len(s) % 2:
-        return s[mid]
-    return 0.5 * (s[mid - 1] + s[mid])
 
 
 def _line_arrays(n: int, seed: int):
@@ -48,7 +41,7 @@ def _alternated_medians(run, inputs: dict, reps: int) -> dict:
             t0 = time.perf_counter()
             run(arg)
             samples[key].append(time.perf_counter() - t0)
-    return {key: _median(s) for key, s in samples.items()}
+    return {key: median(s) for key, s in samples.items()}
 
 
 def bench_line(sizes: Sequence[int] = (100_000, 1_000_000), reps: int = 5,
@@ -118,7 +111,7 @@ def bench_exact(ns: Sequence[int] = (10, 20, 30, 40), reps: int = 1, seed: int =
     inputs = {(n, i): gen_random(n, 0.4, 0.4, "plane", seed=seed + i)
               for n in ns for i in range(EXACT_SEEDS)}
     per_instance = _alternated_medians(solve_exact, inputs, reps)
-    return {n: _median([per_instance[n, i] for i in range(EXACT_SEEDS)]) for n in ns}
+    return {n: median([per_instance[n, i] for i in range(EXACT_SEEDS)]) for n in ns}
 
 
 # `rbpspan bench --target` name -> (row label, harness, divisor of --reps) per output row

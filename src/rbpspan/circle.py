@@ -6,15 +6,15 @@ only (RC), in blue only (BC), or in neither (NC). They are kept end-indexed in
 one wrap-doubled float array: ends[label, s, j] is the entry for the clockwise
 span of s arcs that ends at purple j mod k, for j in [s, 2k). So every Case I
 split of a span reads its right parts from one basic-slice view, with no
-gather, and one min-reduce per span writes its entries. `DPTables.value` is
-the start-indexed view of the same memory. The tables hold values only:
-reconstruction rebuilds the option row of each entry it visits and picks
-its first minimum (`_pick`). The base case of each purple-to-purple arc of
-`split_arcs`' angular order is the collinear solver's segment case split:
-`arc_chains` runs the chain kernel `line.chain_sums` once over the red and
-blue chains around the circle, with chord lengths as link lengths.
-Reconstruction collects the base entries it visits and reads their edges in
-one masked pass over the links (`_base_edges`).
+gather, and one min-reduce per span writes its entries. The tables hold
+values only: reconstruction rebuilds the option row of each entry it visits
+and picks its first minimum (`_pick`). The base case of each
+purple-to-purple arc of `split_arcs`' angular order is the collinear
+solver's segment case split: `arc_chains` runs the chain kernel
+`line.chain_sums` once over the red and blue chains around the circle, with
+chord lengths as link lengths. Reconstruction collects the base entries it
+visits and reads their edges in one masked pass over the links
+(`_base_edges`).
 
 `solve_circle` is O(n log n + k^3) for n points, k of them purple: the
 n log n is `split_arcs`' angular sort, and `fit_circle` is O(n), as it
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .graphops import BLUE_SIDE, RED_SIDE, kruskal_mst, solution_stats
 from .line import axis_ends, chain_sums, python_max
@@ -153,15 +153,6 @@ class DPTables:
     arc_of: np.ndarray   # int: the arc chain each link of `chain` lies on
     dropped: np.ndarray  # int, (2k,): each arc chain's first longest link
 
-    @property
-    def value(self) -> np.ndarray:
-        """Read-only start-indexed view of `ends`: value[label, s, i] = ends[label, s, i + s]."""
-        ends = self.ends
-        k = ends.shape[1]
-        by_label, by_span, by_end = ends.strides
-        return as_strided(ends, (4, k, k), (by_label, by_span + by_end, by_end),
-                          writeable=False)
-
 
 # Case II splits off the span-1 arc at the start: (left, right) labels per variant.
 _CASE2 = {
@@ -240,14 +231,13 @@ def combine_final(tables: DPTables) -> tuple[float, int, int]:
     """
     k = len(tables.purple_ids)
     s = np.arange(1, k)[:, None]
-    total = (tables.value[_PAIR_LEFT, s, 0]
-             + tables.value[_PAIR_RIGHT, k - s, s])
+    total = tables.ends[_PAIR_LEFT, s, s] + tables.ends[_PAIR_RIGHT, k - s, k]
     best = int(total.argmin())
     return float(total.flat[best]), best // len(_PAIRINGS) + 1, best % len(_PAIRINGS)
 
 
 def _pick(tables: DPTables, lab: int, s: int, i: int) -> int:
-    """The option that reached value[lab, s, i]: the first minimum in canonical order.
+    """The option that reached ends[lab, s, i + s]: the first minimum in canonical order.
 
     Span 1: 0 is the arc's base entry, 1 the direct chord on top of the arc's
     PC entry. Span s >= 2: c < s - 1 is Case I split at d = c + 1 (PC over
@@ -270,7 +260,7 @@ def _pick(tables: DPTables, lab: int, s: int, i: int) -> int:
 
 
 def _reconstruct(tables: DPTables, lab: int, i: int, s: int, pairs: list, bases: list):
-    """Append the chords of entry value[lab, s, i] to `pairs`, its base entries to `bases`.
+    """Append the chords of entry ends[lab, s, i + s] to `pairs`, its base entries to `bases`.
 
     A base entry is a (label, arc) pair; `_base_edges` reads the edges of all
     of them at once. The tables store no choices: each entry the walk visits
@@ -331,7 +321,7 @@ def solve_circle(instance: Instance, tolerance: float = CONCYCLIC_TOL) -> Soluti
         # No purple edge is possible; the two sides are independent MSTs.
         pairs = (kruskal_mst(instance, instance.red_side(), RED_SIDE).pairs()
                  + kruskal_mst(instance, instance.blue_side(), BLUE_SIDE).pairs())
-        return solution_stats(instance, make_edge_set(instance, pairs), solver="circle")
+        return solution_stats(make_edge_set(instance, pairs), solver="circle")
 
     purple_ids, order = split_arcs(instance, cx, cy)
     k = len(purple_ids)
@@ -349,4 +339,4 @@ def solve_circle(instance: Instance, tolerance: float = CONCYCLIC_TOL) -> Soluti
         [np.array(pairs, dtype=np.intp).reshape(-1, 2), _base_edges(tables, bases)]))
     if not math.isclose(edge_set.weight, best, rel_tol=1e-9, abs_tol=1e-9):
         raise AssertionError("reconstructed weight disagrees with DP optimum")
-    return solution_stats(instance, edge_set, solver="circle")
+    return solution_stats(edge_set, solver="circle")

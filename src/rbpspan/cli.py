@@ -134,7 +134,7 @@ def cmd_solve(args) -> int:
     instance = _read_instance(args.input)
     solution = SOLVERS[args.algo](instance, args.tolerance)
     edge_set = solution.edge_set
-    if not is_rbp_spanning(instance, edge_set):
+    if not is_rbp_spanning(edge_set):
         print("internal error: solver output is not RBP-spanning", file=sys.stderr)
         return EXIT_INTERNAL
     out = list(map("%d %d".__mod__, zip(edge_set.u.tolist(), edge_set.v.tolist())))

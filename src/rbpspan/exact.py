@@ -220,7 +220,7 @@ def solve_exact(instance: Instance, return_trace: bool = False):
 
     best = sorted(best_x)
     edge_set = make_edge_set(instance, np.column_stack((ground.u[best], ground.v[best])))
-    solution = solution_stats(instance, edge_set, solver="exact")
+    solution = solution_stats(edge_set, solver="exact")
     if return_trace:
         return solution, trace
     return solution

@@ -322,9 +322,9 @@ def constrained_mst(instance: Instance, vertices: Sequence[int],
     return EdgeSet(instance, u, v, np.array(hypot_lengths(instance, u, v), dtype=float), total)
 
 
-def is_rbp_spanning(instance: Instance, edges: EdgeSet) -> bool:
+def is_rbp_spanning(edge_set: EdgeSet) -> bool:
     """True iff red+purple edges connect R∪P and blue+purple edges connect B∪P."""
-    u, v, codes = edges.u, edges.v, edges.color_class
+    instance, u, v, codes = edge_set.instance, edge_set.u, edge_set.v, edge_set.color_class
     for side, vertices in ((Color.RED, instance.red_side()), (Color.BLUE, instance.blue_side())):
         on_side = (codes == int(Color.PURPLE)) | (codes == int(side))  # not INVALID_CLASS
         # Kruskal over the side's pairs in any order: None iff they leave `vertices` apart.
@@ -343,8 +343,9 @@ def _purple_crossings(instance: Instance, u: np.ndarray, v: np.ndarray
     """Pairs of the edges (u[i], v[i]) that properly cross: (count, count per edge).
 
     Each pair i < j without a shared endpoint whose closed bounding boxes
-    overlap is tested as `edges_properly_cross` tests edges i and j. Other pairs cannot cross properly: a proper crossing point lies
-    in both closed boxes. A sweep along the axis the edges spread over more
+    overlap is tested as `segments_properly_cross` tests the two segments.
+    Other pairs cannot cross properly: a proper crossing point lies in both
+    closed boxes. A sweep along the axis the edges spread over more
     (so that edges on a vertical line are not all candidates) finds the pairs
     whose boxes overlap, `_CROSS_BLOCK` pairs at a time, so memory stays
     O(len(u) + block). `orient_filter`, the float test of `_orient_sign`,
@@ -405,8 +406,9 @@ def _orient_signs(instance: Instance, a: np.ndarray, b: np.ndarray, c: np.ndarra
     return sign
 
 
-def solution_stats(instance: Instance, edge_set: EdgeSet, solver: str = "") -> Solution:
+def solution_stats(edge_set: EdgeSet, solver: str = "") -> Solution:
     """Weight, per-color counts, max degree, and purple-purple crossing statistics."""
+    instance = edge_set.instance
     codes = edge_set.color_class
     red, blue, purple, invalid = np.bincount(codes, minlength=INVALID_CLASS + 1).tolist()
     if invalid:

@@ -159,4 +159,4 @@ def solve_line(instance: Instance, tolerance: float = COLLINEAR_TOL) -> Solution
         raise NotCollinearError(residual)
     _, pairs = solve_sorted(*prepare_sorted(instance))
     edge_set = make_edge_set(instance, pairs)
-    return solution_stats(instance, edge_set, solver="line")
+    return solution_stats(edge_set, solver="line")

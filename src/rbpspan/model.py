@@ -59,20 +59,12 @@ def edge_color(cu: Color, cv: Color) -> Optional[Color]:
 
 @dataclass(frozen=True, slots=True)
 class Edge:
-    """Canonical point-id pair (u < v) with Euclidean length and color class."""
+    """Canonical point-id pair (u < v), length and color class; made only by `Solution.edges`."""
 
     u: int
     v: int
     length: float
     color_class: Optional[Color]
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.length, self.u, self.v)
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.u, self.v)
 
 
 # Edge color class code by the two point colors; INVALID_CLASS marks the red-blue pair.
@@ -172,18 +164,11 @@ def _canonical(instance: Instance, u: int, v: int) -> tuple[int, int]:
     return u, v
 
 
-def edge_between(instance: Instance, u: int, v: int) -> Edge:
-    """Edge between two point ids, canonically ordered, with length and color class."""
-    u, v = _canonical(instance, u, v)
-    return Edge(u, v, instance.distance(u, v),
-                edge_color(instance.color_of(u), instance.color_of(v)))
-
-
-def allowed_edges(instance: Instance) -> list[Edge]:
-    """All non-invalid edges, sorted by (length, u, v)."""
+def allowed_edges(instance: Instance) -> EdgeSet:
+    """The edge set of all non-invalid edges."""
     u, v = np.triu_indices(instance.n, 1)
     allowed = _CLASS_OF[instance.colors[u], instance.colors[v]] != INVALID_CLASS
-    return list(make_edge_set(instance, np.column_stack((u[allowed], v[allowed]))).edges)
+    return make_edge_set(instance, np.column_stack((u[allowed], v[allowed])))
 
 
 def allowed_edge_count(n_red: int, n_blue: int, n_purple: int) -> int:
@@ -206,10 +191,10 @@ class EdgeSet:
     """A candidate or final solution graph: sorted edge arrays plus total weight.
 
     Edge i joins point ids u[i] < v[i] (int64) and is length[i] long, the
-    float64 `Instance.distance`; edges are in (length, u, v) order, which is
-    `Edge.sort_key`. color_class[i] is the int8 class code of `_CLASS_OF`,
-    INVALID_CLASS for a red-blue pair. Array fields make the dataclass `==`
-    meaningless, so edge sets compare by identity.
+    float64 `Instance.distance`; edges are in (length, u, v) order.
+    color_class[i] is the int8 class code of `_CLASS_OF`, INVALID_CLASS for
+    a red-blue pair. Array fields make the dataclass `==` meaningless, so
+    edge sets compare by identity.
     """
 
     instance: Instance
@@ -224,12 +209,6 @@ class EdgeSet:
         object.__setattr__(self, "color_class", _CLASS_OF[colors[self.u], colors[self.v]])
         for array in (self.u, self.v, self.length, self.color_class):
             array.flags.writeable = False
-
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        """The edges as `Edge` objects, made on first read."""
-        return tuple(map(Edge, self.u.tolist(), self.v.tolist(), self.length.tolist(),
-                         [_CLASS_COLOR[c] for c in self.color_class.tolist()]))
 
     def pairs(self) -> list[tuple[int, int]]:
         return list(zip(self.u.tolist(), self.v.tolist()))
@@ -302,9 +281,16 @@ class Solution:
     def instance(self) -> Instance:
         return self.edge_set.instance
 
-    @property
+    @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        return self.edge_set.edges
+        """The edges as `Edge` objects, made on first read; the only place an `Edge` is made.
+
+        This view stays only because the `graphops.stats_pairs` counter of
+        `perfbench/spans.py` reads it; it goes with ROADMAP item 4.
+        """
+        es = self.edge_set
+        return tuple(map(Edge, es.u.tolist(), es.v.tolist(), es.length.tolist(),
+                         [_CLASS_COLOR[c] for c in es.color_class.tolist()]))
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +340,6 @@ def segments_properly_cross(a, b, c, d) -> bool:
     if _orient_sign(a, b, c) * _orient_sign(a, b, d) >= 0:
         return False
     return _orient_sign(c, d, a) * _orient_sign(c, d, b) < 0
-
-
-def edges_properly_cross(instance: Instance, e1: Edge, e2: Edge) -> bool:
-    if {e1.u, e1.v} & {e2.u, e2.v}:
-        raise PreconditionError("edges share an endpoint")
-    return segments_properly_cross(instance.coords(e1.u), instance.coords(e1.v),
-                                   instance.coords(e2.u), instance.coords(e2.v))
 
 
 # ---------------------------------------------------------------------------

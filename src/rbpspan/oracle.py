@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from .graphops import (
     BLUE_SIDE,
     RED_SIDE,
@@ -81,19 +83,21 @@ def oracle_forest(instance: Instance, max_purple: int = FOREST_MAX_PURPLE) -> So
         for block in partition:
             if len(block) > 1:
                 total += block_weight(block)
-        if total >= best:
+        if total > best:
             continue
         red = kruskal(n, red_pairs, red_vertices, partition)
         if red is None:
             continue
         total += red[0]
-        if total >= best:
+        if total > best:
             continue
         blue = kruskal(n, blue_pairs, blue_vertices, partition)
         if blue is None:
             continue
         total += blue[0]
-        if total < best:
+        # The first feasible partition stands even at an inf total, so that an
+        # overflowing weight reaches make_edge_set's error rather than "no partition".
+        if best_partition is None or total < best:
             best = total
             best_partition = [list(b) for b in partition]
             best_pairs = red[1] + blue[1]
@@ -107,7 +111,7 @@ def oracle_forest(instance: Instance, max_purple: int = FOREST_MAX_PURPLE) -> So
     edge_set = make_edge_set(instance, pairs)
     if not math.isclose(edge_set.weight, best, rel_tol=1e-9, abs_tol=1e-9):
         raise AssertionError("oracle_forest reconstruction disagrees with the minimum")
-    return solution_stats(instance, edge_set, solver="oracle-forest")
+    return solution_stats(edge_set, solver="oracle-forest")
 
 
 def oracle_subsets(instance: Instance) -> Solution:
@@ -121,13 +125,15 @@ def oracle_subsets(instance: Instance) -> Solution:
     side, as in `is_rbp_spanning`.
     """
     edges = allowed_edges(instance)
-    m = len(edges)
+    m = len(edges.u)
     if m > SUBSET_MAX_EDGES:
         raise OracleSizeError(
             f"oracle_subsets handles at most {SUBSET_MAX_EDGES} allowed edges, got {m}")
     n = instance.n
+    lengths = edges.length.tolist()
+    triples = list(zip(edges.u.tolist(), edges.v.tolist(), edges.color_class.tolist()))
     # Per side: each edge's zero-weight Kruskal pair, None for an edge off the side.
-    sides = [([(0.0, e.u, e.v) if e.color_class in classes else None for e in edges], vertices)
+    sides = [([(0.0, u, v) if c in classes else None for u, v, c in triples], vertices)
              for classes, vertices in ((RED_SIDE, instance.red_side()),
                                        (BLUE_SIDE, instance.blue_side()))]
 
@@ -150,12 +156,13 @@ def oracle_subsets(instance: Instance) -> Solution:
         if idx == m or weight >= best_weight or not spans([*chosen, *range(idx, m)]):
             return
         chosen.append(idx)
-        dfs(idx + 1, weight + edges[idx].length, chosen)
+        dfs(idx + 1, weight + lengths[idx], chosen)
         chosen.pop()
         dfs(idx + 1, weight, chosen)
 
     dfs(0, 0.0, [])
     if best_choice is None:
         raise AssertionError("no edge subset spans both sides")
-    edge_set = make_edge_set(instance, [edges[i].pair for i in best_choice])
-    return solution_stats(instance, edge_set, solver="oracle-subsets")
+    edge_set = make_edge_set(instance, np.column_stack((edges.u[best_choice],
+                                                        edges.v[best_choice])))
+    return solution_stats(edge_set, solver="oracle-subsets")

@@ -23,9 +23,9 @@ from rbpspan.generators import (
 from rbpspan.graphops import kruskal_mst, solution_stats
 from rbpspan.line import solve_line
 from rbpspan.circle import solve_circle
-from rbpspan.model import Color, edges_properly_cross
+from rbpspan.model import INVALID_CLASS, Color
 from rbpspan.oracle import oracle_forest, oracle_subsets
-from util import seeded_instances, segment_instance
+from util import edge_rows, edges_properly_cross, seeded_instances, segment_instance
 
 REL = 1e-9
 
@@ -96,18 +96,19 @@ def test_criterion_4_circle_solver():
             mismatches += 1
         if sol.purple_crossings != 0:
             structure_violations += 1
-        purple = [e for e in sol.edges if e.color_class == Color.PURPLE]
-        others = [e for e in sol.edges if e.color_class != Color.PURPLE]
+        rows = edge_rows(sol.edge_set)
+        purple = [(u, v) for _, u, v, c in rows if c == Color.PURPLE]
+        others = [(u, v) for _, u, v, c in rows if c != Color.PURPLE]
         for pe in purple:
             for oe in others:
-                if {pe.u, pe.v} & {oe.u, oe.v}:
+                if set(pe) & set(oe):
                     continue
                 if edges_properly_cross(inst, pe, oe):
                     structure_violations += 1
         purple_degree = {}
-        for pe in purple:
-            purple_degree[pe.u] = purple_degree.get(pe.u, 0) + 1
-            purple_degree[pe.v] = purple_degree.get(pe.v, 0) + 1
+        for u, v in purple:
+            purple_degree[u] = purple_degree.get(u, 0) + 1
+            purple_degree[v] = purple_degree.get(v, 0) + 1
         if purple_degree and max(purple_degree.values()) > 2:
             structure_violations += 1
     _report(4, mismatches == 0 and structure_violations == 0,
@@ -122,7 +123,7 @@ def test_criterion_5_structural_invariants(exact_batch):
     for inst, sol, _ in exact_batch:
         if sol.max_degree > 18:
             degree_violations += 1
-        if any(e.color_class is None for e in sol.edges):
+        if (sol.edge_set.color_class == INVALID_CLASS).any():
             invalid_edges += 1
         if inst.general_position_violations():
             continue  # the MST-subset claim assumes distinct pairwise distances
@@ -131,10 +132,10 @@ def test_criterion_5_structural_invariants(exact_batch):
         blue_side = inst.blue_side()
         red_mst = set(kruskal_mst(inst, red_side).pairs()) if len(red_side) > 1 else set()
         blue_mst = set(kruskal_mst(inst, blue_side).pairs()) if len(blue_side) > 1 else set()
-        for e in sol.edges:
-            if e.color_class == Color.RED and e.pair not in red_mst:
+        for _, u, v, c in edge_rows(sol.edge_set):
+            if c == Color.RED and (u, v) not in red_mst:
                 subset_violations += 1
-            if e.color_class == Color.BLUE and e.pair not in blue_mst:
+            if c == Color.BLUE and (u, v) not in blue_mst:
                 subset_violations += 1
     _report(5, degree_violations == 0 and subset_violations == 0
             and invalid_edges == 0,
@@ -147,9 +148,9 @@ def test_criterion_5_structural_invariants(exact_batch):
 def test_criterion_6_approximation_guarantees(exact_batch):
     a_violations = union_violations = 0
     for inst, _, opt in exact_batch:
-        if ratio_report(inst, approx_a(inst), opt, certified=True).violated:
+        if ratio_report(approx_a(inst), opt, certified=True).violated:
             a_violations += 1
-        if ratio_report(inst, approx_union(inst), opt, certified=True).violated:
+        if ratio_report(approx_union(inst), opt, certified=True).violated:
             union_violations += 1
     ratios = []
     for t in (1, 5, 20, 50):
@@ -196,7 +197,7 @@ def test_criterion_7_crossing_construction_m3_slow():
 def test_criterion_8_hexagon_star_optimum():
     inst = gen_hexagon()
     opt = oracle_forest(inst)
-    star = solution_stats(inst, hexagon_star(inst))
+    star = solution_stats(hexagon_star(inst))
     ok = abs(opt.weight - 30.0) <= 1e-9 and _close(opt.weight, star.weight)
     _report(8, ok,
             f"oracle optimum {opt.weight:.12f} vs 30.0, star weight "

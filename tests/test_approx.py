@@ -32,7 +32,7 @@ class TestApproxUnion:
         # [DERIVED: two independent chains of length 10, ratio 20/18]
         sol = approx_union(e1())
         assert sol.weight == pytest.approx(20.0)
-        rep = ratio_report(e1(), sol, 18.0, certified=True)
+        rep = ratio_report(sol, 18.0, certified=True)
         assert rep.ratio == pytest.approx(20.0 / 18.0)
         assert not rep.violated
 
@@ -41,13 +41,13 @@ class TestApproxUnion:
         inst = parse_instance("P 0 0\nP 1 0\nP 3 0")
         sol = approx_union(inst)
         assert sol.weight == pytest.approx(3.0)
-        assert ratio_report(inst, sol, oracle_forest(inst)).ratio == pytest.approx(1.0)
+        assert ratio_report(sol, oracle_forest(inst)).ratio == pytest.approx(1.0)
 
     def test_ratio_within_two_on_random_batch(self):
         # [DERIVED: 2-approximation over certified optima]
         for inst in seeded_instances(40, n_min=4, n_max=9, k_max=4, base_seed=1000):
             opt = solve_exact(inst)
-            rep = ratio_report(inst, approx_union(inst), opt, certified=True)
+            rep = ratio_report(approx_union(inst), opt, certified=True)
             assert rep.ratio <= 2.0 + 1e-9 and not rep.violated
 
 
@@ -56,7 +56,7 @@ class TestApproxA:
         # [DERIVED: MST(P) is the purple edge; attachments are optimal here]
         sol = approx_a(e1())
         assert sol.weight == pytest.approx(18.0)
-        assert ratio_report(e1(), sol, 18.0).ratio == pytest.approx(1.0)
+        assert ratio_report(sol, 18.0).ratio == pytest.approx(1.0)
 
     def test_hexagon_weight_30(self):
         # [DERIVED: MST(P) = 18, six red and six blue unit attachments]
@@ -67,14 +67,14 @@ class TestApproxA:
         # [DERIVED: batch run against certified optima]
         for inst in seeded_instances(40, n_min=4, n_max=9, k_max=4, base_seed=1100):
             opt = solve_exact(inst)
-            rep = ratio_report(inst, approx_a(inst), opt, certified=True)
+            rep = ratio_report(approx_a(inst), opt, certified=True)
             assert rep.ratio <= GUARANTEE + 1e-9 and not rep.violated
 
     def test_output_is_spanning(self):
         for inst in seeded_instances(20, n_min=3, n_max=10, base_seed=1200):
             for solver in (approx_a, approx_union):
                 sol = solver(inst)
-                assert is_rbp_spanning(inst, sol.edge_set)
+                assert is_rbp_spanning(sol.edge_set)
 
 
 # Concyclic instances that lack a color or have at most one purple point, so
@@ -117,7 +117,7 @@ def test_side_trees_on_few_points(case, solve, pairs, counts):
 class TestSteinerFamilyRatio:
     def test_t5_between_one_and_guarantee_limit(self):
         fam = gen_steiner_family(5)
-        rep = ratio_report(fam.instance, approx_a(fam.instance), fam.two_chain)
+        rep = ratio_report(approx_a(fam.instance), fam.two_chain)
         assert 1.0 < rep.ratio < 1.0 + 1.0 / math.sqrt(3.0)
 
 
@@ -126,26 +126,35 @@ class TestRatioReport:
         inst = e1()
         bad = make_edge_set(inst, [(0, 1)])
         with pytest.raises(PreconditionError):
-            ratio_report(inst, approx_a(inst), bad)
+            ratio_report(approx_a(inst), bad)
+
+    def test_reference_on_another_instance_rejected(self):
+        # An equal copy of the points is another instance: a reference must be on the same one.
+        sol = approx_a(e1())
+        other = make_edge_set(e1(), [(0, 1), (0, 2), (1, 3)])
+        for reference in (other, oracle_forest(e1())):
+            with pytest.raises(PreconditionError, match="on another instance"):
+                ratio_report(sol, reference)
+        assert ratio_report(sol, make_edge_set(sol.instance, other.pairs())).ratio == 1.0
 
     def test_nonpositive_reference_rejected(self):
         with pytest.raises(PreconditionError):
-            ratio_report(e1(), approx_a(e1()), 0.0)
+            ratio_report(approx_a(e1()), 0.0)
 
     @pytest.mark.parametrize("ref", [math.nan, math.inf, -math.inf])
     def test_nonfinite_reference_rejected(self, ref):
         # A nan reference would give ratio nan and never flag a violation; inf would give 0.
         with pytest.raises(PreconditionError, match="positive and finite"):
-            ratio_report(e1(), approx_a(e1()), ref, certified=True)
+            ratio_report(approx_a(e1()), ref, certified=True)
 
     def test_solver_without_guarantee_rejected(self):
         # An exact solution has no approximation guarantee to be judged against.
         with pytest.raises(PreconditionError, match="no approximation guarantee"):
-            ratio_report(e1(), solve_exact(e1()), 18.0)
+            ratio_report(solve_exact(e1()), 18.0)
 
     def test_violation_flag_only_when_certified(self):
         inst = e1()
         sol = approx_a(inst)
         # Absurdly small reference: flagged only if claimed to be the optimum.
-        assert ratio_report(inst, sol, 1.0, certified=True).violated
-        assert not ratio_report(inst, sol, 1.0, certified=False).violated
+        assert ratio_report(sol, 1.0, certified=True).violated
+        assert not ratio_report(sol, 1.0, certified=False).violated

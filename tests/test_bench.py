@@ -3,7 +3,6 @@
 import pytest
 
 from rbpspan.bench import (
-    _median,
     bench_approx,
     bench_circle,
     bench_circle_e2e,
@@ -12,12 +11,6 @@ from rbpspan.bench import (
     bench_line_e2e,
     scaling_ratio,
 )
-
-
-def test_median():
-    assert _median([3.0]) == 3.0
-    assert _median([1.0, 3.0]) == 2.0
-    assert _median([5.0, 1.0, 3.0]) == 3.0
 
 
 def test_bench_line_smoke():

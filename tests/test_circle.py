@@ -53,6 +53,11 @@ def _tables(inst):
     return fill_tables(inst, *split_arcs(inst, cx, cy))
 
 
+def _by_start(t, lab, s):
+    """The entries of label lab over span s by start purple i: ends[lab, s, i + s], i < k."""
+    return t.ends[lab, s, s:s + len(t.purple_ids)]
+
+
 class TestSolveCircle:
     def test_diameter_instance(self):
         # [DERIVED: diameter purple edge + two sqrt(2) attachments]
@@ -66,7 +71,7 @@ class TestSolveCircle:
         inst = parse_instance(_circle_text([("P", 0), ("P", 90)]))
         sol = solve_circle(inst)
         assert sol.weight == pytest.approx(math.sqrt(2.0))
-        assert len(sol.edges) == 1
+        assert len(sol.edge_set.u) == 1
 
     def test_inscribed_square_three_sides(self):
         # [DERIVED: MST of the square, three sides of sqrt(2)]
@@ -211,10 +216,10 @@ class TestTables:
                 continue
             t = _tables(inst)
             for s in range(1, inst.k):
-                pc = t.value[P_, s]
-                nc = t.value[N_, s]
+                pc = _by_start(t, P_, s)
+                nc = _by_start(t, N_, s)
                 for lab in (R_, B_):
-                    mid = t.value[lab, s]
+                    mid = _by_start(t, lab, s)
                     assert np.all(pc <= mid + 1e-9)
                     assert np.all(mid <= nc + 1e-9)
 
@@ -406,10 +411,9 @@ def test_fill_tables_matches_reference_dp():
         cx, cy, _, _ = fit_circle(inst)
         purple_ids, order = split_arcs(inst, cx, cy)
         t = fill_tables(inst, purple_ids, order)
-        values = t.value
         dp, fold_ties = _reference_dp(inst, purple_ids, _cut_arcs(inst, order))
         for (lab, s, i), (value, how) in dp.items():
-            assert values[lab, s, i] == value, (lab, s, i)
+            assert _by_start(t, lab, s)[i] == value, (lab, s, i)
             assert _decoded(t, lab, s, i) == how, (lab, s, i)
         assert all(dp[key][1] == ("I", 1) for key in fold_ties)
         assert fold_ties or not tied

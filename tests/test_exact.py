@@ -1,5 +1,6 @@
 """Exact solver: exchange graph, exchange sequences, and end-to-end optima."""
 
+import ast
 import math
 import os
 import random
@@ -38,20 +39,15 @@ from rbpspan.model import (
     serialize_instance,
 )
 from rbpspan.oracle import oracle_forest
-from util import E1_TEXT, UnionFind, e1, line_instance, seeded_instances
-
-
-def _all_allowed(inst):
-    """Every allowed edge as an EdgeSet, indexed as `allowed_edges(inst)`."""
-    return make_edge_set(inst, [e.pair for e in allowed_edges(inst)])
+from util import E1_TEXT, UnionFind, e1, edge_rows, line_instance, seeded_instances
 
 
 def _side_connected(inst, edges, chosen, side):
     ds = UnionFind(inst.n)
+    u, v, codes = edges.u.tolist(), edges.v.tolist(), edges.color_class.tolist()
     for i in chosen:
-        e = edges[i]
-        if e.color_class in side:
-            ds.union(e.u, e.v)
+        if codes[i] in side:
+            ds.union(u[i], v[i])
     verts = [i for i in range(inst.n) if inst.color_of(i) in side]
     return ds.connected_over(verts)
 
@@ -60,29 +56,29 @@ class TestExchangeGraph:
     def test_e1_full_source_arcs(self):
         # [DERIVED: connectivity conditions enumerated directly]
         inst = e1()
-        ground = _all_allowed(inst)
-        edges = ground.edges
-        x = frozenset(range(len(edges)))
+        ground = allowed_edges(inst)
+        m = len(ground.u)
+        x = frozenset(range(m))
         g = build_exchange_graph(ground, x)
-        source = len(edges)
+        source = m
         src_targets = set(np.flatnonzero(np.isfinite(g[source])).tolist())
-        for i in range(len(edges)):
-            expect = _side_connected(inst, edges, x - {i}, BLUE_SIDE)
+        for i in range(m):
+            expect = _side_connected(inst, ground, x - {i}, BLUE_SIDE)
             assert (i in src_targets) == expect
         # Every blue-side edge lies on the triangle {(0,1),(0,3),(1,3)} -> removable.
-        assert src_targets == set(range(len(edges)))
+        assert src_targets == set(range(m))
 
     def test_h0_path_iff_removable_both_sides(self):
         # [TRIVIAL: condition conjunction]
         inst = e1()
-        ground = _all_allowed(inst)
-        edges = ground.edges
-        x = frozenset(range(len(edges)))
+        ground = allowed_edges(inst)
+        m = len(ground.u)
+        x = frozenset(range(m))
         g = build_exchange_graph(ground, x)
-        sink = len(edges) + 1
+        sink = m + 1
         sink_sources = set(np.flatnonzero(np.isfinite(g[:, sink])).tolist())
-        for i in range(len(edges)):
-            expect = _side_connected(inst, edges, x - {i}, RED_SIDE)
+        for i in range(m):
+            expect = _side_connected(inst, ground, x - {i}, RED_SIDE)
             assert (i in sink_sources) == expect
 
     def test_non_spanning_x_raises_under_python_O(self):
@@ -107,7 +103,7 @@ class TestExchangeGraph:
         # among all allowed edges and for every X that solve_exact's rounds visit]
         for inst in (seeded_instances(12, n_min=4, n_max=7, base_seed=900)
                      + [_lattice(3000 + s) for s in range(12)]):
-            everything = _all_allowed(inst)
+            everything = allowed_edges(inst)
             ground = set(ground_set(inst).pairs())
             _assert_arcs_match_definition(everything, frozenset(
                 i for i, pair in enumerate(everything.pairs()) if pair in ground))
@@ -127,13 +123,13 @@ def _exact_rounds(inst):
 
 def _assert_arcs_match_definition(ground, x):
     g = build_exchange_graph(ground, x)
-    inst, edges = ground.instance, ground.edges
-    m = len(edges)
+    inst, length = ground.instance, ground.length.tolist()
+    m = len(length)
     source, sink = m, m + 1
     for a in range(m):
-        removable = a in x and _side_connected(inst, edges, x - {a}, BLUE_SIDE)
-        assert g[source, a] == (-edges[a].length if removable else math.inf)
-        removable = a in x and _side_connected(inst, edges, x - {a}, RED_SIDE)
+        removable = a in x and _side_connected(inst, ground, x - {a}, BLUE_SIDE)
+        assert g[source, a] == (-length[a] if removable else math.inf)
+        removable = a in x and _side_connected(inst, ground, x - {a}, RED_SIDE)
         assert g[a, sink] == (0.0 if removable else math.inf)
         for b in range(m):
             if (a in x) == (b in x):
@@ -142,11 +138,11 @@ def _assert_arcs_match_definition(ground, x):
             e, f = (a, b) if a in x else (b, a)
             swapped = (x - {e}) | {f}
             if a in x:  # e -> f
-                arc = _side_connected(inst, edges, swapped, RED_SIDE)
-                assert g[a, b] == (edges[f].length if arc else math.inf)
+                arc = _side_connected(inst, ground, swapped, RED_SIDE)
+                assert g[a, b] == (length[f] if arc else math.inf)
             else:  # f -> e
-                arc = _side_connected(inst, edges, swapped, BLUE_SIDE)
-                assert g[a, b] == (-edges[e].length if arc else math.inf)
+                arc = _side_connected(inst, ground, swapped, BLUE_SIDE)
+                assert g[a, b] == (-length[e] if arc else math.inf)
 
 
 def _full_hop_dp(graph):
@@ -175,19 +171,18 @@ class TestExchangeSequence:
     def test_e1_removes_heaviest_redundant_edge(self):
         # [DERIVED: exhaustive path enumeration on this 7-node graph]
         inst = e1()
-        ground = _all_allowed(inst)
-        edges = ground.edges
-        x = frozenset(range(len(edges)))
+        ground = allowed_edges(inst)
+        x = frozenset(range(len(ground.u)))
         seq = find_min_exchange_sequence(ground, x)
         assert seq is not None and seq.hops == 1
-        removed = edges[seq.edge_indices[0]]
-        assert removed.length == max(e.length for e in edges)
-        assert seq.cost == pytest.approx(-removed.length)
+        removed = ground.length[seq.edge_indices[0]]
+        assert removed == ground.length.max()
+        assert seq.cost == pytest.approx(-removed)
 
     def test_tree_has_no_sequence(self):
         # [TRIVIAL: nothing removable from a spanning tree]
         inst = line_instance([("P", 0), ("P", 1), ("P", 3)])
-        ground = _all_allowed(inst)
+        ground = allowed_edges(inst)
         tree = frozenset(i for i, pair in enumerate(ground.pairs()) if pair in {(0, 1), (1, 2)})
         assert find_min_exchange_sequence(ground, tree) is None
 
@@ -204,13 +199,11 @@ class TestExchangeSequence:
     def test_negative_cost_whenever_a_side_has_a_cycle(self):
         # [DERIVED: checked against the cycle condition on random instances]
         for inst in seeded_instances(20, n_min=4, n_max=7, base_seed=400):
-            ground = _all_allowed(inst)
-            edges = ground.edges
-            x = frozenset(range(len(edges)))
-            red_cycle = sum(1 for e in edges if e.color_class in RED_SIDE) \
-                > len(inst.red_side()) - 1
-            blue_cycle = sum(1 for e in edges if e.color_class in BLUE_SIDE) \
-                > len(inst.blue_side()) - 1
+            ground = allowed_edges(inst)
+            codes = ground.color_class.tolist()
+            x = frozenset(range(len(codes)))
+            red_cycle = sum(1 for c in codes if c in RED_SIDE) > len(inst.red_side()) - 1
+            blue_cycle = sum(1 for c in codes if c in BLUE_SIDE) > len(inst.blue_side()) - 1
             seq = find_min_exchange_sequence(ground, x)
             if red_cycle or blue_cycle:
                 assert seq is not None and seq.cost < 0.0
@@ -226,7 +219,7 @@ class TestSolveExact:
     def test_single_purple_point(self):
         # [TRIVIAL]
         sol = solve_exact(parse_instance("P 0 0"))
-        assert sol.weight == 0.0 and sol.edges == ()
+        assert sol.weight == 0.0 and sol.edge_set.pairs() == []
 
     def test_no_purple_two_sides(self):
         # [TRIVIAL: independent sides]
@@ -249,7 +242,7 @@ class TestSolveExact:
         inst = e1()
         sol, trace = solve_exact(inst, return_trace=True)
         assert sol.weight == pytest.approx(min(trace.values()))
-        assert is_rbp_spanning(inst, sol.edge_set)
+        assert is_rbp_spanning(sol.edge_set)
         assert max(trace) == len(ground_set(inst).u)
 
 
@@ -266,7 +259,7 @@ def _colored(coords, seed, max_purple=6):
 def _assert_matches_oracle(inst):
     sol = solve_exact(inst)
     opt = oracle_forest(inst)
-    assert is_rbp_spanning(inst, sol.edge_set)
+    assert is_rbp_spanning(sol.edge_set)
     assert math.isclose(sol.weight, opt.weight, rel_tol=1e-9, abs_tol=0.0), \
         (sol.weight, opt.weight)
 
@@ -301,17 +294,17 @@ class TestGroundSet:
 
     def test_sorted_and_contains_every_purple_edge(self):
         for inst in self.BATCH:
-            ground = ground_set(inst).edges
-            assert [e.sort_key for e in ground] == sorted(e.sort_key for e in ground)
-            purple = {e.pair for e in allowed_edges(inst) if e.color_class == Color.PURPLE}
-            assert purple <= {e.pair for e in ground}
+            ground = edge_rows(ground_set(inst))
+            assert ground == sorted(ground)
+            purple = {(u, v) for _, u, v, c in edge_rows(allowed_edges(inst)) if c == Color.PURPLE}
+            assert purple <= {(u, v) for _, u, v, _ in ground}
 
     def test_side_edges_lie_in_the_side_msts(self):
         for inst in self.BATCH:
-            ground = ground_set(inst).edges
+            ground = edge_rows(ground_set(inst))
             for cls, side in ((Color.RED, inst.red_side()), (Color.BLUE, inst.blue_side())):
                 tree = set(kruskal_mst(inst, side).pairs()) if side else set()
-                assert {e.pair for e in ground if e.color_class == cls} <= tree
+                assert {(u, v) for _, u, v, c in ground if c == cls} <= tree
 
     def test_size_bound(self):
         for inst in self.BATCH:
@@ -329,31 +322,31 @@ class TestGroundSet:
 
     def test_single_point_side(self):
         inst = parse_instance("R 0 0\nB 1 0\nB 2 0\nB 2 1")
-        ground = ground_set(inst).edges
-        assert all(e.color_class == Color.BLUE for e in ground) and len(ground) == 2
+        ground = ground_set(inst)
+        assert (ground.color_class == Color.BLUE).all() and len(ground.u) == 2
         _assert_matches_oracle(inst)
         assert ground_set(parse_instance("B 3 4")).pairs() == []
 
     def test_all_purple_keeps_every_edge(self):
         inst = parse_instance("P 0 0\nP 1 0\nP 0 1\nP 1 1\nP 3 2")
-        assert list(ground_set(inst).edges) == allowed_edges(inst)
+        assert edge_rows(ground_set(inst)) == edge_rows(allowed_edges(inst))
         _assert_matches_oracle(inst)
 
     @pytest.mark.parametrize("scale, offset",
                              [(1.0, 0.0), (1e-9, 0.0), (1.0, 1e12), (1e-300, 0.0), (1e200, 0.0)])
     @pytest.mark.parametrize("make", [_lattice, _concyclic_plus_one, _collinear_plus_one])
     def test_matches_the_edge_list_definition(self, make, scale, offset):
-        # [DERIVED: the Edge-based ground set: a Python sort of every allowed edge
-        # by Edge.sort_key, each side's Kruskal tree over it, and every purple edge]
+        # [DERIVED: the ground set by definition: every allowed edge in (length, u, v)
+        # order, each side's Kruskal tree over it, and every purple edge]
         for s in range(120):
             inst = _transformed(make(4000 + s), scale, offset)
-            edges = allowed_edges(inst)
+            rows = edge_rows(allowed_edges(inst))
             keep = set()
             for side, vertices in ((RED_SIDE, inst.red_side()), (BLUE_SIDE, inst.blue_side())):
-                _, tree = kruskal(inst.n, (e.sort_key for e in edges if e.color_class in side),
-                                  vertices)
+                _, tree = kruskal(inst.n, ((length, u, v) for length, u, v, c in rows
+                                           if c in side), vertices)
                 keep.update(tree)
-            expect = [e.pair for e in edges if e.color_class == Color.PURPLE or e.pair in keep]
+            expect = [(u, v) for _, u, v, c in rows if c == Color.PURPLE or (u, v) in keep]
             assert ground_set(inst).pairs() == expect
 
 
@@ -384,6 +377,22 @@ class TestSolvePathWithoutEdge:
     def test_exact_imports_no_edge_list_helpers(self):
         assert not hasattr(rbpspan.exact, "Edge")
         assert not hasattr(rbpspan.exact, "allowed_edges")
+
+    def test_only_model_names_edge(self):
+        # `Edge` is made only by `Solution.edges`; the package exports no `Edge` helper.
+        assert not {"Edge", "edge_between", "edges_properly_cross"} & set(rbpspan.__all__)
+        for path in Path(rbpspan.__file__).parent.glob("*.py"):
+            if path.name == "model.py":
+                continue
+            names = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            assert "Edge" not in names, path.name
 
 
 class TestDegenerateInputs:
@@ -440,5 +449,5 @@ class TestExactTies:
         inst = _lattice(seed)
         sol = solve_exact(inst)
         alt = make_edge_set(inst, other)
-        assert is_rbp_spanning(inst, alt) and alt.weight == sol.weight
+        assert is_rbp_spanning(alt) and alt.weight == sol.weight
         assert list(sol.edge_set.pairs()) == expect

@@ -59,7 +59,7 @@ class TestHexagon:
     def test_star_weight_and_degree(self):
         # [PAPER-derived: 6*3 + 6*1 + 6*1 = 30, center degree 18]
         inst = gen_hexagon()
-        sol = solution_stats(inst, hexagon_star(inst))
+        sol = solution_stats(hexagon_star(inst))
         assert sol.weight == pytest.approx(30.0)
         assert sol.max_degree == 18
 
@@ -90,7 +90,7 @@ class TestSteinerFamily:
     def test_two_chain_is_feasible(self):
         for t in (0, 1, 5):
             fam = gen_steiner_family(t)
-            assert is_rbp_spanning(fam.instance, fam.two_chain)
+            assert is_rbp_spanning(fam.two_chain)
 
     def test_two_chain_weight_approaches_twice_smt(self):
         # [DERIVED: each chain tends to the Steiner minimal tree weight sqrt(3)]

@@ -23,18 +23,18 @@ from rbpspan.graphops import (
 from rbpspan.generators import gen_random
 from rbpspan.line import solve_line
 from rbpspan.model import (
+    INVALID_CLASS,
     Color,
     Edge,
     Instance,
     PreconditionError,
-    edge_between,
+    _canonical,
     edge_color,
-    edges_properly_cross,
     make_edge_set,
     parse_instance,
     serialize_instance,
 )
-from util import UnionFind, e1, line_instance
+from util import UnionFind, e1, edge_rows, edges_properly_cross, line_instance
 
 
 def _prim_weight(inst, vertices):
@@ -73,7 +73,7 @@ class TestKruskal:
 
     def test_single_vertex(self):
         tree = kruskal_mst(e1(), (0,))
-        assert tree.weight == 0.0 and tree.edges == ()
+        assert tree.weight == 0.0 and tree.pairs() == []
 
     def test_no_vertex_is_an_empty_tree(self):
         tree = kruskal_mst(e1(), ())
@@ -100,7 +100,7 @@ class TestConstrainedMst:
         inst = parse_instance("P 0 0\nP 2 0\nP 0 2\nP 2 2\nR 1 1")
         forced = [(0, 1), (1, 3), (3, 2)]
         tree = constrained_mst(inst, range(5), forced, (Color.RED,))
-        assert len(tree.edges) == 1
+        assert len(tree.u) == 1
         assert tree.weight == pytest.approx(math.sqrt(2.0))
 
     def test_forced_outside_vertex_set_rejected(self):
@@ -139,46 +139,45 @@ class TestRbpSpanning:
         # [TRIVIAL]
         inst = e1()
         es = make_edge_set(inst, [(0, 1), (0, 2), (1, 3)])
-        assert is_rbp_spanning(inst, es)
+        assert is_rbp_spanning(es)
 
     def test_red_point_isolated(self):
         # [TRIVIAL]
         inst = e1()
         es = make_edge_set(inst, [(0, 1)])
-        assert not is_rbp_spanning(inst, es)
+        assert not is_rbp_spanning(es)
 
     def test_red_blue_edges_join_neither_side(self):
         # [DERIVED: a red-blue edge has no color class, so it counts on neither side]
         inst = parse_instance("R 0 0\nR 2 0\nB 1 0\nB 1 5\nP 1 -1\n")
         red_blue = [(0, 2), (1, 2), (0, 3), (1, 3)]
         # each side is connected through red-blue edges only where the other lacks an edge
-        assert not is_rbp_spanning(inst, make_edge_set(inst, red_blue + [(0, 4), (2, 4), (3, 4)]))
-        assert not is_rbp_spanning(inst, make_edge_set(inst, red_blue + [(0, 4), (1, 4), (2, 4)]))
-        assert is_rbp_spanning(inst, make_edge_set(inst, red_blue + [(0, 4), (1, 4), (2, 4),
-                                                                     (3, 4)]))
+        assert not is_rbp_spanning(make_edge_set(inst, red_blue + [(0, 4), (2, 4), (3, 4)]))
+        assert not is_rbp_spanning(make_edge_set(inst, red_blue + [(0, 4), (1, 4), (2, 4)]))
+        assert is_rbp_spanning(make_edge_set(inst, red_blue + [(0, 4), (1, 4), (2, 4), (3, 4)]))
 
     def test_purple_edge_serves_both_sides(self):
         inst = parse_instance("P 0 0\nP 1 0")
         es = make_edge_set(inst, [(0, 1)])
-        assert is_rbp_spanning(inst, es)
+        assert is_rbp_spanning(es)
 
-    def test_arrays_and_edges_match_the_union_find_loop(self):
-        # The union-find loop over Edge objects that the array check replaced.
-        def reference(inst, edges):
+    def test_arrays_match_the_union_find_loop(self):
+        # The union-find loop over single edges that the array check replaced.
+        def reference(inst, es):
             sides = [(UnionFind(inst.n), RED_SIDE, inst.red_side()),
                      (UnionFind(inst.n), BLUE_SIDE, inst.blue_side())]
             for ds, side, _ in sides:
-                for e in edges:
-                    if e.color_class in side:
-                        ds.union(e.u, e.v)
+                for u, v, c in zip(es.u.tolist(), es.v.tolist(), es.color_class.tolist()):
+                    if c in side:
+                        ds.union(u, v)
             return all(ds.connected_over(vertices) for ds, _, vertices in sides)
 
         results = []
         for seed in range(40):
             inst = _instance(_random_coords(12, seed), seed)
             es = make_edge_set(inst, _random_pairs(inst.n, 10 + seed, seed))
-            expected = reference(inst, es.edges)
-            assert is_rbp_spanning(inst, es) == expected
+            expected = reference(inst, es)
+            assert is_rbp_spanning(es) == expected
             results.append(expected)
         assert any(results) and not all(results)
 
@@ -187,22 +186,20 @@ class TestStats:
     def test_e1_optimal_stats(self):
         # [DERIVED: oracle-verified optimum of E1]
         inst = e1()
-        sol = solution_stats(inst, make_edge_set(inst, [(0, 1), (0, 2), (1, 3)]),
-                             solver="test")
+        sol = solution_stats(make_edge_set(inst, [(0, 1), (0, 2), (1, 3)]), solver="test")
         assert sol.weight == pytest.approx(18.0)
         assert (sol.red_edges, sol.blue_edges, sol.purple_edges) == (1, 1, 1)
         assert sol.max_degree == 2 and sol.purple_crossings == 0
 
     def test_crossing_purple_edges_counted(self):
         inst = parse_instance("P 0 0\nP 2 2\nP 0 2\nP 2 0")
-        sol = solution_stats(inst, make_edge_set(inst, [(0, 1), (2, 3)]))
+        sol = solution_stats(make_edge_set(inst, [(0, 1), (2, 3)]))
         assert sol.purple_crossings == 1
         assert sol.purple_crossings_per_edge == {(0, 1): 1, (2, 3): 1}
 
     def test_stats_block_format(self):
         inst = e1()
-        sol = solution_stats(inst, make_edge_set(inst, [(0, 1), (0, 2), (1, 3)]),
-                             solver="line")
+        sol = solution_stats(make_edge_set(inst, [(0, 1), (0, 2), (1, 3)]), solver="line")
         block = stats_block(sol)
         keys = [line.split()[0] for line in block.strip().splitlines()]
         assert keys == ["weight", "red_edges", "blue_edges", "purple_edges",
@@ -231,8 +228,8 @@ def _reference_side_pairs(instance, classes, vertices):
 def _reference_make_edge_set(instance, pairs):
     """The per-pair make_edge_set that the array one replaced, kept as the reference.
 
-    Returns (edges, weight): one `Edge` per distinct pair in (length, u, v)
-    order and the fsum of their lengths.
+    Returns (rows, weight): one (length, u, v, class code) row per distinct
+    pair, in (length, u, v) order, and the fsum of their lengths.
     """
     canon = set()
     for u, v in pairs:
@@ -241,9 +238,13 @@ def _reference_make_edge_set(instance, pairs):
         if (u, v) in canon:
             raise PreconditionError(f"duplicate edge ({u}, {v})")
         canon.add((u, v))
-    edges = sorted((edge_between(instance, u, v) for u, v in canon),
-                   key=lambda e: e.sort_key)
-    return tuple(edges), math.fsum(e.length for e in edges)
+    rows = []
+    for u, v in canon:
+        _canonical(instance, u, v)  # raises on equal or unknown ids
+        cls = edge_color(instance.color_of(u), instance.color_of(v))
+        rows.append((instance.distance(u, v), u, v, INVALID_CLASS if cls is None else int(cls)))
+    rows.sort()
+    return rows, math.fsum(row[0] for row in rows)
 
 
 def _reference_kruskal(n, sorted_pairs, vertices, premerged=()):
@@ -455,20 +456,20 @@ class TestSortedSidePairs:
         monkeypatch.setattr(graphops, "_shells", counting_shells)
         monkeypatch.setattr(Instance, "distance", counting_distance)
         tree = kruskal_mst(inst, verts, RED_SIDE)
-        assert len(tree.edges) == len(verts) - 1
+        assert len(tree.u) == len(verts) - 1
         assert sum(built) < 0.05 * total
         assert len(made) < 0.05 * total
 
 
 def _assert_same_edge_set(inst, pairs):
     """make_edge_set of `pairs`, given as tuples and as an array, against the reference."""
-    ref_edges, ref_weight = _reference_make_edge_set(inst, pairs)
+    ref_rows, ref_weight = _reference_make_edge_set(inst, pairs)
     for given in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
         got = make_edge_set(inst, given)
-        assert got.edges == ref_edges
-        assert got.pairs() == [e.pair for e in ref_edges]
+        assert edge_rows(got) == ref_rows
+        assert got.pairs() == [(u, v) for _, u, v, _ in ref_rows]
         assert got.weight == ref_weight
-        assert got.length.tolist() == [e.length for e in ref_edges]
+        assert got.length.tolist() == [length for length, _, _, _ in ref_rows]
 
 
 def _assert_same_error(inst, pairs):
@@ -529,7 +530,7 @@ class TestMakeEdgeSet:
         inst = parse_instance("R 0 0\nB 1 0\nP 0 2\nB 3 3\nR 1 1")
         pairs = [(0, 1), (1, 4), (3, 0), (2, 1), (4, 3)]
         _assert_same_edge_set(inst, pairs)
-        assert sum(e.color_class is None for e in make_edge_set(inst, pairs).edges) == 4
+        assert (make_edge_set(inst, pairs).color_class == INVALID_CLASS).sum() == 4
 
     def test_empty(self):
         _assert_same_edge_set(e1(), [])
@@ -551,6 +552,7 @@ class TestMakeEdgeSet:
 
 
 def test_approx_solve_builds_no_edge(tmp_path, monkeypatch):
+    # `Solution.edges` is the one place an `Edge` is made, and only when read.
     inst = gen_random(300, 0.4, 0.4, "plane", seed=12)
     path, out = tmp_path / "in.txt", tmp_path / "out.txt"
     path.write_text(serialize_instance(inst))
@@ -576,7 +578,9 @@ def test_approx_solve_builds_no_edge(tmp_path, monkeypatch):
     assert solutions[0].edges is edges and len(made) == len(edges)
     edge_lines = out.read_text().split("\n\n")[0].splitlines()
     pairs = [tuple(map(int, line.split())) for line in edge_lines]
-    assert edges == _reference_make_edge_set(parse_instance(path.read_text()), pairs)[0]
+    rows = [(e.length, e.u, e.v, INVALID_CLASS if e.color_class is None else e.color_class)
+            for e in edges]
+    assert rows == _reference_make_edge_set(parse_instance(path.read_text()), pairs)[0]
 
 
 class _CountingPairs:
@@ -640,18 +644,19 @@ class TestKruskalEarlyExit:
 
 def _reference_crossings(instance, edge_set):
     """The double loop over purple edge pairs that the sweep replaced, kept as the reference."""
-    purple = [e for e in edge_set.edges if e.color_class == Color.PURPLE]
-    per_edge = {e.pair: 0 for e in purple}
+    is_purple = edge_set.color_class == Color.PURPLE
+    purple = list(zip(edge_set.u[is_purple].tolist(), edge_set.v[is_purple].tolist()))
+    per_edge = {e: 0 for e in purple}
     crossings = 0
     for i in range(len(purple)):
         for j in range(i + 1, len(purple)):
             e1, e2 = purple[i], purple[j]
-            if {e1.u, e1.v} & {e2.u, e2.v}:
+            if set(e1) & set(e2):
                 continue
             if edges_properly_cross(instance, e1, e2):
                 crossings += 1
-                per_edge[e1.pair] += 1
-                per_edge[e2.pair] += 1
+                per_edge[e1] += 1
+                per_edge[e2] += 1
     return crossings, per_edge
 
 
@@ -690,7 +695,7 @@ def cross_block(request, monkeypatch):
 
 
 def _assert_same_crossings(inst, edge_set):
-    sol = solution_stats(inst, edge_set)
+    sol = solution_stats(edge_set)
     expected = _reference_crossings(inst, edge_set)
     assert (sol.purple_crossings, sol.purple_crossings_per_edge) == expected
     return expected[0]
@@ -770,6 +775,6 @@ class TestCrossingCount:
     def test_fewer_than_two_purple_edges(self):
         inst = e1()
         for pairs in ([], [(0, 1)], [(0, 2), (1, 3)]):
-            sol = solution_stats(inst, make_edge_set(inst, pairs))
+            sol = solution_stats(make_edge_set(inst, pairs))
             assert sol.purple_crossings == 0
             assert sol.purple_crossings_per_edge == {p: 0 for p in pairs if p == (0, 1)}

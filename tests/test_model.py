@@ -15,7 +15,6 @@ from rbpspan.model import (
     PreconditionError,
     allowed_edge_count,
     allowed_edges,
-    edge_between,
     edge_color,
     make_edge_set,
     parse_instance,
@@ -116,9 +115,8 @@ def test_instance_format_error_messages(rows, message):
 class TestEdges:
     def test_purple_purple(self):
         # [TRIVIAL: definition]
-        inst = parse_instance("P 0 0\nP 10 0")
-        e = edge_between(inst, 0, 1)
-        assert e.length == 10.0 and e.color_class == Color.PURPLE
+        es = make_edge_set(parse_instance("P 0 0\nP 10 0"), [(0, 1)])
+        assert es.length[0] == 10.0 and es.color_class[0] == Color.PURPLE
 
     def test_red_blue_invalid(self):
         # [TRIVIAL: red-blue edges are not allowed]
@@ -127,26 +125,22 @@ class TestEdges:
 
     def test_red_purple_three_four_five(self):
         # [TRIVIAL: 3-4-5 triangle]
-        inst = parse_instance("R 0 0\nP 3 4")
-        e = edge_between(inst, 0, 1)
-        assert e.length == 5.0 and e.color_class == Color.RED
+        es = make_edge_set(parse_instance("R 0 0\nP 3 4"), [(0, 1)])
+        assert es.length[0] == 5.0 and es.color_class[0] == Color.RED
 
-    def test_self_edge_rejected(self):
-        with pytest.raises(PreconditionError):
-            edge_between(e1(), 2, 2)
+    # A self edge is rejected by make_edge_set, as test_graphops'
+    # TestMakeEdgeSet::test_errors checks with [(2, 2)] and [(0, 1), (3, 3)].
 
     @pytest.mark.parametrize("u, v", [(-1, 2), (2, -1), (0, 4), (4, 0), (-1, 4)])
     def test_unknown_point_id_rejected(self, u, v):
         # e1 has point ids 0..3; a negative id must not index from the end.
         with pytest.raises(PreconditionError, match="unknown point id"):
-            edge_between(e1(), u, v)
-        with pytest.raises(PreconditionError, match="unknown point id"):
             make_edge_set(e1(), [(u, v)])
 
-    def test_canonical_order_and_sort_key(self):
-        e = edge_between(e1(), 1, 0)
-        assert (e.u, e.v) == (0, 1)
-        assert e.sort_key == (e.length, 0, 1)
+    def test_canonical_order(self):
+        es = make_edge_set(e1(), [(1, 0)])
+        assert es.pairs() == [(0, 1)]
+        assert es.length.tolist() == [e1().distance(0, 1)]
 
 
 class TestAllowedEdges:
@@ -166,17 +160,19 @@ class TestAllowedEdges:
         colors = [Color.RED] * nr + [Color.BLUE] * nb + [Color.PURPLE] * np_
         n = len(colors)
         inst = Instance(range(n), [i * i for i in range(n)], colors)  # distinct coords
-        assert len(allowed_edges(inst)) == allowed_edge_count(nr, nb, np_)
+        assert len(allowed_edges(inst).u) == allowed_edge_count(nr, nb, np_)
 
     def test_sorted_by_length_then_ids(self):
-        # [DERIVED: one `edge_between` per allowed pair, sorted by (length, u, v)]
+        # [DERIVED: every allowed pair with its length and class, sorted by (length, u, v)]
         lattice = "".join(f"{'RBP'[(x + 2 * y) % 3]} {x} {y}\n" for x in range(4) for y in range(3))
         for inst in (e1(), parse_instance(lattice), gen_hexagon()):
-            expected = sorted((edge_between(inst, u, v) for u in range(inst.n)
-                               for v in range(u + 1, inst.n)
-                               if edge_color(inst.color_of(u), inst.color_of(v)) is not None),
-                              key=lambda e: e.sort_key)
-            assert allowed_edges(inst) == expected
+            expected = sorted((inst.distance(u, v), u, v, edge_color(inst.color_of(u),
+                                                                     inst.color_of(v)))
+                              for u in range(inst.n) for v in range(u + 1, inst.n)
+                              if edge_color(inst.color_of(u), inst.color_of(v)) is not None)
+            es = allowed_edges(inst)
+            assert list(zip(es.length.tolist(), es.u.tolist(), es.v.tolist(),
+                            es.color_class.tolist())) == expected
 
 
 class TestCrossing:

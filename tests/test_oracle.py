@@ -30,7 +30,7 @@ class TestOracleForest:
     def test_single_purple(self):
         # [TRIVIAL]
         sol = oracle_forest(parse_instance("P 0 0"))
-        assert sol.weight == 0.0 and sol.edges == ()
+        assert sol.weight == 0.0 and sol.edge_set.pairs() == []
 
     def test_diameter_circle(self):
         # [DERIVED: matches oracle_subsets]
@@ -60,7 +60,7 @@ class TestOracleSubsets:
         assert oracle_subsets(forced).weight == pytest.approx(1.0)
         isolated = parse_instance("R 0 0\nB 1 0")
         sol = oracle_subsets(isolated)
-        assert sol.weight == 0.0 and sol.edges == ()
+        assert sol.weight == 0.0 and sol.edge_set.pairs() == []
 
     def test_size_guard(self):
         inst = parse_instance("\n".join(f"P {i} {i * i}" for i in range(8)))

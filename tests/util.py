@@ -3,7 +3,13 @@
 import random
 
 from rbpspan.generators import gen_random
-from rbpspan.model import Instance, allowed_edges, parse_instance
+from rbpspan.model import (
+    Instance,
+    PreconditionError,
+    allowed_edges,
+    parse_instance,
+    segments_properly_cross,
+)
 
 # Two purple points spanning [0, 10] with one red and one blue point between
 # them; optimum is the purple edge plus the two nearest-purple attachments,
@@ -35,7 +41,7 @@ def seeded_instances(count, *, n_min=4, n_max=9, k_max=None, max_allowed=None,
         inst = gen_random(n, 0.4, 0.4, mode, seed=seed)
         if k_max is not None and inst.k > k_max:
             continue
-        if max_allowed is not None and len(allowed_edges(inst)) > max_allowed:
+        if max_allowed is not None and len(allowed_edges(inst).u) > max_allowed:
             continue
         out.append(inst)
     return out
@@ -52,6 +58,21 @@ def segment_instance(seed, max_interior=5) -> Instance:
     for x in sorted(xs):
         spec.append((rng.choice("RB"), x))
     return line_instance(spec)
+
+
+def edges_properly_cross(instance, e1, e2) -> bool:
+    """Whether the edges with id pairs e1, e2 properly cross; the crossing count's reference."""
+    if set(e1) & set(e2):
+        raise PreconditionError("edges share an endpoint")
+    (a, b), (c, d) = e1, e2
+    return segments_properly_cross(instance.coords(a), instance.coords(b),
+                                   instance.coords(c), instance.coords(d))
+
+
+def edge_rows(edge_set):
+    """The (length, u, v, class code) rows of an edge set, in its order."""
+    return list(zip(edge_set.length.tolist(), edge_set.u.tolist(), edge_set.v.tolist(),
+                    edge_set.color_class.tolist()))
 
 
 class UnionFind:
