@@ -178,7 +178,8 @@ def ground_set(instance: Instance) -> EdgeSet:
     pairs = set(combinations(instance.P, 2))
     for side, vertices in ((RED_SIDE, instance.red_side()), (BLUE_SIDE, instance.blue_side())):
         # The tree of constrained_mst(instance, vertices, (), side), without its EdgeSet.
-        pairs.update(kruskal(instance.n, sorted_side_pairs(instance, side, vertices), vertices)[1])
+        _, taken = kruskal(instance.n, sorted_side_pairs(instance, side, vertices), vertices)
+        pairs.update((u, v) for _, u, v in taken)
     return make_edge_set(instance, pairs)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -42,11 +42,17 @@ class SortedPairs:
 
     `_shells` yields the pairs as numpy arrays sorted by np.hypot length, one
     radius shell at a time. Iterating yields (instance.distance(u, v), u, v)
-    tuples in (length, u, v) order, the order of sorting them all. Tuples are
-    made one block at a time, each block as large as what is already made,
-    and are kept: a second iteration (or a second Kruskal run) reads the kept
-    prefix first, and both the numpy and the Python work stay proportional to
-    the longest prefix any reader takes.
+    tuples in (length, u, v) order, the order of sorting them all. The pairs
+    are cut into blocks as they are first read, each block as large as all
+    blocks before it and at least _FIRST_BLOCK, and the blocks are kept: a
+    second iteration (or a second Kruskal run) reads the kept ones first, and
+    the numpy work stays proportional to the longest prefix any reader takes.
+
+    The first block is kept as sorted tuples, so readers that re-read it many
+    times (`oracle_forest`) make its tuples once. Later blocks are kept as
+    (u, v) array slices of their shell and made into tuples on each read;
+    `blocks(parent)` first drops the pairs that Kruskal's `parent` list
+    already joins, so only the survivors are made into tuples.
 
     A block ends only where the next numpy length exceeds the one before it
     by more than `hypot_slack` of it, and each block is sorted by the exact
@@ -58,7 +64,8 @@ class SortedPairs:
     key, sorting within blocks is enough, and the numpy sort need not be stable.
     """
 
-    __slots__ = ("_instance", "_count", "_shells", "_length", "_u", "_v", "_pos", "_made")
+    __slots__ = ("_instance", "_count", "_shells", "_length", "_u", "_v", "_pos", "_size",
+                 "_blocks", "__weakref__")
 
     def __init__(self, instance: Instance, count: int,
                  shells: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]):
@@ -66,22 +73,41 @@ class SortedPairs:
         self._count = count
         self._shells = shells
         self._length = self._u = self._v = np.empty(0)  # the current shell
-        self._pos = 0  # its first pair not yet made into a tuple
-        self._made: list[tuple[float, int, int]] = []
+        self._pos = 0  # its first pair not yet in a block
+        self._size = 0  # pairs in the blocks
+        # The first block as sorted tuples, then (u, v) array slices.
+        self._blocks: list = []
 
     def __len__(self) -> int:
         return self._count
 
     def __iter__(self) -> Iterator[tuple[float, int, int]]:
-        made = self._made
+        for block in self.blocks():
+            yield from block
+
+    def blocks(self, parent: Optional[list[int]] = None) -> Iterator[list[tuple[float, int, int]]]:
+        """The blocks in order, each as sorted (length, u, v) tuples.
+
+        With a union-find `parent` list, the pairs of each later block whose
+        ends lie in one tree of `parent`, as it stands when the block is
+        reached, are left out.
+        """
+        blocks = self._blocks
         i = 0
-        while i < len(made) or self._extend():
-            j = len(made)
-            yield from islice(made, i, j)
-            i = j
+        while i < len(blocks) or self._extend():
+            block = blocks[i]
+            if i:  # a later block, kept as (u, v) arrays
+                u, v = block
+                if parent is not None:
+                    root = _roots(parent)
+                    keep = root[u] != root[v]
+                    u, v = u[keep], v[keep]
+                block = self._tuples(u, v)
+            yield block
+            i += 1
 
     def _extend(self) -> bool:
-        """Make the next block of tuples; False when all are made."""
+        """Cut the next block; False when every pair is in a block."""
         while self._pos == len(self._length):
             shell = next(self._shells, None)
             if shell is None:
@@ -89,13 +115,16 @@ class SortedPairs:
             self._length, self._u, self._v = shell
             self._pos = 0
         start = self._pos
-        end = self._block_end(min(len(self._length), start + max(len(self._made), _FIRST_BLOCK)))
+        end = self._block_end(min(len(self._length), start + max(self._size, _FIRST_BLOCK)))
         u, v = self._u[start:end], self._v[start:end]
-        block = list(zip(hypot_lengths(self._instance, u, v), u.tolist(), v.tolist()))
-        block.sort()
-        self._made.extend(block)
+        self._blocks.append((u, v) if self._blocks else self._tuples(u, v))
+        self._size += end - start
         self._pos = end
         return True
+
+    def _tuples(self, u: np.ndarray, v: np.ndarray) -> list[tuple[float, int, int]]:
+        """The pairs (u[i], v[i]) as sorted (instance.distance(u, v), u, v) tuples."""
+        return sorted(zip(hypot_lengths(self._instance, u, v), u.tolist(), v.tolist()))
 
     def _block_end(self, end: int) -> int:
         """The first index from `end` on whose length is not a near-tie of the one before."""
@@ -108,6 +137,16 @@ class SortedPairs:
                 return end + k
             end += len(tied)
         return len(length)
+
+
+def _roots(parent: list[int]) -> np.ndarray:
+    """The root of every id in the union-find `parent` list, by pointer jumping."""
+    root = np.fromiter(parent, np.intp, len(parent))
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            return root
+        root = up
 
 
 def sorted_side_pairs(instance: Instance, classes: Sequence[Color],
@@ -138,10 +177,16 @@ def _shells(ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, color: np.ndarray,
     pairs come from one `_grid_pairs` pass of cell side r, which finds every
     pair up to its `lim`. c_j is the last found length followed by a gap
     wider than `hypot_slack` (`_last_gap`), so every pair of a later shell is
-    longer than c_j + hypot_slack(c_j). r starts where about _FIRST_BLOCK of
-    `count` pairs spread evenly over the bounding box would be shorter, never
-    below 1/_MAX_CELLS of its diagonal, and doubles after each pass; a pass
-    that finds fewer than _FIRST_BLOCK new pairs, or no gap, yields nothing.
+    longer than c_j + hypot_slack(c_j). r starts at twice the radius below
+    which about _FIRST_BLOCK of `count` pairs spread evenly over the bounding
+    box would lie, never below 2/_MAX_CELLS of its diagonal, and doubles
+    after each pass; a pass that finds fewer than _FIRST_BLOCK new pairs, or
+    no gap, yields nothing. The factor two makes one pass enough for a side
+    tree on spread points: Kruskal reads some 1,000 to 4,000 pairs of such a
+    tree, while a pass at the single radius, where points near the box edge
+    have fewer neighbours, finds fewer than _FIRST_BLOCK pairs on most trees
+    (a median of 960 on the side trees of uniform inputs at n = 1000), so a
+    second pass at 2r ran on almost every tree.
     Once r reaches the diagonal, or a grid would hold more pairs than
     `count`, or when every pair fits in one block, the last shell is every
     pair left, from one dense pass. So work is
@@ -153,8 +198,8 @@ def _shells(ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, color: np.ndarray,
         w, h = float(xs.max() - xs.min()), float(ys.max() - ys.min())
         diag = math.hypot(w, h)
         # The 2-D term comes last: with w or h overflowed it may be nan, which max skips.
-        r = max(math.ulp(0.0), diag / _MAX_CELLS, diag * _FIRST_BLOCK / (2 * count),
-                math.sqrt(w) * math.sqrt(h) * math.sqrt(_FIRST_BLOCK / (math.pi * count)))
+        r = 2.0 * max(math.ulp(0.0), diag / _MAX_CELLS, diag * _FIRST_BLOCK / (2 * count),
+                      math.sqrt(w) * math.sqrt(h) * math.sqrt(_FIRST_BLOCK / (math.pi * count)))
         while r < diag:
             found = _grid_pairs(xs, ys, r, count)
             if found is None:
@@ -245,15 +290,23 @@ def _lengths(xs: np.ndarray, ys: np.ndarray, a: np.ndarray, b: np.ndarray) -> np
 
 def kruskal(n: int, sorted_pairs: Iterable[tuple[float, int, int]], vertices: Sequence[int],
             premerged: Iterable[Sequence[int]] = ()
-            ) -> Optional[tuple[float, list[tuple[int, int]]]]:
+            ) -> Optional[tuple[float, list[tuple[float, int, int]]]]:
     """Kruskal's union loop over pre-sorted (length, u, v) pairs joining ids of `vertices`.
 
     Each group of `premerged` is joined first at zero cost; a forced pair
     (u, v) is a group of two, and groups may reach outside `vertices`.
-    Returns the total length and the (u, v) pairs taken, or None if the
-    result does not connect `vertices`. Reading stops once `vertices` are
-    connected: every later pair would close a cycle. The union-find is a
-    parent list with path halving, inlined in the loop over the pairs.
+    Returns the total length and the (length, u, v) pairs taken, or None if
+    the result does not connect `vertices`. Reading stops once `vertices` are
+    connected: every later pair would close a cycle.
+
+    A `SortedPairs` is read block by block through `SortedPairs.blocks`,
+    which leaves out the pairs of each later block whose ends are joined
+    when the block is reached; any other iterable is read as one block. The
+    tree is the one of reading every pair: a left-out pair closes a cycle
+    whenever it is read, as unions only merge trees, and the pairs that are
+    read keep their (length, u, v) order, so the loop takes the same pairs in
+    the same order and sums the same floats. The union-find is a parent list
+    with path halving, inlined in the loop over the pairs.
     """
     parent = list(range(n))
 
@@ -269,25 +322,31 @@ def kruskal(n: int, sorted_pairs: Iterable[tuple[float, int, int]], vertices: Se
     # Each taken pair joins two components that hold ids of `vertices`.
     left = max(len({find(v) for v in vertices}) - 1, 0)
     total = 0.0
-    chosen = []
+    taken = []
     if left:
-        for length, u, v in sorted_pairs:
-            ru = u
-            while parent[ru] != ru:
-                parent[ru] = ru = parent[parent[ru]]
-            rv = v
-            while parent[rv] != rv:
-                parent[rv] = rv = parent[parent[rv]]
-            if ru != rv:
-                parent[ru] = rv
-                total += length
-                chosen.append((u, v))
-                left -= 1
-                if not left:
-                    break
+        blocks = sorted_pairs.blocks(parent) if isinstance(sorted_pairs, SortedPairs) \
+            else (sorted_pairs,)
+        for block in blocks:
+            for pair in block:
+                length, u, v = pair
+                ru = u
+                while parent[ru] != ru:
+                    parent[ru] = ru = parent[parent[ru]]
+                rv = v
+                while parent[rv] != rv:
+                    parent[rv] = rv = parent[parent[rv]]
+                if ru != rv:
+                    parent[ru] = rv
+                    total += length
+                    taken.append(pair)
+                    left -= 1
+                    if not left:
+                        break
+            if not left:
+                break
     if left:
         return None
-    return total, chosen
+    return total, taken
 
 
 def kruskal_mst(instance: Instance, vertices: Sequence[int],
@@ -315,11 +374,11 @@ def constrained_mst(instance: Instance, vertices: Sequence[int],
                      forced_merges)
     if result is None:
         raise InfeasibleGraphError("admitted edges do not connect the vertex set")
-    total, chosen = result
-    # Kruskal takes pairs u < v in (length, u, v) order, the order of an EdgeSet.
-    pairs = np.array(chosen, dtype=np.int64).reshape(-1, 2)
-    u, v = pairs[:, 0], pairs[:, 1]
-    return EdgeSet(instance, u, v, np.array(hypot_lengths(instance, u, v), dtype=float), total)
+    total, taken = result
+    # Kruskal takes pairs u < v in (length, u, v) order, the order of an EdgeSet. Its
+    # total is the sum in that order, which `sum()` from Python 3.12 on is not.
+    length, u, v = np.array(taken, dtype=float).reshape(-1, 3).T
+    return EdgeSet(instance, u.astype(np.int64), v.astype(np.int64), length.copy(), total)
 
 
 def is_rbp_spanning(edge_set: EdgeSet) -> bool:

@@ -32,11 +32,33 @@ def axis_ends(instance: Instance):
 
     a and b are the ids of the first lowest and the first highest point on that axis.
     """
-    xs, ys = instance.xs, instance.ys
+    return _axis_ends(instance.xs, instance.ys)
+
+
+def _axis_ends(xs: np.ndarray, ys: np.ndarray):
+    """`axis_ends` of the points (xs[i], ys[i])."""
     spread_x = float(xs.max()) - float(xs.min())
     spread_y = float(ys.max()) - float(ys.min())
     keys, spread = (xs, spread_x) if spread_x >= spread_y else (ys, spread_y)
     return int(keys.argmin()), int(keys.argmax()), spread
+
+
+def _line_frame(instance: Instance):
+    """(xs, ys, a, b, spread): the coordinates the line code works on and their `axis_ends`.
+
+    They are the instance's own where the spread is finite, so every result
+    there is the float it was. Where it overflows, they are the coordinates
+    halved, and every later difference is taken of the halves: halving is
+    exact but for subnormal coordinates, which are below any rounding at that
+    scale, it keeps every ratio and every order, and no difference of two
+    halves overflows.
+    """
+    xs, ys = instance.xs, instance.ys
+    a, b, spread = _axis_ends(xs, ys)
+    if spread == math.inf:
+        xs, ys = xs * 0.5, ys * 0.5
+        a, b, spread = _axis_ends(xs, ys)
+    return xs, ys, a, b, spread
 
 
 def python_max(values: np.ndarray) -> float:
@@ -54,13 +76,13 @@ def collinearity_residual(instance: Instance) -> float:
     """
     if instance.n <= 2:
         return 0.0
-    a, b, scale = axis_ends(instance)
+    xs, ys, a, b, scale = _line_frame(instance)
     if scale == 0.0:
         return 0.0
     _, exp = math.frexp(scale)
     with np.errstate(over="ignore", invalid="ignore"):
-        ox = np.ldexp(instance.xs - instance.xs[a], -exp)
-        oy = np.ldexp(instance.ys - instance.ys[a], -exp)
+        ox = np.ldexp(xs - xs[a], -exp)
+        oy = np.ldexp(ys - ys[a], -exp)
         dx, dy = float(ox[b]), float(oy[b])
         offsets = np.abs(dx * oy - dy * ox)
     return python_max(offsets) / math.hypot(dx, dy) / math.ldexp(scale, -exp)
@@ -70,10 +92,11 @@ def prepare_sorted(instance: Instance):
     """Project onto the dominant direction and sort.
 
     Returns (ids, t, colors) as arrays: the point ids in order along the line,
-    t[u] the position of point u, and colors[i] the color of ids[i].
+    t[u] the position of point u, and colors[i] the color of ids[i]. Where
+    the spread overflows, t is half the position (`_line_frame`), which
+    keeps the order and every comparison of sums of t differences.
     """
-    a, b, _ = axis_ends(instance)
-    xs, ys = instance.xs, instance.ys
+    xs, ys, a, b, _ = _line_frame(instance)
     ax, ay = float(xs[a]), float(ys[a])
     dx, dy = float(xs[b]) - ax, float(ys[b]) - ay
     norm = math.hypot(dx, dy)

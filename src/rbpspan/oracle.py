@@ -100,7 +100,7 @@ def oracle_forest(instance: Instance, max_purple: int = FOREST_MAX_PURPLE) -> So
         if best_partition is None or total < best:
             best = total
             best_partition = [list(b) for b in partition]
-            best_pairs = red[1] + blue[1]
+            best_pairs = [(u, v) for _, u, v in red[1] + blue[1]]
 
     if best_partition is None:
         raise AssertionError("no partition of the purple points gives a spanning graph")

@@ -172,7 +172,7 @@ class TestSolve:
         assert "--tolerance" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("algo", ["auto", "exact", "approx-a", "approx-union",
+    @pytest.mark.parametrize("algo", ["auto", "exact", "line", "approx-a", "approx-union",
                                       "oracle-forest", "oracle-subsets"])
     def test_weight_past_the_float_range_exits_2(self, tmp_path, capsys, algo):
         # Each edge length is finite, but the lengths sum past the float range;

@@ -345,7 +345,7 @@ class TestGroundSet:
             for side, vertices in ((RED_SIDE, inst.red_side()), (BLUE_SIDE, inst.blue_side())):
                 _, tree = kruskal(inst.n, ((length, u, v) for length, u, v, c in rows
                                            if c in side), vertices)
-                keep.update(tree)
+                keep.update((u, v) for _, u, v in tree)
             expect = [(u, v) for _, u, v, c in rows if c == Color.PURPLE or (u, v) in keep]
             assert ground_set(inst).pairs() == expect
 

@@ -1,13 +1,19 @@
 """Union-find, MSTs, RBP validity, and solution statistics."""
 
+import gc
 import math
 import random
+import weakref
 from itertools import islice
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbpspan import cli, graphops
+from rbpspan.approx import approx_a
 from rbpspan.graphops import (
     BLUE_SIDE,
     RED_SIDE,
@@ -120,7 +126,7 @@ def test_kruskal_loop_matches_kruskal_mst():
     pairs = sorted_side_pairs(inst, (Color.RED, Color.PURPLE), verts)
     w, chosen = kruskal(inst.n, pairs, verts)
     assert w == pytest.approx(kruskal_mst(inst, verts).weight)
-    assert sorted(chosen) == kruskal_mst(inst, verts).pairs()
+    assert sorted((u, v) for _, u, v in chosen) == kruskal_mst(inst, verts).pairs()
     # Infeasible: no admitted pairs at all.
     assert kruskal(inst.n, [], verts) is None
 
@@ -131,7 +137,7 @@ def test_kruskal_premerged_groups_match_forced_pairs():
     pairs = sorted_side_pairs(inst, (Color.PURPLE,), range(4))
     w, chosen = kruskal(inst.n, pairs, range(4), [[0, 2, 3]])
     tree = constrained_mst(inst, range(4), [(0, 2), (2, 3)])
-    assert chosen == tree.pairs() == [(0, 1)] and w == tree.weight == 4.0
+    assert chosen == [(4.0, 0, 1)] and tree.pairs() == [(0, 1)] and w == tree.weight == 4.0
 
 
 class TestRbpSpanning:
@@ -258,7 +264,7 @@ def _reference_kruskal(n, sorted_pairs, vertices, premerged=()):
     for length, u, v in sorted_pairs:
         if ds.union(u, v):
             total += length
-            chosen.append((u, v))
+            chosen.append((length, u, v))
     if not ds.connected_over(vertices):
         return None
     return total, chosen
@@ -632,7 +638,7 @@ class TestKruskalEarlyExit:
         inst = parse_instance("R 0 0\nB 1 0\nP 2 0\nR 3 0")
         verts = inst.red_side()
         pairs = sorted_side_pairs(inst, (Color.RED,), verts)
-        assert kruskal(inst.n, pairs, verts, [[0, 1, 2]]) == (1.0, [(2, 3)])
+        assert kruskal(inst.n, pairs, verts, [[0, 1, 2]]) == (1.0, [(1.0, 2, 3)])
 
     def test_disconnected_input_returns_none(self):
         inst = _instance(_random_coords(30, 13), 13)
@@ -640,6 +646,118 @@ class TestKruskalEarlyExit:
         pairs = sorted_side_pairs(inst, (Color.PURPLE,), verts)
         assert inst.R and kruskal(inst.n, pairs, verts) is None
         assert _reference_kruskal(inst.n, list(pairs), verts) is None
+
+
+def _filtered_read_case(kind, n, seed, choice):
+    """(instance, classes, vertices, premerged groups) for the filtered-read property."""
+    rng = random.Random(seed)
+    if kind == "lattice":
+        coords = [(float(x), float(y)) for x in range(25) for y in range(25)]
+    else:
+        coords = _random_coords(n, seed)
+    inst = _instance(coords, seed)
+    classes, vertices = ((RED_SIDE, inst.red_side()), ((Color.RED,), inst.red_side()),
+                         ((Color.BLUE,), inst.blue_side()), ((Color.PURPLE,), inst.P),
+                         (ALL_CLASSES, range(inst.n)))[choice]
+    groups = []
+    for _ in range(rng.randrange(5)):
+        group = rng.sample(range(inst.n), rng.randrange(1, 5))  # ids on and off the side
+        if rng.random() < 0.5:
+            group.append(group[0])  # repeated id
+        groups.append(group)
+    return inst, classes, vertices, groups
+
+
+def _seeded_plane_1000():
+    return gen_random(1000, 0.4, 0.4, seed=1000)
+
+
+class TestFilteredRead:
+    """Kruskal makes tuples of a later block only for pairs whose ends are not yet joined."""
+
+    @given(st.sampled_from(["uniform", "lattice"]), st.integers(150, 300),
+           st.integers(0, 2 ** 32 - 1), st.integers(0, 4),
+           st.sampled_from([64, graphops._FIRST_BLOCK]))
+    @settings(deadline=None, max_examples=24)
+    @hypothesis.seed(22)
+    def test_matches_reading_every_pair(self, kind, n, seed, choice, first_block):
+        # [DERIVED: the reference sorts every pair in pure Python and reads them all]
+        inst, classes, vertices, groups = _filtered_read_case(kind, n, seed, choice)
+        expected = _reference_side_pairs(inst, classes, vertices)
+        hypothesis.assume(len(expected) > first_block)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphops, "_FIRST_BLOCK", first_block)
+            pairs = sorted_side_pairs(inst, classes, vertices)
+            assert (kruskal(inst.n, pairs, vertices, groups)
+                    == _reference_kruskal(inst.n, expected, vertices, groups))
+            # The kept blocks are the unfiltered ones.
+            assert list(pairs) == expected
+
+    def test_later_blocks_make_tuples_only_for_survivors(self, monkeypatch):
+        inst = _seeded_plane_1000()
+        purple = kruskal_mst(inst, inst.P, (Color.PURPLE,))
+        verts = inst.red_side()
+        pairs = sorted_side_pairs(inst, (Color.RED,), verts)
+        made = []
+        lengths = graphops.hypot_lengths
+
+        def counting_lengths(instance, u, v):
+            made.append(len(u))
+            return lengths(instance, u, v)
+
+        monkeypatch.setattr(graphops, "hypot_lengths", counting_lengths)
+        result = kruskal(inst.n, pairs, verts, purple.pairs())
+        monkeypatch.undo()
+        later = [len(u) for u, _ in pairs._blocks[1:]]
+        assert made[0] == len(pairs._blocks[0]) and len(made) == 1 + len(later) >= 2
+        assert sum(made[1:]) < 0.25 * sum(later)
+        assert result == _reference_kruskal(inst.n, list(pairs), verts, purple.pairs())
+
+    def test_one_grid_pass_per_approx_a_tree(self, monkeypatch):
+        passes = []
+        side_pairs, grid_pairs = graphops.sorted_side_pairs, graphops._grid_pairs
+
+        def counting_side_pairs(*args):
+            passes.append(0)
+            return side_pairs(*args)
+
+        def counting_grid_pairs(*args):
+            passes[-1] += 1
+            return grid_pairs(*args)
+
+        monkeypatch.setattr(graphops, "sorted_side_pairs", counting_side_pairs)
+        monkeypatch.setattr(graphops, "_grid_pairs", counting_grid_pairs)
+        approx_a(_seeded_plane_1000())
+        assert passes == [1, 1, 1]
+
+    def test_side_pairs_are_freed_without_the_cycle_collector(self, monkeypatch):
+        # A reference cycle through the pairs would keep every shell alive
+        # until the cycle collector runs.
+        inst = _seeded_plane_1000()
+        purple = kruskal_mst(inst, inst.P, (Color.PURPLE,))
+        refs, read = [], []
+        side_pairs, lengths = graphops.sorted_side_pairs, graphops.hypot_lengths
+
+        def recording_side_pairs(*args):
+            pairs = side_pairs(*args)
+            refs.append(weakref.ref(pairs))
+            return pairs
+
+        def counting_lengths(instance, u, v):
+            read.append(len(u))
+            return lengths(instance, u, v)
+
+        monkeypatch.setattr(graphops, "sorted_side_pairs", recording_side_pairs)
+        monkeypatch.setattr(graphops, "hypot_lengths", counting_lengths)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            constrained_mst(inst, inst.red_side(), purple.pairs(), (Color.RED,))
+            assert len(refs) == 1 and refs[0]() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(read) >= 2  # the read went past the first block
 
 
 def _reference_crossings(instance, edge_set):

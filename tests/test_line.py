@@ -165,3 +165,17 @@ def test_collinearity_residual_at_extreme_scales(exponent, tmp_path, capsys):
     path.write_text(text)
     assert main(["solve", str(path), "--algo", "auto"]) == EXIT_OK
     assert "solver line" not in capsys.readouterr().out
+
+
+def test_collinearity_residual_where_the_spread_overflows():
+    # [DERIVED: halving every coordinate keeps each ratio, so the residual is the
+    # unit-scale copy's; a spread past the float range read nan before]
+    rows = (("P", -3, -2.5), ("R", 0, 2.5), ("B", -1, 1.5), ("P", 3, 0.5))
+    unit = collinearity_residual(parse_instance("".join(f"{c} {x} {y}\n" for c, x, y in rows)))
+    scale = 5.9e307  # x spans 3.54e308
+    huge = parse_instance("".join(f"{c} {x * scale!r} {y * scale!r}\n" for c, x, y in rows))
+    assert float(huge.xs.max()) - float(huge.xs.min()) == math.inf
+    assert unit > 0.5 and collinearity_residual(huge) == pytest.approx(unit, rel=1e-12)
+    line = parse_instance("P 0 0\nP 1e308 0\nP -1e308 0\n")
+    assert collinearity_residual(line) == 0.0
+    assert prepare_sorted(line)[0].tolist() == [2, 0, 1]
