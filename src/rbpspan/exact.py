@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graphops import BLUE_SIDE, RED_SIDE, kruskal, solution_stats, sorted_side_pairs
-from .model import Color, EdgeSet, Instance, make_edge_set
+from .model import Color, EdgeSet, Instance, PreconditionError, make_edge_set
 
 
 @dataclass(frozen=True)
@@ -199,9 +199,13 @@ def solve_exact(instance: Instance, return_trace: bool = False):
     best candidate visited at that cardinality (convexity diagnostic).
     """
     ground = ground_set(instance)
+    weight = ground.weight
+    # Every RBP-spanning graph joins the ends of each purple pair and is no shorter than
+    # each side tree's longest edge, so an inf ground edge makes every solution inf long.
+    if not math.isfinite(weight):
+        raise PreconditionError("an edge is longer than the float range")
     m = len(ground.u)
     x = frozenset(range(m))
-    weight = ground.weight
     trace = {m: weight}
     best_weight, best_x = weight, x
 

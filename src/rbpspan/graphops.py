@@ -38,45 +38,28 @@ _MAX_CELLS = 2.0 ** 28
 
 
 class SortedPairs:
-    """(length, u, v) pairs in tie-break order, found shell by shell and made into tuples lazily.
+    """(length, u, v) pairs in tie-break order, found shell by shell and read once.
 
-    `_shells` yields the pairs as numpy arrays sorted by np.hypot length, one
-    radius shell at a time. Iterating yields (instance.distance(u, v), u, v)
-    tuples in (length, u, v) order, the order of sorting them all. The pairs
-    are cut into blocks as they are first read, each block as large as all
-    blocks before it and at least _FIRST_BLOCK, and the blocks are kept: a
-    second iteration (or a second Kruskal run) reads the kept ones first, and
-    the numpy work stays proportional to the longest prefix any reader takes.
+    Iterating yields (instance.distance(u, v), u, v) tuples in (length, u, v)
+    order, the order of sorting them all. `_blocks` cuts the pairs that
+    `_shells` finds into (u, v) id blocks as they are read, so the numpy work
+    stays proportional to the prefix the reader takes. A block is made into
+    sorted tuples when it is reached; `blocks(parent)` first drops the pairs
+    of every block after the first that Kruskal's `parent` list already
+    joins, so only the survivors are made into tuples.
 
-    The first block is kept as sorted tuples, so readers that re-read it many
-    times (`oracle_forest`) make its tuples once. Later blocks are kept as
-    (u, v) array slices of their shell and made into tuples on each read;
-    `blocks(parent)` first drops the pairs that Kruskal's `parent` list
-    already joins, so only the survivors are made into tuples.
-
-    A block ends only where the next numpy length exceeds the one before it
-    by more than `hypot_slack` of it, and each block is sorted by the exact
-    key. That blocked order is the full order: np.hypot and math.hypot each
-    lie within one ulp of the true length, so if p ends a block and q lies in
-    a later block, np(q) > np(p) + hypot_slack(np(p)) leaves room for both
-    errors and distance(q) > distance(p). A shell ends at such a gap too, so
-    every pair of a block precedes every pair of later blocks under the exact
-    key, sorting within blocks is enough, and the numpy sort need not be stable.
+    The pairs are read once: a second read raises AssertionError. A reader
+    that runs Kruskal many times over the same pairs (`oracle_forest`) takes
+    `list()` of them once.
     """
 
-    __slots__ = ("_instance", "_count", "_shells", "_length", "_u", "_v", "_pos", "_size",
-                 "_blocks", "__weakref__")
+    __slots__ = ("_instance", "_count", "_unread", "__weakref__")
 
     def __init__(self, instance: Instance, count: int,
-                 shells: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]):
+                 blocks: Iterator[tuple[np.ndarray, np.ndarray]]):
         self._instance = instance
         self._count = count
-        self._shells = shells
-        self._length = self._u = self._v = np.empty(0)  # the current shell
-        self._pos = 0  # its first pair not yet in a block
-        self._size = 0  # pairs in the blocks
-        # The first block as sorted tuples, then (u, v) array slices.
-        self._blocks: list = []
+        self._unread: Optional[Iterator[tuple[np.ndarray, np.ndarray]]] = blocks
 
     def __len__(self) -> int:
         return self._count
@@ -92,51 +75,51 @@ class SortedPairs:
         ends lie in one tree of `parent`, as it stands when the block is
         reached, are left out.
         """
-        blocks = self._blocks
-        i = 0
-        while i < len(blocks) or self._extend():
-            block = blocks[i]
-            if i:  # a later block, kept as (u, v) arrays
-                u, v = block
-                if parent is not None:
-                    root = _roots(parent)
-                    keep = root[u] != root[v]
-                    u, v = u[keep], v[keep]
-                block = self._tuples(u, v)
-            yield block
-            i += 1
+        blocks, self._unread = self._unread, None
+        if blocks is None:
+            raise AssertionError("the pairs were read before: a SortedPairs is read once")
+        for i, (u, v) in enumerate(blocks):
+            if i and parent is not None:
+                root = _roots(parent)
+                keep = root[u] != root[v]
+                u, v = u[keep], v[keep]
+            yield sorted(zip(hypot_lengths(self._instance, u, v), u.tolist(), v.tolist()))
 
-    def _extend(self) -> bool:
-        """Cut the next block; False when every pair is in a block."""
-        while self._pos == len(self._length):
-            shell = next(self._shells, None)
-            if shell is None:
-                return False
-            self._length, self._u, self._v = shell
-            self._pos = 0
-        start = self._pos
-        end = self._block_end(min(len(self._length), start + max(self._size, _FIRST_BLOCK)))
-        u, v = self._u[start:end], self._v[start:end]
-        self._blocks.append((u, v) if self._blocks else self._tuples(u, v))
-        self._size += end - start
-        self._pos = end
-        return True
 
-    def _tuples(self, u: np.ndarray, v: np.ndarray) -> list[tuple[float, int, int]]:
-        """The pairs (u[i], v[i]) as sorted (instance.distance(u, v), u, v) tuples."""
-        return sorted(zip(hypot_lengths(self._instance, u, v), u.tolist(), v.tolist()))
+def _blocks(shells: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
+            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (u, v) id arrays of the sorted `shells`, cut into blocks as they are read.
 
-    def _block_end(self, end: int) -> int:
-        """The first index from `end` on whose length is not a near-tie of the one before."""
-        length = self._length
-        while end < len(length):
-            window = length[end - 1:end + _FIRST_BLOCK]
-            tied = np.diff(window) <= hypot_slack(window[:-1])
-            k = int(tied.argmin())
-            if not tied[k]:
-                return end + k
-            end += len(tied)
-        return len(length)
+    Each block is as large as all blocks before it and at least _FIRST_BLOCK,
+    and ends only where the next numpy length exceeds the one before it by
+    more than `hypot_slack` of it (`_block_end`). That blocked order is the
+    full order: np.hypot and math.hypot each lie within one ulp of the true
+    length, so if p ends a block and q lies in a later block,
+    np(q) > np(p) + hypot_slack(np(p)) leaves room for both errors and
+    distance(q) > distance(p). A shell ends at such a gap too, so every pair
+    of a block precedes every pair of later blocks under the exact key,
+    sorting within blocks is enough, and the numpy sort need not be stable.
+    """
+    size = 0  # pairs in the blocks so far
+    for length, u, v in shells:
+        start = 0
+        while start < len(length):
+            end = _block_end(length, min(len(length), start + max(size, _FIRST_BLOCK)))
+            yield u[start:end], v[start:end]
+            size += end - start
+            start = end
+
+
+def _block_end(length: np.ndarray, end: int) -> int:
+    """The first index from `end` on whose length is not a near-tie of the one before."""
+    while end < len(length):
+        window = length[end - 1:end + _FIRST_BLOCK]
+        tied = np.diff(window) <= hypot_slack(window[:-1])
+        k = int(tied.argmin())
+        if not tied[k]:
+            return end + k
+        end += len(tied)
+    return len(length)
 
 
 def _roots(parent: list[int]) -> np.ndarray:
@@ -165,7 +148,7 @@ def sorted_side_pairs(instance: Instance, classes: Sequence[Color],
     r, b, p = np.bincount(color, minlength=3).tolist()
     per_class = (r * (r - 1) // 2 + r * p, b * (b - 1) // 2 + b * p, p * (p - 1) // 2)
     count = sum(c for c, ok in zip(per_class, admitted.tolist()) if ok)
-    return SortedPairs(instance, count, _shells(ids, xs, ys, color, admitted, count))
+    return SortedPairs(instance, count, _blocks(_shells(ids, xs, ys, color, admitted, count)))
 
 
 def _shells(ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, color: np.ndarray,
@@ -193,6 +176,8 @@ def _shells(ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, color: np.ndarray,
     O(m + pairs up to the last grid radius) on spread points and O(m^2) at
     worst (clustered points, or readers that take every pair).
     """
+    pair_ok = admitted[_CLASS_OF].ravel()  # indexed by 3 * color[a] + color[b]
+    color = color.astype(np.intp)  # int8 arithmetic would page in numpy loops used nowhere else
     lo = -math.inf
     if count > _FIRST_BLOCK:
         w, h = float(xs.max() - xs.min()), float(ys.max() - ys.min())
@@ -205,7 +190,7 @@ def _shells(ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, color: np.ndarray,
             if found is None:
                 break
             a, b, lim = found
-            keep = admitted[_CLASS_OF[color[a], color[b]]]
+            keep = pair_ok[3 * color[a] + color[b]]
             a, b = a[keep], b[keep]
             length = _lengths(xs, ys, a, b)
             keep = (length > lo) & (length <= lim)
@@ -220,7 +205,7 @@ def _shells(ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, color: np.ndarray,
                     lo = float(length[end - 1])
             r *= 2.0
     pos = np.arange(len(ids))
-    a, b = np.nonzero(admitted[_CLASS_OF[color[:, None], color[None, :]]] & (pos[:, None] < pos))
+    a, b = np.nonzero(pair_ok[3 * color[:, None] + color] & (pos[:, None] < pos))
     length = _lengths(xs, ys, a, b)
     if lo > -math.inf:
         keep = length > lo
@@ -279,13 +264,13 @@ def _last_gap(length: np.ndarray, lim: float) -> int:
 
 
 def _lengths(xs: np.ndarray, ys: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.hypot lengths of the position pairs (a, b); inf where a difference overflows."""
+    """np.hypot lengths of the position pairs (a, b); inf where one overflows."""
     with np.errstate(over="ignore"):
         dx = xs[a]
         dx -= xs[b]
         dy = ys[a]
         dy -= ys[b]
-    return np.hypot(dx, dy, out=dx)
+        return np.hypot(dx, dy, out=dx)
 
 
 def kruskal(n: int, sorted_pairs: Iterable[tuple[float, int, int]], vertices: Sequence[int],
@@ -299,7 +284,7 @@ def kruskal(n: int, sorted_pairs: Iterable[tuple[float, int, int]], vertices: Se
     the result does not connect `vertices`. Reading stops once `vertices` are
     connected: every later pair would close a cycle.
 
-    A `SortedPairs` is read block by block through `SortedPairs.blocks`,
+    A `SortedPairs` is read, once, block by block through `SortedPairs.blocks`,
     which leaves out the pairs of each later block whose ends are joined
     when the block is reached; any other iterable is read as one block. The
     tree is the one of reading every pair: a left-out pair closes a cycle
@@ -466,7 +451,12 @@ def _orient_signs(instance: Instance, a: np.ndarray, b: np.ndarray, c: np.ndarra
 
 
 def solution_stats(edge_set: EdgeSet, solver: str = "") -> Solution:
-    """Weight, per-color counts, max degree, and purple-purple crossing statistics."""
+    """Weight, per-color counts, max degree, and purple-purple crossing statistics.
+
+    A weight beyond the float range (an edge longer than it) raises PreconditionError.
+    """
+    if not math.isfinite(edge_set.weight):
+        raise PreconditionError("the solution weight lies beyond the float range")
     instance = edge_set.instance
     codes = edge_set.color_class
     red, blue, purple, invalid = np.bincount(codes, minlength=INVALID_CLASS + 1).tolist()

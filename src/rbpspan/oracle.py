@@ -62,8 +62,9 @@ def oracle_forest(instance: Instance, max_purple: int = FOREST_MAX_PURPLE) -> So
     n = instance.n
     red_vertices = instance.red_side()
     blue_vertices = instance.blue_side()
-    red_pairs = sorted_side_pairs(instance, (Color.RED,), red_vertices)
-    blue_pairs = sorted_side_pairs(instance, (Color.BLUE,), blue_vertices)
+    # Every partition runs Kruskal over the same side pairs, so their tuples are made once.
+    red_pairs = list(sorted_side_pairs(instance, (Color.RED,), red_vertices))
+    blue_pairs = list(sorted_side_pairs(instance, (Color.BLUE,), blue_vertices))
 
     block_cache: dict[frozenset, float] = {}
 
@@ -96,7 +97,7 @@ def oracle_forest(instance: Instance, max_purple: int = FOREST_MAX_PURPLE) -> So
             continue
         total += blue[0]
         # The first feasible partition stands even at an inf total, so that an
-        # overflowing weight reaches make_edge_set's error rather than "no partition".
+        # overflowing weight reaches the float-range error rather than "no partition".
         if best_partition is None or total < best:
             best = total
             best_partition = [list(b) for b in partition]
@@ -119,7 +120,7 @@ def oracle_subsets(instance: Instance) -> Solution:
 
     An include/exclude search over `allowed_edges` in (length, u, v) order.
     It prunes supersets of spanning sets (extra edges only add weight),
-    partial sets at or above the incumbent, and branches whose chosen and
+    partial sets above the incumbent, and branches whose chosen and
     remaining edges together do not span. A list of edges spans when one
     zero-weight `kruskal` run per side over that side's pairs connects the
     side, as in `is_rbp_spanning`.
@@ -149,11 +150,12 @@ def oracle_subsets(instance: Instance) -> Solution:
     def dfs(idx: int, weight: float, chosen: list[int]):
         nonlocal best_weight, best_choice
         if spans(chosen):
-            if weight < best_weight:
+            # The first spanning set stands even at an inf weight, as in oracle_forest.
+            if best_choice is None or weight < best_weight:
                 best_weight = weight
                 best_choice = list(chosen)
             return
-        if idx == m or weight >= best_weight or not spans([*chosen, *range(idx, m)]):
+        if idx == m or weight > best_weight or not spans([*chosen, *range(idx, m)]):
             return
         chosen.append(idx)
         dfs(idx + 1, weight + lengths[idx], chosen)

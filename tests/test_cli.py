@@ -174,11 +174,19 @@ class TestSolve:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("algo", ["auto", "exact", "line", "approx-a", "approx-union",
                                       "oracle-forest", "oracle-subsets"])
-    def test_weight_past_the_float_range_exits_2(self, tmp_path, capsys, algo):
-        # Each edge length is finite, but the lengths sum past the float range;
-        # a numpy overflow warning on the way would be an error here.
+    @pytest.mark.parametrize("text", [
+        # Each edge length is finite, but the lengths sum past the float range.
+        "P 0 0\nP 1e308 0\nP -1e308 0\n",
+        # Collinear on the diagonal: each axis spread is finite, but the edge
+        # 0-1 is longer than the float range, so its length is inf.
+        "P 0 0\nP 1.5e308 1.5e308\nR 1.4e308 1.4e308\nB 1e307 1e307\n",
+        # Every spanning tree takes two edges of length inf.
+        "P -1.5e308 -1.5e308\nP 0 0\nP 1.5e308 1.5e308\n",
+    ], ids=["sum", "edge", "two-edges"])
+    def test_weight_past_the_float_range_exits_2(self, tmp_path, capsys, text, algo):
+        # A numpy overflow warning on the way would be an error here.
         path = tmp_path / "huge.txt"
-        path.write_text("P 0 0\nP 1e308 0\nP -1e308 0\n")
+        path.write_text(text)
         assert main(["solve", str(path), "--algo", algo]) == EXIT_PRECONDITION
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "float range" in captured.err

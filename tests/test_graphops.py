@@ -309,11 +309,7 @@ def _assert_same_pairs(inst, classes, vertices):
     got = sorted_side_pairs(inst, classes, vertices)
     assert len(got) == len(expected)
     assert list(islice(got, 3)) == expected[:3]
-    assert list(got) == expected
-    assert list(got) == expected  # second pass reads the kept tuples
-    # Two live iterators share the kept tuples.
-    both = list(zip(got, got))
-    assert [a for a, _ in both] == expected and [b for _, b in both] == expected
+    assert list(sorted_side_pairs(inst, classes, vertices)) == expected
 
 
 @pytest.fixture(params=[4, graphops._FIRST_BLOCK], ids=["block4", "block_default"])
@@ -362,6 +358,25 @@ class TestSortedSidePairs:
     def test_huge_tiny_and_subnormal_coordinates(self, classes, scale, block_size):
         _assert_same_pairs(_instance(_random_coords(60, 7, scale), 7), classes, range(60))
         _assert_same_pairs(_instance(_lattice_coords(60, 30, 8, scale), 8), classes, range(60))
+
+    def test_a_second_read_raises(self):
+        # A second read would otherwise resume the block generator where the first stopped.
+        inst = _instance(_random_coords(90, 0), 0)
+        first_reads = [list, lambda pairs: list(islice(pairs, 3)),
+                       lambda pairs: kruskal(inst.n, pairs, range(inst.n)),
+                       lambda pairs: next(iter(pairs))]
+        for first_read in first_reads:
+            for second_read in (list, lambda pairs: kruskal(inst.n, pairs, range(inst.n))):
+                pairs = sorted_side_pairs(inst, ALL_CLASSES, range(inst.n))
+                first_read(pairs)
+                with pytest.raises(AssertionError, match="read once"):
+                    second_read(pairs)
+        # Of two live iterators, the second raises when it is first advanced.
+        pairs = sorted_side_pairs(inst, ALL_CLASSES, range(inst.n))
+        one, two = iter(pairs), iter(pairs)
+        next(one)
+        with pytest.raises(AssertionError, match="read once"):
+            next(two)
 
     def test_empty_and_single_vertex(self):
         inst = e1()
@@ -630,8 +645,9 @@ class TestKruskalEarlyExit:
                         group.insert(1, rng.choice(outside))  # id outside the red side
                     if group:
                         groups.append(group)
+                every_pair = list(sorted_side_pairs(inst, classes, verts))
                 assert (kruskal(inst.n, pairs, verts, groups)
-                        == _reference_kruskal(inst.n, list(pairs), verts, groups))
+                        == _reference_kruskal(inst.n, every_pair, verts, groups))
 
     def test_group_joins_vertices_through_an_outside_id(self):
         # Red 0 and purple 2 are joined only through blue 1, which is outside the red side.
@@ -645,7 +661,8 @@ class TestKruskalEarlyExit:
         verts = inst.red_side()
         pairs = sorted_side_pairs(inst, (Color.PURPLE,), verts)
         assert inst.R and kruskal(inst.n, pairs, verts) is None
-        assert _reference_kruskal(inst.n, list(pairs), verts) is None
+        every_pair = list(sorted_side_pairs(inst, (Color.PURPLE,), verts))
+        assert _reference_kruskal(inst.n, every_pair, verts) is None
 
 
 def _filtered_read_case(kind, n, seed, choice):
@@ -690,28 +707,34 @@ class TestFilteredRead:
             pairs = sorted_side_pairs(inst, classes, vertices)
             assert (kruskal(inst.n, pairs, vertices, groups)
                     == _reference_kruskal(inst.n, expected, vertices, groups))
-            # The kept blocks are the unfiltered ones.
-            assert list(pairs) == expected
+            # Read without a parent list, the same blocks give every pair.
+            assert list(sorted_side_pairs(inst, classes, vertices)) == expected
 
     def test_later_blocks_make_tuples_only_for_survivors(self, monkeypatch):
         inst = _seeded_plane_1000()
         purple = kruskal_mst(inst, inst.P, (Color.PURPLE,))
         verts = inst.red_side()
-        pairs = sorted_side_pairs(inst, (Color.RED,), verts)
-        made = []
-        lengths = graphops.hypot_lengths
+        cut, made = [], []
+        blocks, lengths = graphops._blocks, graphops.hypot_lengths
+
+        def counting_blocks(shells):
+            for u, v in blocks(shells):
+                cut.append(len(u))
+                yield u, v
 
         def counting_lengths(instance, u, v):
             made.append(len(u))
             return lengths(instance, u, v)
 
+        monkeypatch.setattr(graphops, "_blocks", counting_blocks)
         monkeypatch.setattr(graphops, "hypot_lengths", counting_lengths)
-        result = kruskal(inst.n, pairs, verts, purple.pairs())
+        result = kruskal(inst.n, sorted_side_pairs(inst, (Color.RED,), verts), verts,
+                         purple.pairs())
         monkeypatch.undo()
-        later = [len(u) for u, _ in pairs._blocks[1:]]
-        assert made[0] == len(pairs._blocks[0]) and len(made) == 1 + len(later) >= 2
-        assert sum(made[1:]) < 0.25 * sum(later)
-        assert result == _reference_kruskal(inst.n, list(pairs), verts, purple.pairs())
+        assert made[0] == cut[0] and len(made) == len(cut) >= 2
+        assert sum(made[1:]) < 0.25 * sum(cut[1:])
+        every_pair = list(sorted_side_pairs(inst, (Color.RED,), verts))
+        assert result == _reference_kruskal(inst.n, every_pair, verts, purple.pairs())
 
     def test_one_grid_pass_per_approx_a_tree(self, monkeypatch):
         passes = []
