@@ -41,12 +41,12 @@ class SortedPairs:
     """(length, u, v) pairs in tie-break order, found shell by shell and read once.
 
     Iterating yields (instance.distance(u, v), u, v) tuples in (length, u, v)
-    order, the order of sorting them all. `_blocks` cuts the pairs that
-    `_shells` finds into (u, v) id blocks as they are read, so the numpy work
-    stays proportional to the prefix the reader takes. A block is made into
-    sorted tuples when it is reached; `blocks(parent)` first drops the pairs
-    of every block after the first that Kruskal's `parent` list already
-    joins, so only the survivors are made into tuples.
+    order, the order of sorting them all. `blocks` cuts each shell that
+    `_shells` yields into blocks as they are read, so the numpy work stays
+    proportional to the prefix the reader takes. A block is made into sorted
+    tuples when it is reached; `blocks(parent)` first drops the pairs of
+    every block after the first that Kruskal's `parent` list already joins,
+    so only the survivors are made into tuples.
 
     The pairs are read once: a second read raises AssertionError. A reader
     that runs Kruskal many times over the same pairs (`oracle_forest`) takes
@@ -56,10 +56,10 @@ class SortedPairs:
     __slots__ = ("_instance", "_count", "_unread", "__weakref__")
 
     def __init__(self, instance: Instance, count: int,
-                 blocks: Iterator[tuple[np.ndarray, np.ndarray]]):
+                 shells: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]):
         self._instance = instance
         self._count = count
-        self._unread: Optional[Iterator[tuple[np.ndarray, np.ndarray]]] = blocks
+        self._unread: Optional[Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]] = shells
 
     def __len__(self) -> int:
         return self._count
@@ -71,55 +71,38 @@ class SortedPairs:
     def blocks(self, parent: Optional[list[int]] = None) -> Iterator[list[tuple[float, int, int]]]:
         """The blocks in order, each as sorted (length, u, v) tuples.
 
+        Each block is as large as all blocks before it and at least
+        _FIRST_BLOCK, and ends at the first cut point of its shell from there
+        on, or at the shell's end. That blocked order is the full order:
+        np.hypot and math.hypot each lie within one ulp of the true length,
+        so if p ends a block and q lies in a later block,
+        np(q) > np(p) + hypot_slack(np(p)) leaves room for both errors and
+        distance(q) > distance(p). A shell ends at such a gap too, so every
+        pair of a block precedes every pair of later blocks under the exact
+        key, sorting within blocks is enough, and the numpy sort need not be
+        stable.
+
         With a union-find `parent` list, the pairs of each later block whose
         ends lie in one tree of `parent`, as it stands when the block is
         reached, are left out.
         """
-        blocks, self._unread = self._unread, None
-        if blocks is None:
+        shells, self._unread = self._unread, None
+        if shells is None:
             raise AssertionError("the pairs were read before: a SortedPairs is read once")
-        for i, (u, v) in enumerate(blocks):
-            if i and parent is not None:
-                root = _roots(parent)
-                keep = root[u] != root[v]
-                u, v = u[keep], v[keep]
-            yield sorted(zip(hypot_lengths(self._instance, u, v), u.tolist(), v.tolist()))
-
-
-def _blocks(shells: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
-            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The (u, v) id arrays of the sorted `shells`, cut into blocks as they are read.
-
-    Each block is as large as all blocks before it and at least _FIRST_BLOCK,
-    and ends only where the next numpy length exceeds the one before it by
-    more than `hypot_slack` of it (`_block_end`). That blocked order is the
-    full order: np.hypot and math.hypot each lie within one ulp of the true
-    length, so if p ends a block and q lies in a later block,
-    np(q) > np(p) + hypot_slack(np(p)) leaves room for both errors and
-    distance(q) > distance(p). A shell ends at such a gap too, so every pair
-    of a block precedes every pair of later blocks under the exact key,
-    sorting within blocks is enough, and the numpy sort need not be stable.
-    """
-    size = 0  # pairs in the blocks so far
-    for length, u, v in shells:
-        start = 0
-        while start < len(length):
-            end = _block_end(length, min(len(length), start + max(size, _FIRST_BLOCK)))
-            yield u[start:end], v[start:end]
-            size += end - start
-            start = end
-
-
-def _block_end(length: np.ndarray, end: int) -> int:
-    """The first index from `end` on whose length is not a near-tie of the one before."""
-    while end < len(length):
-        window = length[end - 1:end + _FIRST_BLOCK]
-        tied = np.diff(window) <= hypot_slack(window[:-1])
-        k = int(tied.argmin())
-        if not tied[k]:
-            return end + k
-        end += len(tied)
-    return len(length)
+        size = 0  # pairs in the blocks so far
+        for u_ids, v_ids, cuts in shells:
+            start = 0
+            while start < len(u_ids):
+                at = cuts.searchsorted(start + max(size, _FIRST_BLOCK))
+                end = int(cuts[at]) if at < len(cuts) else len(u_ids)
+                u, v = u_ids[start:end], v_ids[start:end]
+                if size and parent is not None:
+                    root = _roots(parent)
+                    keep = root[u] != root[v]
+                    u, v = u[keep], v[keep]
+                yield sorted(zip(hypot_lengths(self._instance, u, v), u.tolist(), v.tolist()))
+                size += end - start
+                start = end
 
 
 def _roots(parent: list[int]) -> np.ndarray:
@@ -148,23 +131,25 @@ def sorted_side_pairs(instance: Instance, classes: Sequence[Color],
     r, b, p = np.bincount(color, minlength=3).tolist()
     per_class = (r * (r - 1) // 2 + r * p, b * (b - 1) // 2 + b * p, p * (p - 1) // 2)
     count = sum(c for c, ok in zip(per_class, admitted.tolist()) if ok)
-    return SortedPairs(instance, count, _blocks(_shells(ids, xs, ys, color, admitted, count)))
+    return SortedPairs(instance, count, _shells(ids, xs, ys, color, admitted, count))
 
 
 def _shells(ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, color: np.ndarray,
             admitted: np.ndarray, count: int
             ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The `count` admitted pairs as (length, u, v) arrays sorted by np.hypot length, shell by shell.
+    """The `count` admitted pairs as (u, v, cuts) arrays in np.hypot length order, shell by shell.
 
-    Shell j holds the pairs whose np.hypot length lies in (c_{j-1}, c_j]. Its
-    pairs come from one `_grid_pairs` pass of cell side r, which finds every
-    pair up to its `lim`. c_j is the last found length followed by a gap
-    wider than `hypot_slack` (`_last_gap`), so every pair of a later shell is
-    longer than c_j + hypot_slack(c_j). r starts at twice the radius below
-    which about _FIRST_BLOCK of `count` pairs spread evenly over the bounding
-    box would lie, never below 2/_MAX_CELLS of its diagonal, and doubles
-    after each pass; a pass that finds fewer than _FIRST_BLOCK new pairs, or
-    no gap, yields nothing. The factor two makes one pass enough for a side
+    u and v are the pairs' ids and cuts the shell's cut points (`_cuts`),
+    where a block may end; a shell that is one block carries none. Shell j
+    holds the pairs whose np.hypot length lies in (c_{j-1}, c_j]. Its pairs
+    come from one `_grid_pairs` pass of cell side r, which finds every pair
+    up to its `lim`. c_j is the length before the shell's last cut point,
+    with `lim` as the length after the last pair, so every pair of a later
+    shell is longer than c_j + hypot_slack(c_j). r starts at twice the radius below which about
+    _FIRST_BLOCK of `count` pairs spread evenly over the bounding box would
+    lie, never below 2/_MAX_CELLS of its diagonal, and doubles after each
+    pass; a pass that finds fewer than _FIRST_BLOCK new pairs, or no cut
+    point, yields nothing. The factor two makes one pass enough for a side
     tree on spread points: Kruskal reads some 1,000 to 4,000 pairs of such a
     tree, while a pass at the single radius, where points near the box edge
     have fewer neighbours, finds fewer than _FIRST_BLOCK pairs on most trees
@@ -180,7 +165,9 @@ def _shells(ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, color: np.ndarray,
     color = color.astype(np.intp)  # int8 arithmetic would page in numpy loops used nowhere else
     lo = -math.inf
     if count > _FIRST_BLOCK:
-        w, h = float(xs.max() - xs.min()), float(ys.max() - ys.min())
+        # Python floats: a spread past the float range is inf without a numpy warning.
+        w = float(xs.max()) - float(xs.min())
+        h = float(ys.max()) - float(ys.min())
         diag = math.hypot(w, h)
         # The 2-D term comes last: with w or h overflowed it may be nan, which max skips.
         r = 2.0 * max(math.ulp(0.0), diag / _MAX_CELLS, diag * _FIRST_BLOCK / (2 * count),
@@ -198,10 +185,11 @@ def _shells(ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, color: np.ndarray,
             if len(length) >= _FIRST_BLOCK:
                 order = np.argsort(length)
                 length = length[order]
-                end = _last_gap(length, lim)
-                if end:
+                cuts = _cuts(length, lim)
+                if len(cuts):
+                    end = int(cuts[-1])
                     order = order[:end]
-                    yield length[:end], ids[a[order]], ids[b[order]]
+                    yield ids[a[order]], ids[b[order]], cuts
                     lo = float(length[end - 1])
             r *= 2.0
     pos = np.arange(len(ids))
@@ -211,7 +199,9 @@ def _shells(ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, color: np.ndarray,
         keep = length > lo
         length, a, b = length[keep], a[keep], b[keep]
     order = np.argsort(length)
-    yield length[order], ids[a[order]], ids[b[order]]
+    # A single block needs no cut point; skipping the search keeps tiny sides cheap.
+    cuts = _cuts(length[order], math.inf) if count > _FIRST_BLOCK else np.empty(0, np.intp)
+    yield ids[a[order]], ids[b[order]], cuts
 
 
 def _grid_pairs(xs: np.ndarray, ys: np.ndarray, r: float, most: int
@@ -253,14 +243,15 @@ def _grid_pairs(xs: np.ndarray, ys: np.ndarray, r: float, most: int
     return np.minimum(a, b), np.maximum(a, b), r * _GRID_MARGIN
 
 
-def _last_gap(length: np.ndarray, lim: float) -> int:
-    """The end of the sorted `length` prefix that ends at a gap wider than `hypot_slack`, or 0.
+def _cuts(length: np.ndarray, lim: float) -> np.ndarray:
+    """The cut points of the sorted `length`: each i + 1 where the next length is not a near-tie.
 
-    lim counts as the length after the last, so the prefix's last length is
-    more than hypot_slack below lim as well as below the length after it.
+    The next length is not a near-tie when it exceeds length[i] by more than
+    hypot_slack(length[i]); lim counts as the length after the last. Two inf
+    lengths, whose difference is nan, are a tie.
     """
-    gap = np.flatnonzero(np.append(length[1:], lim) - length > hypot_slack(length))
-    return int(gap[-1]) + 1 if len(gap) else 0
+    with np.errstate(invalid="ignore"):
+        return np.flatnonzero(np.append(length[1:], lim) - length > hypot_slack(length)) + 1
 
 
 def _lengths(xs: np.ndarray, ys: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -285,8 +276,9 @@ def kruskal(n: int, sorted_pairs: Iterable[tuple[float, int, int]], vertices: Se
     connected: every later pair would close a cycle.
 
     A `SortedPairs` is read, once, block by block through `SortedPairs.blocks`,
-    which leaves out the pairs of each later block whose ends are joined
-    when the block is reached; any other iterable is read as one block. The
+    which cuts its shells at their cut points and leaves out the pairs of
+    each later block whose ends are joined when the block is reached; any
+    other iterable is read as one block. The
     tree is the one of reading every pair: a left-out pair closes a cycle
     whenever it is read, as unions only merge trees, and the pairs that are
     read keep their (length, u, v) order, so the loop takes the same pairs in

@@ -147,10 +147,14 @@ class Instance:
         lexicographic tie-breaking.
         """
         u, v = np.triu_indices(self.n, 1)
-        dists = sorted(zip(hypot_lengths(self, u, v), u.tolist(), v.tolist()))
-        return [((u1, v1), (u2, v2), d1, d2)
-                for (d1, u1, v1), (d2, u2, v2) in zip(dists, dists[1:])
-                if d2 - d1 <= DIST_TIE_TOL * max(1.0, d2)]
+        d = np.array(hypot_lengths(self, u, v), dtype=float)
+        order = np.lexsort((v, u, d))
+        d, u, v = d[order], u[order], v[order]
+        with np.errstate(invalid="ignore"):  # inf - inf is nan, no tie
+            tie = np.flatnonzero(d[1:] - d[:-1] <= DIST_TIE_TOL * np.maximum(1.0, d[1:]))
+        return [((u1, v1), (u2, v2), d1, d2) for u1, v1, u2, v2, d1, d2
+                in zip(u[tie].tolist(), v[tie].tolist(), u[tie + 1].tolist(),
+                       v[tie + 1].tolist(), d[tie].tolist(), d[tie + 1].tolist())]
 
 
 def _canonical(instance: Instance, u: int, v: int) -> tuple[int, int]:

@@ -2,6 +2,7 @@
 
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -171,7 +172,6 @@ class TestSolve:
         assert exc.value.code == EXIT_USAGE
         assert "--tolerance" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("algo", ["auto", "exact", "line", "approx-a", "approx-union",
                                       "oracle-forest", "oracle-subsets"])
     @pytest.mark.parametrize("text", [
@@ -184,9 +184,23 @@ class TestSolve:
         "P -1.5e308 -1.5e308\nP 0 0\nP 1.5e308 1.5e308\n",
     ], ids=["sum", "edge", "two-edges"])
     def test_weight_past_the_float_range_exits_2(self, tmp_path, capsys, text, algo):
-        # A numpy overflow warning on the way would be an error here.
+        # A numpy overflow warning on the way fails the test (pytest's filterwarnings).
         path = tmp_path / "huge.txt"
         path.write_text(text)
+        assert main(["solve", str(path), "--algo", algo]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "float range" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("algo", ["auto", "exact", "approx-a", "approx-union"])
+    def test_many_pairs_past_the_float_range_exit_2(self, tmp_path, capsys, algo):
+        # More than _FIRST_BLOCK admitted pairs with a bounding box past the float
+        # range: the grid's spread and the cut points meet inf lengths.
+        rng = random.Random(32)
+        lines = [f"P {rng.random()!r} {rng.random()!r}" for _ in range(60)]
+        lines += ["P -1.5e308 -1.5e308", "P 1.5e308 1.5e308", "R 0.5 0.5"]
+        path = tmp_path / "huge.txt"
+        path.write_text("\n".join(lines) + "\n")
         assert main(["solve", str(path), "--algo", algo]) == EXIT_PRECONDITION
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "float range" in captured.err

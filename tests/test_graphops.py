@@ -314,7 +314,7 @@ def _assert_same_pairs(inst, classes, vertices):
 
 @pytest.fixture(params=[4, graphops._FIRST_BLOCK], ids=["block4", "block_default"])
 def block_size(request, monkeypatch):
-    """Tuple block size; 4 makes near-tie runs outgrow the block search window."""
+    """First block size; at 4, blocks end at cut points past long near-tie runs."""
     monkeypatch.setattr(graphops, "_FIRST_BLOCK", request.param)
     return request.param
 
@@ -445,14 +445,55 @@ class TestSortedSidePairs:
             assert near <= set(found)
             assert missed.isdisjoint(found) and lim < r
 
-    def test_last_gap_counts_lim_as_the_next_length(self):
+    def test_cuts_count_lim_as_the_next_length(self):
         m = math.hypot(17.0, 27.0)
         up = math.nextafter(m, math.inf)
         length = np.array([1.0, m, up])
-        assert graphops._last_gap(length, 2 * m) == 3
-        assert graphops._last_gap(length, math.nextafter(up, math.inf)) == 1
-        assert graphops._last_gap(length[1:], 2 * m) == 2
-        assert graphops._last_gap(length[1:], up) == 0
+        assert graphops._cuts(length, 2 * m).tolist() == [1, 3]
+        assert graphops._cuts(length, math.nextafter(up, math.inf)).tolist() == [1]
+        assert graphops._cuts(length[1:], 2 * m).tolist() == [2]
+        assert graphops._cuts(length[1:], up).tolist() == []
+        # inf - inf is nan: the inf lengths and lim tie, with no numpy warning.
+        length = np.array([1.0, m, math.inf, math.inf])
+        assert graphops._cuts(length, math.inf).tolist() == [1, 2]
+
+    @pytest.mark.parametrize("first_block", [4, 64, graphops._FIRST_BLOCK])
+    def test_blocks_end_at_the_first_cut_point_past_their_size(self, first_block, monkeypatch):
+        events = []
+        shells, lengths = graphops._shells, graphops.hypot_lengths
+
+        def recording_shells(*args):
+            for u, v, cuts in shells(*args):
+                events.append((len(u), cuts.tolist()))
+                yield u, v, cuts
+
+        def recording_lengths(instance, u, v):
+            events.append(len(u))
+            return lengths(instance, u, v)
+
+        monkeypatch.setattr(graphops, "_FIRST_BLOCK", first_block)
+        monkeypatch.setattr(graphops, "_shells", recording_shells)
+        monkeypatch.setattr(graphops, "hypot_lengths", recording_lengths)
+        grown = 0  # blocks that a near-tie run made longer than their size
+        for inst in (_instance(_random_coords(200, 29), 29),
+                     _instance(_lattice_coords(200, 60, seed=30), 30),
+                     _instance([(float(x), float(y)) for x in range(14) for y in range(14)], 31)):
+            events.clear()
+            pairs = list(sorted_side_pairs(inst, ALL_CLASSES, range(inst.n)))
+            size, shell_size, start, cuts = 0, 0, 0, []
+            for event in events:
+                if isinstance(event, tuple):
+                    assert start == shell_size  # the blocks cover the shell before
+                    (shell_size, cuts), start = event, 0
+                    continue
+                end, least = start + event, max(size, first_block)
+                assert end in cuts or end == shell_size
+                assert end - start >= least or end == shell_size
+                assert not any(start + least <= c < end for c in cuts)
+                grown += end - start > least and end in cuts
+                size, start = size + event, end
+            assert start == shell_size and size == len(pairs)
+        assert grown
 
     def test_builds_only_a_prefix(self, monkeypatch):
         inst = _instance(_random_coords(2000, 17), 17)
@@ -714,26 +755,23 @@ class TestFilteredRead:
         inst = _seeded_plane_1000()
         purple = kruskal_mst(inst, inst.P, (Color.PURPLE,))
         verts = inst.red_side()
-        cut, made = [], []
-        blocks, lengths = graphops._blocks, graphops.hypot_lengths
-
-        def counting_blocks(shells):
-            for u, v in blocks(shells):
-                cut.append(len(u))
-                yield u, v
+        made = []
+        lengths = graphops.hypot_lengths
 
         def counting_lengths(instance, u, v):
             made.append(len(u))
             return lengths(instance, u, v)
 
-        monkeypatch.setattr(graphops, "_blocks", counting_blocks)
         monkeypatch.setattr(graphops, "hypot_lengths", counting_lengths)
+        # Read without a parent list, every block is made whole: its size as cut.
+        every_pair = list(sorted_side_pairs(inst, (Color.RED,), verts))
+        cut = made[:]
+        made.clear()
         result = kruskal(inst.n, sorted_side_pairs(inst, (Color.RED,), verts), verts,
                          purple.pairs())
         monkeypatch.undo()
-        assert made[0] == cut[0] and len(made) == len(cut) >= 2
-        assert sum(made[1:]) < 0.25 * sum(cut[1:])
-        every_pair = list(sorted_side_pairs(inst, (Color.RED,), verts))
+        assert made[0] == cut[0] and len(cut) >= len(made) >= 2
+        assert sum(made[1:]) < 0.25 * sum(cut[1:len(made)])
         assert result == _reference_kruskal(inst.n, every_pair, verts, purple.pairs())
 
     def test_one_grid_pass_per_approx_a_tree(self, monkeypatch):

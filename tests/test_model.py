@@ -249,14 +249,20 @@ class TestRoundTrip:
             assert getattr(again, name).tobytes() == getattr(inst, name).tobytes()
 
 
-def test_general_position_violations_match_pairwise_distances():
+@pytest.mark.parametrize("text, least", [
+    ("P 0 0\nR 3 4\nB 0 5\nP 5 0\nR 1e-9 5\nB 2.5 2.5000000000001\n", 3),
+    # Lengths past the float range are inf, and inf - inf is nan: no tie, and no warning.
+    ("P -1.5e308 -1.5e308\nP 0 0\nP 1.5e308 1.5e308\nR 1.5e308 -1.5e308\nB 0 1\n", 1),
+    ("".join(f"P {x} {y}\n" for x in range(5) for y in range(4)), 100),
+], ids=["near_ties", "inf_lengths", "lattice"])
+def test_general_position_violations_match_pairwise_distances(text, least):
     # [DERIVED: the definition, one `distance` call per pair, sorted by (length, u, v)]
-    inst = parse_instance("P 0 0\nR 3 4\nB 0 5\nP 5 0\nR 1e-9 5\nB 2.5 2.5000000000001\n")
+    inst = parse_instance(text)
     dists = sorted((inst.distance(u, v), u, v) for u in range(inst.n) for v in range(u + 1, inst.n))
     expected = [((u1, v1), (u2, v2), d1, d2)
                 for (d1, u1, v1), (d2, u2, v2) in zip(dists, dists[1:])
                 if d2 - d1 <= 1e-12 * max(1.0, d2)]
-    assert len(expected) >= 3
+    assert len(expected) >= least
     assert inst.general_position_violations() == expected
 
 
