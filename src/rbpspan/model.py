@@ -19,6 +19,7 @@ CROSS_TOL = 1e-12       # relative threshold below which orientation falls back 
 # four ulps of the length plus four of the smallest subnormal.
 HYPOT_SLACK = 4 * 2.0 ** -52
 HYPOT_SLACK_FLOOR = 4 * math.ulp(0.0)
+_LENGTH_BLOCK = 1 << 16  # pairs per hypot_lengths call in general_position_violations
 
 
 def hypot_slack(length):
@@ -144,14 +145,19 @@ class Instance:
         """Pairs of distinct point pairs at equal distance, up to DIST_TIE_TOL relative.
 
         Violations are reported, not fatal; solvers fall back to deterministic
-        lexicographic tie-breaking.
+        lexicographic tie-breaking. No length ties an inf one.
         """
         u, v = np.triu_indices(self.n, 1)
-        d = np.array(hypot_lengths(self, u, v), dtype=float)
+        d = np.empty(len(u))
+        # The math.hypot floats, a block of pairs at a time, so no list holds them all.
+        for start in range(0, len(u), _LENGTH_BLOCK):
+            end = start + _LENGTH_BLOCK
+            d[start:end] = hypot_lengths(self, u[start:end], v[start:end])
         order = np.lexsort((v, u, d))
         d, u, v = d[order], u[order], v[order]
         with np.errstate(invalid="ignore"):  # inf - inf is nan, no tie
-            tie = np.flatnonzero(d[1:] - d[:-1] <= DIST_TIE_TOL * np.maximum(1.0, d[1:]))
+            tie = np.flatnonzero((d[1:] - d[:-1] <= DIST_TIE_TOL * np.maximum(1.0, d[1:]))
+                                 & (d[1:] < math.inf))
         return [((u1, v1), (u2, v2), d1, d2) for u1, v1, u2, v2, d1, d2
                 in zip(u[tie].tolist(), v[tie].tolist(), u[tie + 1].tolist(),
                        v[tie + 1].tolist(), d[tie].tolist(), d[tie + 1].tolist())]

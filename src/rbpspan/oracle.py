@@ -16,7 +16,6 @@ from .graphops import (
     BLUE_SIDE,
     RED_SIDE,
     kruskal,
-    kruskal_mst,
     solution_stats,
     sorted_side_pairs,
 )
@@ -31,6 +30,7 @@ from .model import (
 
 FOREST_MAX_PURPLE = 8
 SUBSET_MAX_EDGES = 22
+_Tree = tuple[float, list[tuple[float, int, int]]]  # a `kruskal` result: (total, taken pairs)
 
 
 class OracleSizeError(PreconditionError):
@@ -54,7 +54,9 @@ def oracle_forest(instance: Instance, max_purple: int = FOREST_MAX_PURPLE) -> So
     """Exact optimum by minimizing over purple component structures.
 
     For each grouping of the purple points the purple cost is the per-group MST
-    and the red/blue costs are Kruskal runs with the groups pre-merged.
+    and the red/blue costs are Kruskal runs with the groups pre-merged. All
+    three run `kruskal` over side pairs listed once; a group's tree reads the
+    purple pairs with both ends in it, and the winning trees are kept.
     """
     if instance.k > max_purple:
         raise OracleSizeError(
@@ -63,27 +65,27 @@ def oracle_forest(instance: Instance, max_purple: int = FOREST_MAX_PURPLE) -> So
     red_vertices = instance.red_side()
     blue_vertices = instance.blue_side()
     # Every partition runs Kruskal over the same side pairs, so their tuples are made once.
+    purple_pairs = list(sorted_side_pairs(instance, (Color.PURPLE,), instance.P))
     red_pairs = list(sorted_side_pairs(instance, (Color.RED,), red_vertices))
     blue_pairs = list(sorted_side_pairs(instance, (Color.BLUE,), blue_vertices))
+    trees: dict[frozenset, _Tree] = {}
 
-    block_cache: dict[frozenset, float] = {}
-
-    def block_weight(block: Sequence[int]) -> float:
+    def tree(block: list[int]) -> _Tree:
         key = frozenset(block)
-        w = block_cache.get(key)
-        if w is None:
-            w = kruskal_mst(instance, sorted(block), (Color.PURPLE,)).weight
-            block_cache[key] = w
-        return w
+        found = trees.get(key)
+        if found is None:
+            found = trees[key] = kruskal(
+                n, [pair for pair in purple_pairs if pair[1] in key and pair[2] in key], block)
+        return found
 
     best = math.inf
-    best_partition: Optional[list[list[int]]] = None
-    best_pairs: list[tuple[int, int]] = []
+    best_trees: Optional[list[_Tree]] = None
     for partition in _set_partitions(list(instance.P)):
+        purple = [tree(block) for block in partition if len(block) > 1]
+        # Summed in partition order: `sum()` from Python 3.12 on compensates.
         total = 0.0
-        for block in partition:
-            if len(block) > 1:
-                total += block_weight(block)
+        for weight, _ in purple:
+            total += weight
         if total > best:
             continue
         red = kruskal(n, red_pairs, red_vertices, partition)
@@ -98,18 +100,13 @@ def oracle_forest(instance: Instance, max_purple: int = FOREST_MAX_PURPLE) -> So
         total += blue[0]
         # The first feasible partition stands even at an inf total, so that an
         # overflowing weight reaches the float-range error rather than "no partition".
-        if best_partition is None or total < best:
+        if best_trees is None or total < best:
             best = total
-            best_partition = [list(b) for b in partition]
-            best_pairs = [(u, v) for _, u, v in red[1] + blue[1]]
+            best_trees = [*purple, red, blue]
 
-    if best_partition is None:
+    if best_trees is None:
         raise AssertionError("no partition of the purple points gives a spanning graph")
-    pairs = best_pairs
-    for block in best_partition:
-        if len(block) > 1:
-            pairs.extend(kruskal_mst(instance, sorted(block), (Color.PURPLE,)).pairs())
-    edge_set = make_edge_set(instance, pairs)
+    edge_set = make_edge_set(instance, [(u, v) for _, taken in best_trees for _, u, v in taken])
     if not math.isclose(edge_set.weight, best, rel_tol=1e-9, abs_tol=1e-9):
         raise AssertionError("oracle_forest reconstruction disagrees with the minimum")
     return solution_stats(edge_set, solver="oracle-forest")

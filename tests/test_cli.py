@@ -277,6 +277,17 @@ class TestValidate:
         assert "collinear yes" in out and "concyclic no" in out
         assert "distance_ties" in out
 
+    @pytest.mark.parametrize("text, ties", [
+        ("P -1.5e308 -1.5e308\nP 0 0\nP 1.5e308 1.5e308\nR 1.5e308 -1.5e308\nB 0 1\n", 0),
+        ("P 0 0\n", 0),
+    ], ids=["inf_lengths", "one_point"])
+    def test_distance_ties(self, tmp_path, capsys, text, ties):
+        # [DERIVED: no length ties an inf one, and one point has no pair]
+        path = tmp_path / "inst.txt"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert f"distance_ties {ties}\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("scale", [1e-300, 1e150, 1e200])
     def test_circle_at_extreme_scale_is_concyclic(self, tmp_path, capsys, scale):
         inst = gen_random(40, 0.4, 0.4, "circle", seed=7)

@@ -1,11 +1,14 @@
 """Brute-force oracles and their mutual consistency."""
 
 import math
+import random
 
 import pytest
 
-from rbpspan.model import parse_instance
+from rbpspan import oracle
+from rbpspan.model import EdgeSet, allowed_edges, parse_instance
 from rbpspan.oracle import (
+    SUBSET_MAX_EDGES,
     OracleSizeError,
     _set_partitions,
     oracle_forest,
@@ -68,8 +71,59 @@ class TestOracleSubsets:
             oracle_subsets(inst)
 
 
+def _lattice_instances(count, base_seed):
+    """Seeded instances on cells of a 4x4 lattice, where equal lengths abound, with at
+    most SUBSET_MAX_EDGES allowed edges."""
+    out = []
+    seed = base_seed
+    while len(out) < count:
+        seed += 1
+        rng = random.Random(seed)
+        cells = rng.sample([(x, y) for x in range(4) for y in range(4)], rng.randint(5, 8))
+        inst = parse_instance("".join(f"{rng.choice('RBP')} {x} {y}\n" for x, y in cells))
+        if len(allowed_edges(inst).u) <= SUBSET_MAX_EDGES:
+            out.append(inst)
+    return out
+
+
 def test_forest_matches_subsets_on_random_batch():
     # [DERIVED: two independent optima must coincide]
-    for inst in seeded_instances(25, n_min=4, n_max=7, max_allowed=20, base_seed=1300):
+    for inst in (seeded_instances(25, n_min=4, n_max=7, max_allowed=20, base_seed=1300)
+                 + _lattice_instances(25, base_seed=1400)):
         assert oracle_forest(inst).weight == pytest.approx(
             oracle_subsets(inst).weight, rel=1e-9)
+
+
+def test_forest_lists_each_side_once(monkeypatch):
+    # [DERIVED: the purple, red and blue pairs are listed once per call, and every
+    # tree is a `kruskal` run over those lists, so the only edge set is the final one]
+    calls, built, final = [], [], []
+    list_pairs, make, post_init = oracle.sorted_side_pairs, oracle.make_edge_set, \
+        EdgeSet.__post_init__
+
+    def counting_pairs(*args):
+        calls.append(args)
+        return list_pairs(*args)
+
+    def final_make(*args):
+        final.append(True)
+        return make(*args)
+
+    def recording_post_init(self):
+        built.append(bool(final))
+        post_init(self)
+
+    monkeypatch.setattr(oracle, "sorted_side_pairs", counting_pairs)
+    monkeypatch.setattr(oracle, "make_edge_set", final_make)
+    monkeypatch.setattr(EdgeSet, "__post_init__", recording_post_init)
+    for k in range(9):
+        rng = random.Random(k)
+        cells = rng.sample([(x, y) for x in range(6) for y in range(6)], k + 4)
+        colors = ["P"] * k + ["R", "R", "B", "B"]
+        inst = parse_instance("".join(f"{c} {x} {y}\n" for c, (x, y) in zip(colors, cells)))
+        calls.clear()
+        built.clear()
+        final.clear()
+        oracle_forest(inst)
+        assert len(calls) == 3, k
+        assert built and all(built), k
