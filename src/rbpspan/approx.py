@@ -45,11 +45,10 @@ def approx_a(instance: Instance) -> Solution:
     A (rho/2 + 1)-approximation, about 1.6 with the best known Steiner ratio bound.
     The three trees have disjoint color classes, so they share no edge.
     """
-    purple = kruskal_mst(instance, instance.P, (Color.PURPLE,))
-    purple_pairs = purple.pairs()
-    trees = [purple,
-             constrained_mst(instance, instance.red_side(), purple_pairs, (Color.RED,)),
-             constrained_mst(instance, instance.blue_side(), purple_pairs, (Color.BLUE,))]
+    joined = (instance.P,)  # the attach trees need the purple points joined, not how
+    trees = [kruskal_mst(instance, instance.P, (Color.PURPLE,)),
+             constrained_mst(instance, instance.red_side(), joined, (Color.RED,)),
+             constrained_mst(instance, instance.blue_side(), joined, (Color.BLUE,))]
     return solution_stats(make_edge_set(instance, _pair_array(trees)), solver="approx-a")
 
 

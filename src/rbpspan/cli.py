@@ -173,10 +173,9 @@ def cmd_gen(args) -> int:
 
 def cmd_validate(args) -> int:
     instance = _read_instance(args.input)
-    lines = [f"points {instance.n}",
-             f"red {len(instance.R)}",
-             f"blue {len(instance.B)}",
-             f"purple {instance.k}"]
+    k = instance.k
+    lines = [f"points {instance.n}", f"red {len(instance.red_side()) - k}",
+             f"blue {len(instance.blue_side()) - k}", f"purple {k}"]
     res_line = collinearity_residual(instance)
     lines.append("collinear %s (residual %.3g)"
                  % ("yes" if res_line <= COLLINEAR_TOL else "no", res_line))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -269,8 +269,8 @@ def kruskal(n: int, sorted_pairs: Iterable[tuple[float, int, int]], vertices: Se
             ) -> Optional[tuple[float, list[tuple[float, int, int]]]]:
     """Kruskal's union loop over pre-sorted (length, u, v) pairs joining ids of `vertices`.
 
-    Each group of `premerged` is joined first at zero cost; a forced pair
-    (u, v) is a group of two, and groups may reach outside `vertices`.
+    Each group of `premerged` is joined first at zero cost; an empty group
+    joins nothing, and groups may reach outside `vertices`.
     Returns the total length and the (length, u, v) pairs taken, or None if
     the result does not connect `vertices`. Reading stops once `vertices` are
     connected: every later pair would close a cycle.
@@ -293,9 +293,8 @@ def kruskal(n: int, sorted_pairs: Iterable[tuple[float, int, int]], vertices: Se
         return x
 
     for group in premerged:
-        root = find(group[0])
-        for other in group[1:]:
-            parent[find(other)] = root
+        for a, b in zip(group, group[1:]):
+            parent[find(b)] = find(a)
     # Each taken pair joins two components that hold ids of `vertices`.
     left = max(len({find(v) for v in vertices}) - 1, 0)
     total = 0.0
@@ -336,19 +335,18 @@ def kruskal_mst(instance: Instance, vertices: Sequence[int],
 
 
 def constrained_mst(instance: Instance, vertices: Sequence[int],
-                    forced_merges: Sequence[tuple[int, int]] = (),
+                    premerged: Sequence[Sequence[int]] = (),
                     classes: Sequence[Color] = (Color.RED, Color.BLUE, Color.PURPLE)) -> EdgeSet:
-    """Minimum edge set connecting `vertices` with forced pairs pre-unioned at zero cost.
+    """Minimum edge set connecting `vertices` once each group of `premerged` is joined.
 
-    Returned edges exclude the forced pairs themselves.
+    The groups are joined at zero cost and add no edge to the result; every id
+    in them must lie in `vertices` (PreconditionError otherwise).
     """
-    vset = set(vertices)
-    verts = sorted(vset)
-    for u, v in forced_merges:
-        if u not in vset or v not in vset:
-            raise PreconditionError(f"forced merge ({u}, {v}) outside vertex set")
-    result = kruskal(instance.n, sorted_side_pairs(instance, classes, verts), verts,
-                     forced_merges)
+    verts = sorted(set(vertices))
+    outside = set(chain.from_iterable(premerged)).difference(verts)
+    if outside:
+        raise PreconditionError(f"premerged id {min(outside)} outside vertex set")
+    result = kruskal(instance.n, sorted_side_pairs(instance, classes, verts), verts, premerged)
     if result is None:
         raise InfeasibleGraphError("admitted edges do not connect the vertex set")
     total, taken = result

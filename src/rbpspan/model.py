@@ -76,13 +76,13 @@ _CLASS_COLOR = (Color.RED, Color.BLUE, Color.PURPLE, None)  # code -> Edge.color
 
 
 class Instance:
-    """Immutable colored point set with derived R/B/P id subsets.
+    """Immutable colored point set and its sorted purple ids `P`, which every solver reads.
 
     `xs`, `ys` (float64) and `colors` (int8 `Color` codes) hold the points
     by id as read-only arrays, the only stored form of the points.
     """
 
-    __slots__ = ("R", "B", "P", "xs", "ys", "colors")
+    __slots__ = ("P", "xs", "ys", "colors")
 
     def __new__(cls, xs, ys, colors):
         """The instance of points (xs[i], ys[i]) with `Color` codes colors[i], as read-only copies.
@@ -107,8 +107,7 @@ class Instance:
             i = int(np.flatnonzero((xs == xs[j]) & (ys == ys[j]))[0])
             raise InstanceFormatError(f"points {i} and {j} coincide at {(xs.item(j), ys.item(j))}")
         instance = object.__new__(cls)
-        for name, color in (("R", Color.RED), ("B", Color.BLUE), ("P", Color.PURPLE)):
-            object.__setattr__(instance, name, tuple(np.flatnonzero(colors == int(color)).tolist()))
+        object.__setattr__(instance, "P", tuple(np.flatnonzero(colors == Color.PURPLE).tolist()))
         for name, array in (("xs", xs), ("ys", ys), ("colors", colors)):
             array.flags.writeable = False
             object.__setattr__(instance, name, array)
@@ -147,14 +146,17 @@ class Instance:
         Violations are reported, not fatal; solvers fall back to deterministic
         lexicographic tie-breaking. No length ties an inf one.
         """
-        u, v = np.triu_indices(self.n, 1)
+        # int32 ids, each array dropped once reordered: at most four 8-byte arrays a pair.
+        u, v = (ids.astype(np.int32) for ids in np.triu_indices(self.n, 1))
         d = np.empty(len(u))
         # The math.hypot floats, a block of pairs at a time, so no list holds them all.
         for start in range(0, len(u), _LENGTH_BLOCK):
             end = start + _LENGTH_BLOCK
             d[start:end] = hypot_lengths(self, u[start:end], v[start:end])
-        order = np.lexsort((v, u, d))
-        d, u, v = d[order], u[order], v[order]
+        order = np.argsort(d, kind="stable")  # (d, u, v) order: the pairs come in (u, v) order
+        d = d[order]
+        u, v = u[order], v[order]
+        del order
         with np.errstate(invalid="ignore"):  # inf - inf is nan, no tie
             tie = np.flatnonzero((d[1:] - d[:-1] <= DIST_TIE_TOL * np.maximum(1.0, d[1:]))
                                  & (d[1:] < math.inf))

@@ -440,6 +440,33 @@ def test_add_then_min_equals_min_then_add(a, b, c):
         assert np.minimum(a + c, b + c) == np.minimum(a, b) + c
 
 
+def test_answer_reads_no_span_that_passes_purple_0(monkeypatch):
+    # [DERIVED: the final pairings split the circle at purple 0, and each
+    # option of a span lies inside the span, so neither `combine_final` nor
+    # `_reconstruct` reads a span with purple 0 strictly inside it; a NaN
+    # read would win every argmin it met]
+    cases = [_circle_instance(k, extra, seed) for k in (3, 7, 30)
+             for extra in (0, k) for seed in range(3)]
+    cases += [_lattice_circle(r2, seed) for r2 in (25, 65, 325) for seed in range(10)]
+    expected = [solve_circle(inst).edge_set for inst in cases]
+    fill, masked = circle.fill_tables, []
+
+    def passing_0_as_nan(instance, purple_ids, order):
+        tables = fill(instance, purple_ids, order)
+        k = len(purple_ids)
+        s, j = np.ogrid[:k, :2 * k]
+        passes_0 = (j - s < k) & (k < j)  # starts at purple j - s < k, ends past it at j
+        tables.ends[:, passes_0] = math.nan
+        masked.append(bool(passes_0.any()))
+        return tables
+
+    monkeypatch.setattr(circle, "fill_tables", passing_0_as_nan)
+    for inst, expect in zip(cases, expected):
+        found = solve_circle(inst).edge_set
+        assert (found.pairs(), found.weight) == (expect.pairs(), expect.weight)
+    assert sum(masked) >= 40
+
+
 def test_fill_tables_memory_budget():
     # n = 300 with k = 150, the size of the benchmark's circle instances. The
     # bound is the table fill's tracemalloc peak before the end-indexed layout

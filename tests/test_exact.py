@@ -315,8 +315,8 @@ class TestGroundSet:
     def test_no_purple_is_the_two_side_trees(self):
         inst = _colored([(x, y) for x in range(3) for y in range(3)], seed=3, max_purple=0)
         assert inst.k == 0
-        expect = (set(kruskal_mst(inst, inst.R).pairs())
-                  | set(kruskal_mst(inst, inst.B).pairs()))
+        expect = (set(kruskal_mst(inst, inst.red_side()).pairs())
+                  | set(kruskal_mst(inst, inst.blue_side()).pairs()))
         assert set(ground_set(inst).pairs()) == expect
         _assert_matches_oracle(inst)
 

@@ -54,7 +54,7 @@ class TestHexagon:
     def test_counts(self):
         inst = gen_hexagon()
         assert inst.n == 19 and inst.k == 7  # center + three hexagons
-        assert len(inst.R) == 6 and len(inst.B) == 6
+        assert inst.colors.tolist().count(Color.RED) == inst.colors.tolist().count(Color.BLUE) == 6
 
     def test_star_weight_and_degree(self):
         # [PAPER-derived: 6*3 + 6*1 + 6*1 = 30, center degree 18]
@@ -85,7 +85,8 @@ class TestSteinerFamily:
     def test_counts(self):
         fam = gen_steiner_family(4)
         inst = fam.instance
-        assert inst.k == 3 and len(inst.R) == 12 and len(inst.B) == 12
+        assert inst.k == 3
+        assert inst.colors.tolist().count(Color.RED) == inst.colors.tolist().count(Color.BLUE) == 12
 
     def test_two_chain_is_feasible(self):
         for t in (0, 1, 5):

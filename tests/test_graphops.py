@@ -40,7 +40,14 @@ from rbpspan.model import (
     parse_instance,
     serialize_instance,
 )
-from util import UnionFind, e1, edge_rows, edges_properly_cross, line_instance
+from util import (
+    UnionFind,
+    e1,
+    edge_rows,
+    edges_properly_cross,
+    line_instance,
+    seeded_instances,
+)
 
 
 def _prim_weight(inst, vertices):
@@ -87,6 +94,10 @@ class TestKruskal:
         assert tree.u.dtype == tree.v.dtype == np.int64 and tree.length.dtype == float
 
 
+def _tree_arrays(tree):
+    return tree.u.tolist(), tree.v.tolist(), tree.length.tolist(), tree.weight
+
+
 class TestConstrainedMst:
     def test_empty_forced_equals_kruskal(self):
         # [TRIVIAL: degenerate constraint]
@@ -98,7 +109,7 @@ class TestConstrainedMst:
     def test_forced_merge_excluded_from_output(self):
         # [DERIVED: cheapest attachment of the remaining point]
         inst = line_instance([("P", 0), ("P", 4), ("P", 10)])
-        tree = constrained_mst(inst, (0, 1, 2), forced_merges=[(0, 2)])
+        tree = constrained_mst(inst, (0, 1, 2), premerged=[(0, 2)])
         assert tree.pairs() == [(0, 1)] and tree.weight == 4.0
 
     def test_premerged_square_center_spoke(self):
@@ -109,10 +120,35 @@ class TestConstrainedMst:
         assert len(tree.u) == 1
         assert tree.weight == pytest.approx(math.sqrt(2.0))
 
+    # k = 0, k = 1, seeded inputs, and one past the first block of side pairs.
+    GROUP_CASES = ([parse_instance("R 0 0\nR 1 0\nB 0 1\nB 2 2"),
+                    parse_instance("P 0 0\nR 1 0\nR 0 2\nB 3 1\nB 1 3")]
+                   + seeded_instances(40, n_min=4, n_max=40, base_seed=2700)
+                   + [gen_random(300, 0.3, 0.3, "plane", seed=27)])
+
+    def test_one_group_equals_its_pair_chain(self):
+        # [DERIVED: the group, the pairs that chain it and the pairs of the
+        # purple tree join the same components, and Kruskal's tree depends
+        # only on the components]
+        assert {0, 1} <= {inst.k for inst in self.GROUP_CASES}
+        for inst in self.GROUP_CASES:
+            chain = list(zip(inst.P, inst.P[1:]))
+            purple_tree = kruskal_mst(inst, inst.P, (Color.PURPLE,)).pairs()
+            for classes, verts in (((Color.RED,), inst.red_side()), (BLUE_SIDE, inst.blue_side())):
+                expect = _tree_arrays(constrained_mst(inst, verts, chain, classes))
+                assert _tree_arrays(constrained_mst(inst, verts, (inst.P,), classes)) == expect
+                assert _tree_arrays(constrained_mst(inst, verts, purple_tree, classes)) == expect
+
+    def test_empty_group_joins_nothing(self):
+        for inst in self.GROUP_CASES:
+            for classes, verts in ((RED_SIDE, inst.red_side()), (BLUE_SIDE, inst.blue_side())):
+                expect = _tree_arrays(constrained_mst(inst, verts, (), classes))
+                assert _tree_arrays(constrained_mst(inst, verts, [(), ()], classes)) == expect
+
     def test_forced_outside_vertex_set_rejected(self):
         from rbpspan.model import PreconditionError
         with pytest.raises(PreconditionError):
-            constrained_mst(e1(), (0, 1), forced_merges=[(0, 3)])
+            constrained_mst(e1(), (0, 1), premerged=[(0, 3)])
 
     def test_infeasible_raises(self):
         inst = parse_instance("P 0 0\nP 1 0")
@@ -672,7 +708,7 @@ class TestKruskalEarlyExit:
         rng = random.Random(12)
         for seed in range(40):
             inst = _instance(_random_coords(rng.randrange(6, 40), seed), seed)
-            outside = list(inst.B)
+            outside = np.flatnonzero(inst.colors == Color.BLUE).tolist()
             for classes, verts in (((Color.RED,), inst.red_side()),
                                    (RED_SIDE, inst.red_side()),
                                    ((Color.BLUE,), inst.blue_side())):
@@ -701,7 +737,7 @@ class TestKruskalEarlyExit:
         inst = _instance(_random_coords(30, 13), 13)
         verts = inst.red_side()
         pairs = sorted_side_pairs(inst, (Color.PURPLE,), verts)
-        assert inst.R and kruskal(inst.n, pairs, verts) is None
+        assert Color.RED in inst.colors and kruskal(inst.n, pairs, verts) is None
         every_pair = list(sorted_side_pairs(inst, (Color.PURPLE,), verts))
         assert _reference_kruskal(inst.n, every_pair, verts) is None
 
@@ -753,7 +789,6 @@ class TestFilteredRead:
 
     def test_later_blocks_make_tuples_only_for_survivors(self, monkeypatch):
         inst = _seeded_plane_1000()
-        purple = kruskal_mst(inst, inst.P, (Color.PURPLE,))
         verts = inst.red_side()
         made = []
         lengths = graphops.hypot_lengths
@@ -767,12 +802,11 @@ class TestFilteredRead:
         every_pair = list(sorted_side_pairs(inst, (Color.RED,), verts))
         cut = made[:]
         made.clear()
-        result = kruskal(inst.n, sorted_side_pairs(inst, (Color.RED,), verts), verts,
-                         purple.pairs())
+        result = kruskal(inst.n, sorted_side_pairs(inst, (Color.RED,), verts), verts, (inst.P,))
         monkeypatch.undo()
         assert made[0] == cut[0] and len(cut) >= len(made) >= 2
         assert sum(made[1:]) < 0.25 * sum(cut[1:len(made)])
-        assert result == _reference_kruskal(inst.n, every_pair, verts, purple.pairs())
+        assert result == _reference_kruskal(inst.n, every_pair, verts, (inst.P,))
 
     def test_one_grid_pass_per_approx_a_tree(self, monkeypatch):
         passes = []
@@ -795,7 +829,6 @@ class TestFilteredRead:
         # A reference cycle through the pairs would keep every shell alive
         # until the cycle collector runs.
         inst = _seeded_plane_1000()
-        purple = kruskal_mst(inst, inst.P, (Color.PURPLE,))
         refs, read = [], []
         side_pairs, lengths = graphops.sorted_side_pairs, graphops.hypot_lengths
 
@@ -813,7 +846,7 @@ class TestFilteredRead:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            constrained_mst(inst, inst.red_side(), purple.pairs(), (Color.RED,))
+            constrained_mst(inst, inst.red_side(), (inst.P,), (Color.RED,))
             assert len(refs) == 1 and refs[0]() is None
         finally:
             if enabled:

@@ -1,13 +1,14 @@
 """Point-set model: parsing, edge classes, counting, and crossing predicates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from rbpspan.generators import gen_hexagon
+from rbpspan.generators import gen_hexagon, gen_random
 from rbpspan.model import (
     Color,
     Instance,
@@ -29,7 +30,7 @@ class TestParsing:
         # [TRIVIAL: direct field mapping]
         inst = parse_instance("P 0 0\nP 10 0\nR 4 0\nB 6 0")
         assert inst.n == 4 and inst.k == 2
-        assert inst.R == (2,) and inst.B == (3,) and inst.P == (0, 1)
+        assert inst.colors.tolist() == [2, 2, 0, 1] and inst.P == (0, 1)
 
     def test_duplicate_point_rejected(self):
         # [TRIVIAL: coincidence rejection]
@@ -68,11 +69,11 @@ class TestParsing:
         xs[0] = 99.0
         assert inst.xs.tolist() == [0.0, 10.0, 4.0, 6.0] and inst.ys.tolist() == [0.0] * 4
         assert inst.colors.dtype == np.int8 and inst.colors.tolist() == [2, 2, 0, 1]
-        assert (inst.R, inst.B, inst.P) == ((2,), (3,), (0, 1))
+        assert inst.P == (0, 1) and not hasattr(inst, "R") and not hasattr(inst, "B")
         assert not inst.xs.flags.writeable and not inst.colors.flags.writeable
         assert not hasattr(inst, "points")
         again = Instance(inst.xs, inst.ys, inst.colors)
-        for name in ("xs", "ys", "colors", "R", "B", "P"):
+        for name in ("xs", "ys", "colors", "P"):
             assert str(getattr(again, name)) == str(getattr(inst, name))
 
     @pytest.mark.parametrize("xs, ys, colors", [([0.0, 1.0], [0.0], [0, 0]),
@@ -267,6 +268,20 @@ def test_general_position_violations_match_pairwise_distances(text, least):
                 if d2 - d1 <= 1e-12 * max(1.0, d2) and d2 < math.inf]
     assert len(expected) >= least
     assert inst.general_position_violations() == expected
+
+
+def test_general_position_violations_memory_budget():
+    # At most four 8-byte arrays a pair live at once: the lengths, the sort order, the
+    # reordered lengths and the two int32 id arrays. The bound, 36 bytes a pair, is
+    # far below the 56 of int64 ids with every array kept until all were reordered.
+    inst = gen_random(1000, 0.4, 0.4, "plane", seed=1)
+    tracemalloc.start()
+    try:
+        inst.general_position_violations()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * (1000 * 999 // 2)
 
 
 def test_general_position_violations_reported_not_fatal():
