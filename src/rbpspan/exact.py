@@ -7,31 +7,23 @@ along a minimum-cost alternating exchange sequence, found as a shortest path
 in an auxiliary exchange graph held as one dense (m+2) x (m+2) arc-weight
 matrix, whose arcs come from one BFS tree of each side of the current edge
 set.
+
+No round's exchange costs less than the one before (the best weight of a
+common independent set is concave in its size, Frank, J. Algorithms 1981, and
+X is the complement of one), so `solve_exact` stops at the first round that
+does not lower the weight of X: X is then optimal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .graphops import BLUE_SIDE, RED_SIDE, kruskal, solution_stats, sorted_side_pairs
-from .model import Color, EdgeSet, Instance, PreconditionError, make_edge_set
-
-
-@dataclass(frozen=True)
-class ExchangeSequence:
-    """Alternating remove/add edge sequence e1..e_{2h+1}; odd positions leave X."""
-
-    edge_indices: tuple[int, ...]
-    cost: float
-
-    @property
-    def hops(self) -> int:
-        return len(self.edge_indices)
+from .model import Color, EdgeSet, Instance, PreconditionError, Solution, make_edge_set
 
 
 def _side_masks(ground: EdgeSet, in_x: np.ndarray, in_side: np.ndarray,
@@ -111,15 +103,16 @@ def build_exchange_graph(ground: EdgeSet, x_indices: frozenset[int]) -> np.ndarr
 
 
 def find_min_exchange_sequence(ground: EdgeSet, x_indices: frozenset[int]
-                               ) -> Optional[ExchangeSequence]:
-    """Minimum-cost source-to-sink exchange, ties by hop count then node order.
+                               ) -> Optional[tuple[tuple[int, ...], float]]:
+    """Minimum-cost source-to-sink exchange as (edge indices, cost); None if there is none.
 
-    Negative arc weights are handled by an exact-hop-count dynamic program
-    over the dense arc-weight matrix (no negative cycles exist by matroid
-    exchange theory). It stops at the first hop that lowers no node's best
-    cost over fewer hops, as no later hop can lower one then. At most N - 1
-    hops of O(N^2) over the N = m + 2 nodes: O(m^3) time and O(m^2) memory
-    per call. Returns None when no exchange exists.
+    The indices e1..e_{2h+1} alternate: odd positions leave X, even ones join
+    it. Ties go by hop count, then node order. Negative arc weights are
+    handled by an exact-hop-count dynamic program over the dense arc-weight
+    matrix (no negative cycles exist by matroid exchange theory). It stops at
+    the first hop that lowers no node's best cost over fewer hops, as no later
+    hop can lower one then. At most N - 1 hops of O(N^2) over the N = m + 2
+    nodes: O(m^3) time and O(m^2) memory per call.
     """
     graph = build_exchange_graph(ground, x_indices)
     n_nodes = len(graph)
@@ -148,7 +141,7 @@ def find_min_exchange_sequence(ground: EdgeSet, x_indices: frozenset[int]
         walk.append(v)
     if walk[-1] != source or len(walk) % 2:
         raise AssertionError("the exchange walk back from the sink misses the source")
-    return ExchangeSequence(tuple(reversed(walk[:-1])), float(cost))
+    return tuple(reversed(walk[:-1])), float(cost)
 
 
 def ground_set(instance: Instance) -> EdgeSet:
@@ -183,20 +176,15 @@ def ground_set(instance: Instance) -> EdgeSet:
     return make_edge_set(instance, pairs)
 
 
-def solve_exact(instance: Instance, return_trace: bool = False):
+def solve_exact(instance: Instance) -> Solution:
     """Minimum-weight RBP spanning graph over `ground_set(instance)`.
 
-    With m <= 2n + C(k, 2) ground edges there are at most m rounds. Each
-    takes each side's cuts from one BFS tree, fills the dense (m+2) x (m+2)
-    arc-weight matrix and runs the hop-indexed DP until a hop lowers no cost,
-    at most m + 1 relaxations: O(m^4) time in all in the worst case and
-    O(m^2) memory per round. `rbpspan bench --target exact` (median over
-    `gen_random(n, 0.4, 0.4, seed=s)`, s = 0..15), min/median/max of 8 runs
-    on a 2-CPU x86-64 host: 0.0021/0.0028/0.0028 s at n = 20,
-    0.0038/0.0053/0.0058 s at n = 30 and 0.0097/0.0130/0.0143 s at n = 40.
-
-    With return_trace=True also returns the map cardinality -> weight of the
-    best candidate visited at that cardinality (convexity diagnostic).
+    X starts as the ground set and takes each round's minimum-cost exchange
+    while that makes its `math.fsum` weight strictly lower; as the rounds'
+    costs never fall (module docstring), X is then optimal. `math.fsum` is
+    correctly rounded, so edge sets of equal true weight compare equal, which
+    the DP's float costs need not. Each round removes one edge more than it
+    adds: at most m <= 2n + C(k, 2) rounds of O(m^3) time and O(m^2) memory.
     """
     ground = ground_set(instance)
     weight = ground.weight
@@ -204,28 +192,18 @@ def solve_exact(instance: Instance, return_trace: bool = False):
     # each side tree's longest edge, so an inf ground edge makes every solution inf long.
     if not math.isfinite(weight):
         raise PreconditionError("an edge is longer than the float range")
-    m = len(ground.u)
-    x = frozenset(range(m))
-    trace = {m: weight}
-    best_weight, best_x = weight, x
-
-    for _ in range(m + 1):
-        seq = find_min_exchange_sequence(ground, x)
-        if seq is None:
-            break
-        removed = set(seq.edge_indices[0::2])
-        added = set(seq.edge_indices[1::2])
+    x = frozenset(range(len(ground.u)))
+    while (seq := find_min_exchange_sequence(ground, x)) is not None:
+        edge_indices, _ = seq
+        removed, added = set(edge_indices[0::2]), set(edge_indices[1::2])
         if not removed <= x or added & x:
             raise AssertionError("an exchange sequence removes an edge outside X or adds one in X")
-        x = frozenset((x - removed) | added)
-        weight = math.fsum(ground.length[list(x)].tolist())
-        trace[len(x)] = weight
-        if weight < best_weight:
-            best_weight, best_x = weight, x
+        new_x = (x - removed) | added
+        new_weight = math.fsum(ground.length[list(new_x)].tolist())
+        if not new_weight < weight:
+            break
+        x, weight = new_x, new_weight
 
-    best = sorted(best_x)
+    best = sorted(x)
     edge_set = make_edge_set(instance, np.column_stack((ground.u[best], ground.v[best])))
-    solution = solution_stats(edge_set, solver="exact")
-    if return_trace:
-        return solution, trace
-    return solution
+    return solution_stats(edge_set, solver="exact")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -339,13 +339,15 @@ def constrained_mst(instance: Instance, vertices: Sequence[int],
                     classes: Sequence[Color] = (Color.RED, Color.BLUE, Color.PURPLE)) -> EdgeSet:
     """Minimum edge set connecting `vertices` once each group of `premerged` is joined.
 
-    The groups are joined at zero cost and add no edge to the result; every id
-    in them must lie in `vertices` (PreconditionError otherwise).
+    The groups are joined at zero cost and add no edge to the result. Every
+    vertex must be a point id in [0, n) and every id in the groups a vertex;
+    PreconditionError names the least id that is not.
     """
-    verts = sorted(set(vertices))
-    outside = set(chain.from_iterable(premerged)).difference(verts)
+    verts = set(vertices)
+    outside = verts.union(*premerged).difference(verts.intersection(range(instance.n)))
     if outside:
-        raise PreconditionError(f"premerged id {min(outside)} outside vertex set")
+        raise PreconditionError(f"id {min(outside)} is not a point id in the vertex set")
+    verts = sorted(verts)
     result = kruskal(instance.n, sorted_side_pairs(instance, classes, verts), verts, premerged)
     if result is None:
         raise InfeasibleGraphError("admitted edges do not connect the vertex set")

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from operator import index
 from typing import Iterable, Optional
 
 import numpy as np
@@ -87,11 +87,11 @@ class Instance:
     def __new__(cls, xs, ys, colors):
         """The instance of points (xs[i], ys[i]) with `Color` codes colors[i], as read-only copies.
 
-        InstanceFormatError names the first fault: no points, a non-finite coordinate, or a
-        point at the place of an earlier one (-0.0 is 0.0), named with the first such point.
+        InstanceFormatError names the first fault: no points, a non-finite coordinate, a color
+        code other than 0, 1 and 2, or a point at the place of an earlier one (-0.0 is 0.0),
+        named with the first such point.
         """
-        xs, ys, colors = (np.array(xs, dtype=float), np.array(ys, dtype=float),
-                          np.array(colors, dtype=np.int8))
+        xs, ys, colors = np.array(xs, dtype=float), np.array(ys, dtype=float), np.asarray(colors)
         if not xs.shape == ys.shape == colors.shape == (len(xs),):
             raise InstanceFormatError("xs, ys and colors must be 1-d arrays of one length")
         if not len(xs):
@@ -99,6 +99,12 @@ class Instance:
         bad = ~(np.isfinite(xs) & np.isfinite(ys))
         if bad.any():
             raise InstanceFormatError(f"point {int(bad.argmax())} has non-finite coordinates")
+        bad = ~np.isin(colors, list(Color))
+        if bad.any():
+            i = int(bad.argmax())
+            raise InstanceFormatError(f"point {i} has color code {colors.tolist()[i]!r}, "
+                                      "not 0, 1 or 2")
+        colors = colors.astype(np.int8)
         order = np.lexsort((ys, xs))  # stable, -0.0 sorting as 0.0: equal points in id order
         sx, sy = xs[order], ys[order]
         repeats = order[1:][(sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])]
@@ -229,18 +235,25 @@ class EdgeSet:
 def make_edge_set(instance: Instance, pairs: Iterable[tuple[int, int]]) -> EdgeSet:
     """The edge set of distinct point-id pairs, given in any order and orientation.
 
-    `pairs` is an iterable of (u, v) pairs or an (m, 2) integer array. A
-    repeated pair raises PreconditionError (the first repeat in input order),
-    and so, after that check, does a pair with equal or unknown ids. The
-    weight is the `math.fsum` of the lengths; finite lengths that sum past
-    the float range raise PreconditionError.
+    `pairs` is an iterable of (u, v) pairs of integer ids or an (m, 2) integer
+    array; an element that is not two integers, or an array of another shape
+    or dtype, raises PreconditionError. So does a repeated pair (the first
+    repeat in input order) and, after that check, a pair with equal or unknown
+    ids. The weight is the `math.fsum` of the lengths; finite lengths that sum
+    past the float range raise PreconditionError.
     """
     if not isinstance(pairs, np.ndarray):
         try:
-            pairs = np.fromiter(chain.from_iterable(pairs), dtype=np.int64)
+            pairs = np.array([(index(u), index(v)) for u, v in pairs], dtype=np.int64)
         except OverflowError:
             raise PreconditionError("an edge references a point id beyond int64") from None
-    pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
+        except (TypeError, ValueError):
+            raise PreconditionError("an edge is not a pair of integer point ids") from None
+        pairs = pairs.reshape(-1, 2)
+    elif pairs.dtype.kind not in "iu" or pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise PreconditionError(f"edge array of shape {pairs.shape} and dtype {pairs.dtype} "
+                                "is not (m, 2) integer ids")
+    pairs = pairs.astype(np.int64, copy=False)
     u, v = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
     bad = (u == v) | (u < 0) | (v >= instance.n)
     if bad.any():

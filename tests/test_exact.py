@@ -117,7 +117,8 @@ def _exact_rounds(inst):
     ground = ground_set(inst)
     visited = [frozenset(range(len(ground.u)))]
     while (seq := find_min_exchange_sequence(ground, visited[-1])) is not None:
-        visited.append(visited[-1].symmetric_difference(seq.edge_indices))
+        edge_indices, _ = seq
+        visited.append(visited[-1].symmetric_difference(edge_indices))
     return ground, visited
 
 
@@ -174,10 +175,12 @@ class TestExchangeSequence:
         ground = allowed_edges(inst)
         x = frozenset(range(len(ground.u)))
         seq = find_min_exchange_sequence(ground, x)
-        assert seq is not None and seq.hops == 1
-        removed = ground.length[seq.edge_indices[0]]
+        assert seq is not None
+        edge_indices, cost = seq
+        assert len(edge_indices) == 1
+        removed = ground.length[edge_indices[0]]
         assert removed == ground.length.max()
-        assert seq.cost == pytest.approx(-removed)
+        assert cost == pytest.approx(-removed)
 
     def test_tree_has_no_sequence(self):
         # [TRIVIAL: nothing removable from a spanning tree]
@@ -192,9 +195,8 @@ class TestExchangeSequence:
                      + [_lattice(3000 + s) for s in range(40)]):
             ground, visited = _exact_rounds(inst)
             for x in visited:
-                seq = find_min_exchange_sequence(ground, x)
                 expect = _full_hop_dp(build_exchange_graph(ground, x))
-                assert (None if seq is None else (seq.edge_indices, seq.cost)) == expect
+                assert find_min_exchange_sequence(ground, x) == expect
 
     def test_negative_cost_whenever_a_side_has_a_cycle(self):
         # [DERIVED: checked against the cycle condition on random instances]
@@ -206,7 +208,9 @@ class TestExchangeSequence:
             blue_cycle = sum(1 for c in codes if c in BLUE_SIDE) > len(inst.blue_side()) - 1
             seq = find_min_exchange_sequence(ground, x)
             if red_cycle or blue_cycle:
-                assert seq is not None and seq.cost < 0.0
+                assert seq is not None
+                _, cost = seq
+                assert cost < 0.0
             else:
                 assert seq is None
 
@@ -238,12 +242,35 @@ class TestSolveExact:
             assert solve_exact(inst).weight == pytest.approx(
                 oracle_forest(inst).weight, rel=1e-9)
 
-    def test_trace_candidates_are_spanning_and_cover_minimum(self):
-        inst = e1()
-        sol, trace = solve_exact(inst, return_trace=True)
-        assert sol.weight == pytest.approx(min(trace.values()))
-        assert is_rbp_spanning(sol.edge_set)
-        assert max(trace) == len(ground_set(inst).u)
+    # gen_random(n, 0.4, 0.4, seed=s) as (n, s): inputs whose weights stop falling
+    # before the exchange rounds run out.
+    EARLY_STOPS = [(18, 5), (30, 8), (40, 2)]
+    # _lattice seeds whose last exchange round leaves the weight as it was.
+    EQUAL_ROUNDS = [112, 838, 2024, 2558]
+
+    def test_stops_at_the_first_round_that_does_not_lower_the_weight(self):
+        # [DERIVED: every round run to the end; the weight of X never falls
+        # again once a round leaves it as it was or raises it]
+        early = [gen_random(n, 0.4, 0.4, seed=s) for n, s in self.EARLY_STOPS]
+        equal = [_lattice(s) for s in self.EQUAL_ROUNDS]
+        for inst in ([make(1000 + s) for make in (_lattice, _concyclic_plus_one,
+                                                  _collinear_plus_one) for s in range(60)]
+                     + [_lattice(3000 + s) for s in range(40)] + early + equal):
+            ground, visited = _exact_rounds(inst)
+            weights = [math.fsum(ground.length[sorted(x)].tolist()) for x in visited]
+            stop = next((i for i in range(len(weights) - 1)
+                         if not weights[i + 1] < weights[i]), len(weights) - 1)
+            assert all(b >= a for a, b in zip(weights[stop:], weights[stop + 1:]))
+            assert weights.index(min(weights)) == stop
+            if inst in early:
+                assert stop < len(visited) - 1
+            if inst in equal:
+                assert weights[stop + 1] == weights[stop]
+            sol = solve_exact(inst)
+            pairs = ground.pairs()
+            assert sol.edge_set.pairs() == [pairs[i] for i in sorted(visited[stop])]
+            assert sol.weight == weights[stop]
+            assert is_rbp_spanning(sol.edge_set)
 
 
 def _colored(coords, seed, max_purple=6):

@@ -145,10 +145,19 @@ class TestConstrainedMst:
                 expect = _tree_arrays(constrained_mst(inst, verts, (), classes))
                 assert _tree_arrays(constrained_mst(inst, verts, [(), ()], classes)) == expect
 
-    def test_forced_outside_vertex_set_rejected(self):
-        from rbpspan.model import PreconditionError
-        with pytest.raises(PreconditionError):
-            constrained_mst(e1(), (0, 1), premerged=[(0, 3)])
+    @pytest.mark.parametrize("vertices, premerged, least", [
+        ([-1, 0], (), "-1"), ([99], (), "99"), ([0, 2.5], (), "2.5"),
+        ((0, 1, 4), (), "4"), ((0, 1), [(0, 3)], "3"), ([-1, 0, 1], [(0, 5)], "-1")])
+    def test_ids_outside_the_points_or_vertices_rejected(self, vertices, premerged, least):
+        # e1 has point ids 0..3; a negative id must not index from the end.
+        message = f"id {least} is not a point id in the vertex set"
+        with pytest.raises(PreconditionError) as raised:
+            constrained_mst(e1(), vertices, premerged)
+        assert str(raised.value) == message
+        if not premerged:
+            with pytest.raises(PreconditionError) as raised:
+                kruskal_mst(e1(), vertices)
+            assert str(raised.value) == message
 
     def test_infeasible_raises(self):
         inst = parse_instance("P 0 0\nP 1 0")

@@ -113,6 +113,21 @@ def test_instance_format_error_messages(rows, message):
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("colors, message", [
+    ([5, 0], "point 0 has color code 5, not 0, 1 or 2"),
+    ([2.7, 2], "point 0 has color code 2.7, not 0, 1 or 2"),
+    ([2, 300], "point 1 has color code 300, not 0, 1 or 2"),
+    ([0, -1], "point 1 has color code -1, not 0, 1 or 2"),
+    ([math.nan, 1], "point 0 has color code nan, not 0, 1 or 2"),
+])
+def test_color_codes_checked(colors, message):
+    # [TRIVIAL: a code outside RED, BLUE, PURPLE is not cast or wrapped into one]
+    with pytest.raises(InstanceFormatError) as raised:
+        Instance([0.0, 1.0], [0.0, 0.0], colors)
+    assert str(raised.value) == message
+    assert Instance([0.0, 1.0], [0.0, 0.0], [2.0, np.int64(1)]).colors.tolist() == [2, 1]
+
+
 class TestEdges:
     def test_purple_purple(self):
         # [TRIVIAL: definition]
@@ -137,6 +152,27 @@ class TestEdges:
         # e1 has point ids 0..3; a negative id must not index from the end.
         with pytest.raises(PreconditionError, match="unknown point id"):
             make_edge_set(e1(), [(u, v)])
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0, 1, 2), (3,)], "an edge is not a pair of integer point ids"),
+        ([(0, 1), (2,)], "an edge is not a pair of integer point ids"),
+        ([(0.5, 1)], "an edge is not a pair of integer point ids"),
+        ([3], "an edge is not a pair of integer point ids"),
+        (np.array([[0.7, 1.2]]),
+         "edge array of shape (1, 2) and dtype float64 is not (m, 2) integer ids"),
+        (np.array([0, 1, 2]), "edge array of shape (3,) and dtype int64 is not (m, 2) integer ids"),
+        (np.array([[0, 1, 2]]),
+         "edge array of shape (1, 3) and dtype int64 is not (m, 2) integer ids"),
+    ])
+    def test_input_that_is_not_id_pairs_rejected(self, pairs, message):
+        with pytest.raises(PreconditionError) as raised:
+            make_edge_set(e1(), pairs)
+        assert str(raised.value) == message
+
+    def test_integer_ids_of_any_type(self):
+        for pairs in ([(np.int64(1), 0), (True, 2)], np.array([[1, 0], [1, 2]], dtype=np.uint8),
+                      np.array([[1, 0], [1, 2]], dtype=np.int32)):
+            assert make_edge_set(e1(), pairs).pairs() == [(1, 2), (0, 1)]
 
     def test_canonical_order(self):
         es = make_edge_set(e1(), [(1, 0)])
