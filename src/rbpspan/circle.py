@@ -319,8 +319,9 @@ def solve_circle(instance: Instance, tolerance: float = CONCYCLIC_TOL) -> Soluti
 
     if instance.k <= 1:
         # No purple edge is possible; the two sides are independent MSTs.
-        pairs = (kruskal_mst(instance, instance.red_side(), RED_SIDE).pairs()
-                 + kruskal_mst(instance, instance.blue_side(), BLUE_SIDE).pairs())
+        trees = (kruskal_mst(instance, instance.red_side(), RED_SIDE),
+                 kruskal_mst(instance, instance.blue_side(), BLUE_SIDE))
+        pairs = np.concatenate([np.column_stack((t.u, t.v)) for t in trees])
         return solution_stats(make_edge_set(instance, pairs), solver="circle")
 
     purple_ids, order = split_arcs(instance, cx, cy)

@@ -236,11 +236,11 @@ def make_edge_set(instance: Instance, pairs: Iterable[tuple[int, int]]) -> EdgeS
     """The edge set of distinct point-id pairs, given in any order and orientation.
 
     `pairs` is an iterable of (u, v) pairs of integer ids or an (m, 2) integer
-    array; an element that is not two integers, or an array of another shape
-    or dtype, raises PreconditionError. So does a repeated pair (the first
-    repeat in input order) and, after that check, a pair with equal or unknown
-    ids. The weight is the `math.fsum` of the lengths; finite lengths that sum
-    past the float range raise PreconditionError.
+    array; an element that is not two integers, an array of another shape or
+    dtype, or an id beyond int64 raises PreconditionError. So does a repeated
+    pair (the first repeat in input order) and, after that check, a pair with
+    equal or unknown ids. The weight is the `math.fsum` of the lengths; finite
+    lengths that sum past the float range raise PreconditionError.
     """
     if not isinstance(pairs, np.ndarray):
         try:
@@ -253,6 +253,8 @@ def make_edge_set(instance: Instance, pairs: Iterable[tuple[int, int]]) -> EdgeS
     elif pairs.dtype.kind not in "iu" or pairs.ndim != 2 or pairs.shape[1] != 2:
         raise PreconditionError(f"edge array of shape {pairs.shape} and dtype {pairs.dtype} "
                                 "is not (m, 2) integer ids")
+    elif pairs.dtype == np.uint64 and (pairs > np.iinfo(np.int64).max).any():
+        raise PreconditionError("an edge references a point id beyond int64")
     pairs = pairs.astype(np.int64, copy=False)
     u, v = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
     bad = (u == v) | (u < 0) | (v >= instance.n)

@@ -31,6 +31,8 @@ from .model import (
 FOREST_MAX_PURPLE = 8
 SUBSET_MAX_EDGES = 22
 _Tree = tuple[float, list[tuple[float, int, int]]]  # a `kruskal` result: (total, taken pairs)
+# Relative slack of oracle_forest's bound test over float rounding (see its docstring).
+_BOUND_MARGIN = 1e-9
 
 
 class OracleSizeError(PreconditionError):
@@ -54,20 +56,44 @@ def oracle_forest(instance: Instance, max_purple: int = FOREST_MAX_PURPLE) -> So
     """Exact optimum by minimizing over purple component structures.
 
     For each grouping of the purple points the purple cost is the per-group MST
-    and the red/blue costs are Kruskal runs with the groups pre-merged. All
-    three run `kruskal` over side pairs listed once; a group's tree reads the
-    purple pairs with both ends in it, and the winning trees are kept.
+    and the red/blue costs are Kruskal runs with the groups pre-merged. Each
+    run is a `kruskal` call: a group's tree reads the purple pairs, listed
+    once, with both ends in the group, and the winning trees are kept.
+
+    Two prunes leave every tree, float total and the winning grouping as they
+    were without them:
+
+    - The red and blue runs read only the pairs of that side's class tree,
+      the Kruskal tree of its red-class (or blue-class) pairs with nothing
+      pre-merged, read once from `sorted_side_pairs`. A pair outside that
+      tree is, in (length, u, v) order, the last of its cycle with tree pairs
+      read before it, so its ends are joined when it is read whatever the
+      groups pre-merge (cycle property); the run takes the same pairs in the
+      same order and sums the same floats. A side with no red (or no blue)
+      point has no class pairs and an empty tree.
+    - lb_R and lb_B are the side runs with all purple points in one group.
+      Merging groups only adds zero-cost links, so each is at most that side's
+      total under any grouping. A grouping is skipped before its red run when
+      purple + lb_R + lb_B, and before its blue run when purple + red + lb_B,
+      exceeds the incumbent by more than a relative _BOUND_MARGIN. Each side
+      of that test is a float sum of at most m nonnegative lengths, in any
+      order of additions, so it lies within (m-1)*2^-53 of its exact value,
+      relative to that value, and overflows to inf only past the float range.
+      The margin covers both sums' errors while 2m*2^-53 < 1e-9, for m below
+      about 4*10^6 lengths: a skipped grouping's total would exceed the
+      incumbent, and under the strict `<` replacement it could not have won.
     """
     if instance.k > max_purple:
         raise OracleSizeError(
             f"oracle_forest handles at most {max_purple} purple points, got {instance.k}")
     n = instance.n
-    red_vertices = instance.red_side()
-    blue_vertices = instance.blue_side()
-    # Every partition runs Kruskal over the same side pairs, so their tuples are made once.
     purple_pairs = list(sorted_side_pairs(instance, (Color.PURPLE,), instance.P))
-    red_pairs = list(sorted_side_pairs(instance, (Color.RED,), red_vertices))
-    blue_pairs = list(sorted_side_pairs(instance, (Color.BLUE,), blue_vertices))
+    sides = []  # per side: (vertices, class tree pairs, lower bound)
+    for color, vertices in ((Color.RED, instance.red_side()), (Color.BLUE, instance.blue_side())):
+        found = kruskal(n, sorted_side_pairs(instance, (color,), vertices), vertices)
+        pairs = found[1] if found else []  # None: no point of `color`, so no class pair
+        sides.append((vertices, pairs, kruskal(n, pairs, vertices, (instance.P,))[0]))
+    (red_vertices, red_pairs, lb_red), (blue_vertices, blue_pairs, lb_blue) = sides
     trees: dict[frozenset, _Tree] = {}
 
     def tree(block: list[int]) -> _Tree:
@@ -78,7 +104,7 @@ def oracle_forest(instance: Instance, max_purple: int = FOREST_MAX_PURPLE) -> So
                 n, [pair for pair in purple_pairs if pair[1] in key and pair[2] in key], block)
         return found
 
-    best = math.inf
+    best = bar = math.inf  # bar: the incumbent plus its margin
     best_trees: Optional[list[_Tree]] = None
     for partition in _set_partitions(list(instance.P)):
         purple = [tree(block) for block in partition if len(block) > 1]
@@ -86,13 +112,13 @@ def oracle_forest(instance: Instance, max_purple: int = FOREST_MAX_PURPLE) -> So
         total = 0.0
         for weight, _ in purple:
             total += weight
-        if total > best:
+        if total + lb_red + lb_blue > bar:
             continue
         red = kruskal(n, red_pairs, red_vertices, partition)
         if red is None:
             continue
         total += red[0]
-        if total > best:
+        if total + lb_blue > bar:
             continue
         blue = kruskal(n, blue_pairs, blue_vertices, partition)
         if blue is None:
@@ -102,6 +128,7 @@ def oracle_forest(instance: Instance, max_purple: int = FOREST_MAX_PURPLE) -> So
         # overflowing weight reaches the float-range error rather than "no partition".
         if best_trees is None or total < best:
             best = total
+            bar = best + _BOUND_MARGIN * best
             best_trees = [*purple, red, blue]
 
     if best_trees is None:

@@ -32,6 +32,7 @@ from rbpspan.circle import (
     solve_circle,
     split_arcs,
 )
+from rbpspan.graphops import BLUE_SIDE, RED_SIDE, kruskal_mst
 from rbpspan.line import axis_ends
 from rbpspan.model import Color, Instance, parse_instance
 from rbpspan.oracle import oracle_forest
@@ -99,6 +100,19 @@ class TestSolveCircle:
         inst = parse_instance(_circle_text([("P", 0), ("R", 60), ("R", 200), ("B", 120)]))
         assert solve_circle(inst).weight == pytest.approx(
             oracle_forest(inst).weight, rel=1e-9)
+        # [DERIVED: with at most one purple point the sides share no edge, so the
+        # answer is the union of the two side MSTs] on a circle with tied chords.
+        lattice = _lattice_circle(25, 0)
+        points = list(zip(lattice.xs.tolist(), lattice.ys.tolist()))
+        for k in (0, 1):
+            colors = ["P"] * k + ["R", "B"] * len(points)
+            inst = parse_instance("".join(f"{c} {x!r} {y!r}\n"
+                                          for c, (x, y) in zip(colors, points)))
+            assert inst.k == k
+            sides = [kruskal_mst(inst, inst.red_side(), RED_SIDE),
+                     kruskal_mst(inst, inst.blue_side(), BLUE_SIDE)]
+            assert sorted(solve_circle(inst).edge_set.pairs()) == sorted(
+                pair for tree in sides for pair in tree.pairs())
 
     def test_matches_oracle_on_random_concyclic(self):
         # [DERIVED: oracle_forest cross-validation]

@@ -174,6 +174,15 @@ class TestEdges:
                       np.array([[1, 0], [1, 2]], dtype=np.int32)):
             assert make_edge_set(e1(), pairs).pairs() == [(1, 2), (0, 1)]
 
+    @pytest.mark.parametrize("big", [2 ** 63, 2 ** 64 - 1])
+    def test_id_beyond_int64_named_as_such(self, big):
+        # A uint64 id past int64 must not wrap to a negative id before the check.
+        for pairs in ([(0, big)], np.array([[0, big]], dtype=np.uint64),
+                      np.array([[1, 0], [big, 2]], dtype=np.uint64)):
+            with pytest.raises(PreconditionError) as raised:
+                make_edge_set(e1(), pairs)
+            assert str(raised.value) == "an edge references a point id beyond int64"
+
     def test_canonical_order(self):
         es = make_edge_set(e1(), [(1, 0)])
         assert es.pairs() == [(0, 1)]

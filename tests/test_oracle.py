@@ -6,7 +6,17 @@ import random
 import pytest
 
 from rbpspan import oracle
-from rbpspan.model import EdgeSet, allowed_edges, parse_instance
+from rbpspan.generators import gen_random
+from rbpspan.graphops import kruskal, solution_stats, sorted_side_pairs
+from rbpspan.model import (
+    Color,
+    EdgeSet,
+    Instance,
+    PreconditionError,
+    allowed_edges,
+    make_edge_set,
+    parse_instance,
+)
 from rbpspan.oracle import (
     SUBSET_MAX_EDGES,
     OracleSizeError,
@@ -95,8 +105,8 @@ def test_forest_matches_subsets_on_random_batch():
 
 
 def test_forest_lists_each_side_once(monkeypatch):
-    # [DERIVED: the purple, red and blue pairs are listed once per call, and every
-    # tree is a `kruskal` run over those lists, so the only edge set is the final one]
+    # [DERIVED: the purple, red and blue pairs are read once per call, and every
+    # tree is a `kruskal` run over what was read, so the only edge set is the final one]
     calls, built, final = [], [], []
     list_pairs, make, post_init = oracle.sorted_side_pairs, oracle.make_edge_set, \
         EdgeSet.__post_init__
@@ -127,3 +137,82 @@ def test_forest_lists_each_side_once(monkeypatch):
         oracle_forest(inst)
         assert len(calls) == 3, k
         assert built and all(built), k
+
+
+def _reference_forest(inst):
+    """oracle_forest without its prunes: every partition is evaluated, each side's
+    Kruskal reads every listed side pair, and the first strict minimum wins, with the
+    oracle's summing order (groups in partition order, then red, then blue)."""
+    n = inst.n
+    purple_pairs = list(sorted_side_pairs(inst, (Color.PURPLE,), inst.P))
+    sides = [(list(sorted_side_pairs(inst, (color,), vertices)), vertices)
+             for color, vertices in ((Color.RED, inst.red_side()),
+                                     (Color.BLUE, inst.blue_side()))]
+    best, best_pairs = math.inf, None
+    for partition in _set_partitions(list(inst.P)):
+        runs = [kruskal(n, [p for p in purple_pairs if p[1] in block and p[2] in block], block)
+                for block in partition if len(block) > 1]
+        runs += [kruskal(n, pairs, vertices, partition) for pairs, vertices in sides]
+        if None in runs:
+            continue
+        total = 0.0
+        for weight, _ in runs:
+            total += weight
+        if best_pairs is None or total < best:
+            best, best_pairs = total, [(u, v) for _, taken in runs for _, u, v in taken]
+    if best_pairs is None:
+        raise AssertionError("no partition of the purple points gives a spanning graph")
+    return solution_stats(make_edge_set(inst, best_pairs), solver="oracle-forest")
+
+
+def _outcome(solve, inst):
+    """What a solve gives, compared bit for bit: edges, weight bits and crossings, or the error."""
+    try:
+        sol = solve(inst)
+    except (PreconditionError, AssertionError) as error:
+        return type(error), str(error)
+    return (sol.edge_set.pairs(), sol.weight.hex(), sol.purple_crossings,
+            sol.purple_crossings_per_edge)
+
+
+def _seeded_with_k(n, k, seed):
+    """The first gen_random(n, ...) instance from `seed` on with exactly k purple points."""
+    share = (1.0 - k / n) / 2
+    while True:
+        inst = gen_random(n, share, share, seed=seed)
+        if inst.k == k:
+            return inst
+        seed += 1
+
+
+def test_forest_prunes_keep_the_unpruned_answer():
+    # [DERIVED: the side class trees and the lower bound leave every tree, float total
+    # and the first minimum as they are without them]
+    lattices = _lattice_instances(30, base_seed=1500)
+    scaled = [Instance(i.xs * scale, i.ys * scale, i.colors)
+              for scale, part in ((1e-300, lattices[:15]), (1e300, lattices[15:])) for i in part]
+    instances = (lattices + scaled
+                 + [_seeded_with_k(n, k, seed) for n, k, seed in
+                    ((18, 6, 1), (24, 6, 2), (40, 6, 3), (18, 7, 4), (30, 7, 5), (18, 8, 6),
+                     (24, 8, 7), (40, 8, 8))]
+                 + [parse_instance("P 0 0\nP 1e308 0\nP -1e308 0")])
+    assert {inst.k for inst in instances} >= set(range(2, 9))
+    for inst in instances:
+        assert _outcome(oracle_forest, inst) == _outcome(_reference_forest, inst)
+
+
+def test_forest_bound_skips_side_runs(monkeypatch):
+    # [DERIVED: on this instance every one of the Bell(8) = 4140 partitions gets a red
+    # and a blue run without the lower bound; with it fewer than Bell(8) runs are left]
+    inst = gen_random(40, 0.4, 0.4, seed=24)
+    assert inst.k == 8
+    side_runs = []
+    run = oracle.kruskal
+
+    def counting(n, pairs, vertices, premerged=()):
+        side_runs.append(bool(premerged))
+        return run(n, pairs, vertices, premerged)
+
+    monkeypatch.setattr(oracle, "kruskal", counting)
+    oracle_forest(inst)
+    assert sum(side_runs) < 4140
