@@ -47,7 +47,6 @@ from .model import (
     InstanceFormatError,
     PreconditionError,
     Solution,
-    allowed_edge_count,
     allowed_edges,
     edge_color,
     make_edge_set,
@@ -81,7 +80,6 @@ __all__ = [
     "Solution",
     "SteinerFamily",
     "UNION_GUARANTEE",
-    "allowed_edge_count",
     "allowed_edges",
     "approx_a",
     "approx_union",

@@ -65,7 +65,7 @@ def fit_circle(instance: Instance):
     n = instance.n
     if n <= 2:
         return (0.0, 0.0, 1.0, 0.0)
-    a, b, spread = axis_ends(instance)
+    a, b, spread = axis_ends(instance.xs, instance.ys)
     ids = np.arange(n)
     with np.errstate(over="ignore"):
         sums = (np.array(hypot_lengths(instance, ids, a), dtype=float)

@@ -138,10 +138,8 @@ def gen_steiner_family(t: int) -> SteinerFamily:
 class MartiniParams:
     m: int = 1                      # odd number of levels
     eps: float = 1e-3               # purple level offset
-    eps0: Optional[float] = None    # circle shift; None = bisect the largest <= 1e-2
+    eps0: Optional[float] = None    # circle shift; None = 1e-2, else half the largest feasible
     chain_points: int = 2           # points per chain
-    chain_spacing: Optional[float] = None  # optional spacing override for the two straight chains
-    start_angle_deg: Optional[float] = None  # polar angle of q_0; None = auto-select
 
 
 @dataclass(frozen=True)
@@ -207,14 +205,9 @@ def gen_martini(params: MartiniParams = MartiniParams()) -> Martini:
         raise PreconditionError("m must be odd and at least 1")
     if params.eps <= 0.0 or params.chain_points < 1:
         raise PreconditionError("eps must be positive and chain_points at least 1")
-    start = params.start_angle_deg
-    if start is None:
-        start = _auto_start_angle(params.m, params.eps)
-    angles = _level_angles(params.m, params.eps, start)
-    if any(math.cos(a) >= 0.0 for a in angles):
-        raise PreconditionError(
-            "construction failed: a purple level crossed the vertical axis; "
-            "decrease eps or the start angle")
+    # The levels climb from at least 90.05 to below 269 degrees, so every q_i lies
+    # left of the vertical axis.
+    angles = _level_angles(params.m, params.eps, _auto_start_angle(params.m, params.eps))
 
     # y(q_m) > y(p_c) requires eps0 < 1 + sin(theta_m); bisect for the largest
     # feasible value at most 1e-2, then keep half the margin.
@@ -284,12 +277,8 @@ def gen_martini(params: MartiniParams = MartiniParams()) -> Martini:
     def segment_chain(color: Color, a_id: int, b_id: int):
         ax, ay = xs[a_id], ys[a_id]
         bx, by = xs[b_id], ys[b_id]
-        count = cp
-        if params.chain_spacing is not None:
-            length = math.hypot(bx - ax, by - ay)
-            count = max(1, math.ceil(length / params.chain_spacing) - 1)
-        for j in range(1, count + 1):
-            f = j / (count + 1.0)
+        for j in range(1, cp + 1):
+            f = j / (cp + 1.0)
             add(color, ax + f * (bx - ax), ay + f * (by - ay))
 
     segment_chain(Color.RED, landmarks["p_N"], landmarks["p_E"])

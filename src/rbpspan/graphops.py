@@ -16,6 +16,7 @@ from .model import (
     Instance,
     PreconditionError,
     Solution,
+    _fsum_weight,
     _orient_sign,
     hypot_lengths,
     hypot_slack,
@@ -341,7 +342,8 @@ def constrained_mst(instance: Instance, vertices: Sequence[int],
 
     The groups are joined at zero cost and add no edge to the result. Every
     vertex must be a point id in [0, n) and every id in the groups a vertex;
-    PreconditionError names the least id that is not.
+    PreconditionError names the least id that is not. Finite lengths that sum
+    past the float range raise PreconditionError, as in `make_edge_set`.
     """
     verts = set(vertices)
     outside = verts.union(*premerged).difference(verts.intersection(range(instance.n)))
@@ -351,11 +353,10 @@ def constrained_mst(instance: Instance, vertices: Sequence[int],
     result = kruskal(instance.n, sorted_side_pairs(instance, classes, verts), verts, premerged)
     if result is None:
         raise InfeasibleGraphError("admitted edges do not connect the vertex set")
-    total, taken = result
-    # Kruskal takes pairs u < v in (length, u, v) order, the order of an EdgeSet. Its
-    # total is the sum in that order, which `sum()` from Python 3.12 on is not.
-    length, u, v = np.array(taken, dtype=float).reshape(-1, 3).T
-    return EdgeSet(instance, u.astype(np.int64), v.astype(np.int64), length.copy(), total)
+    # Kruskal takes pairs u < v in (length, u, v) order, the order of an EdgeSet.
+    length, u, v = np.array(result[1], dtype=float).reshape(-1, 3).T
+    return EdgeSet(instance, u.astype(np.int64), v.astype(np.int64), length.copy(),
+                   _fsum_weight(length))
 
 
 def is_rbp_spanning(edge_set: EdgeSet) -> bool:
@@ -442,7 +443,7 @@ def _orient_signs(instance: Instance, a: np.ndarray, b: np.ndarray, c: np.ndarra
     return sign
 
 
-def solution_stats(edge_set: EdgeSet, solver: str = "") -> Solution:
+def solution_stats(edge_set: EdgeSet, solver: str) -> Solution:
     """Weight, per-color counts, max degree, and purple-purple crossing statistics.
 
     A weight beyond the float range (an edge longer than it) raises PreconditionError.
@@ -480,6 +481,6 @@ def stats_block(solution: Solution) -> str:
         "purple_edges %d" % solution.purple_edges,
         "max_degree %d" % solution.max_degree,
         "purple_crossings %d" % solution.purple_crossings,
-        "solver %s" % (solution.solver or "unknown"),
+        "solver %s" % solution.solver,
     ]
     return "\n".join(lines) + "\n"

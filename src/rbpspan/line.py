@@ -27,16 +27,11 @@ class NotCollinearError(PreconditionError):
         self.residual = residual
 
 
-def axis_ends(instance: Instance):
-    """(a, b, spread) on the axis the points spread over more, x on ties.
+def axis_ends(xs: np.ndarray, ys: np.ndarray):
+    """(a, b, spread) of the points (xs[i], ys[i]) on the axis they spread over more, x on ties.
 
     a and b are the ids of the first lowest and the first highest point on that axis.
     """
-    return _axis_ends(instance.xs, instance.ys)
-
-
-def _axis_ends(xs: np.ndarray, ys: np.ndarray):
-    """`axis_ends` of the points (xs[i], ys[i])."""
     spread_x = float(xs.max()) - float(xs.min())
     spread_y = float(ys.max()) - float(ys.min())
     keys, spread = (xs, spread_x) if spread_x >= spread_y else (ys, spread_y)
@@ -54,10 +49,10 @@ def _line_frame(instance: Instance):
     halves overflows.
     """
     xs, ys = instance.xs, instance.ys
-    a, b, spread = _axis_ends(xs, ys)
+    a, b, spread = axis_ends(xs, ys)
     if spread == math.inf:
         xs, ys = xs * 0.5, ys * 0.5
-        a, b, spread = _axis_ends(xs, ys)
+        a, b, spread = axis_ends(xs, ys)
     return xs, ys, a, b, spread
 
 

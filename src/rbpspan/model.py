@@ -189,13 +189,6 @@ def allowed_edges(instance: Instance) -> EdgeSet:
     return make_edge_set(instance, np.column_stack((u[allowed], v[allowed])))
 
 
-def allowed_edge_count(n_red: int, n_blue: int, n_purple: int) -> int:
-    """Closed-form count of allowed edges."""
-    return (math.comb(n_red + n_purple, 2)
-            + math.comb(n_blue + n_purple, 2)
-            - math.comb(n_purple, 2))
-
-
 def hypot_lengths(instance: Instance, u: np.ndarray, v: np.ndarray) -> list[float]:
     """`instance.distance(u[i], v[i])` for every i: the same math.hypot floats."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -211,8 +204,9 @@ class EdgeSet:
     Edge i joins point ids u[i] < v[i] (int64) and is length[i] long, the
     float64 `Instance.distance`; edges are in (length, u, v) order.
     color_class[i] is the int8 class code of `_CLASS_OF`, INVALID_CLASS for
-    a red-blue pair. Array fields make the dataclass `==` meaningless, so
-    edge sets compare by identity.
+    a red-blue pair. weight is the `math.fsum` of the lengths, whichever way
+    the edge set is built (`_fsum_weight`). Array fields make the dataclass
+    `==` meaningless, so edge sets compare by identity.
     """
 
     instance: Instance
@@ -239,8 +233,8 @@ def make_edge_set(instance: Instance, pairs: Iterable[tuple[int, int]]) -> EdgeS
     array; an element that is not two integers, an array of another shape or
     dtype, or an id beyond int64 raises PreconditionError. So does a repeated
     pair (the first repeat in input order) and, after that check, a pair with
-    equal or unknown ids. The weight is the `math.fsum` of the lengths; finite
-    lengths that sum past the float range raise PreconditionError.
+    equal or unknown ids. The weight is `_fsum_weight` of the lengths, which
+    raises PreconditionError where finite lengths sum past the float range.
     """
     if not isinstance(pairs, np.ndarray):
         try:
@@ -266,11 +260,18 @@ def make_edge_set(instance: Instance, pairs: Iterable[tuple[int, int]]) -> EdgeS
     order = np.lexsort((v, u, length))
     u, v = _sorted_without_repeats(u, v, order)
     length = length[order]
+    return EdgeSet(instance, u, v, length, _fsum_weight(length))
+
+
+def _fsum_weight(length: np.ndarray) -> float:
+    """`math.fsum` of the lengths, the weight of every `EdgeSet`.
+
+    Finite lengths that sum past the float range raise PreconditionError.
+    """
     try:
-        weight = math.fsum(length.tolist())
+        return math.fsum(length.tolist())
     except OverflowError:
         raise PreconditionError("the edge lengths sum past the float range") from None
-    return EdgeSet(instance, u, v, length, weight)
 
 
 def _sorted_without_repeats(u: np.ndarray, v: np.ndarray, order: np.ndarray

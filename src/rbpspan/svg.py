@@ -27,10 +27,12 @@ def _frame(xs, ys, size: int) -> tuple[float, float, float, float]:
 def render_svg(instance: Instance, edge_set: Optional[EdgeSet] = None, size: int = 640) -> str:
     """SVG document with edges under points; purple strokes are drawn wider.
 
-    PreconditionError names the first edge, in edge-set order, that joins a red
-    and a blue point.
+    The edge set must be on `instance` itself. PreconditionError names the
+    first edge, in edge-set order, that joins a red and a blue point.
     """
     if edge_set is not None:
+        if edge_set.instance is not instance:
+            raise PreconditionError("edge set is on another instance")
         red_blue = edge_set.color_class == INVALID_CLASS
         if red_blue.any():
             i = int(red_blue.argmax())

@@ -197,7 +197,7 @@ def test_criterion_7_crossing_construction_m3_slow():
 def test_criterion_8_hexagon_star_optimum():
     inst = gen_hexagon()
     opt = oracle_forest(inst)
-    star = solution_stats(hexagon_star(inst))
+    star = solution_stats(hexagon_star(inst), solver="star")
     ok = abs(opt.weight - 30.0) <= 1e-9 and _close(opt.weight, star.weight)
     _report(8, ok,
             f"oracle optimum {opt.weight:.12f} vs 30.0, star weight "

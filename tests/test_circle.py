@@ -343,8 +343,8 @@ def test_fit_circle_anchors_on_axis_ends_at_every_scale(monkeypatch):
     # underflow or overflow.
     anchors = []
 
-    def recording_axis_ends(instance):
-        a, b, spread = axis_ends(instance)
+    def recording_axis_ends(xs, ys):
+        a, b, spread = axis_ends(xs, ys)
         anchors.append((a, b))
         return a, b, spread
 

@@ -3,6 +3,7 @@
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -392,6 +393,35 @@ def test_render_svg_rejects_a_red_blue_edge():
     inst = parse_instance("R 0 0\nB 1 0\nP 0 1\n")
     with pytest.raises(PreconditionError, match=r"^edge \(0, 1\) joins a red and a blue point$"):
         render_svg(inst, make_edge_set(inst, [(0, 1)]))
+
+
+@pytest.mark.parametrize("drawn_n, edges_n", [(10, 30), (40, 10)])
+def test_render_svg_rejects_an_edge_set_of_another_instance(drawn_n, edges_n):
+    # More points would index past the drawn ones; fewer would draw wrong edges.
+    edges_on = gen_random(edges_n, 0.4, 0.4, seed=1)
+    edge_set = make_edge_set(edges_on, [(i, i + 1) for i in range(edges_n - 1)
+                                        if edges_on.colors[i] + edges_on.colors[i + 1] != 1])
+    with pytest.raises(PreconditionError, match=r"^edge set is on another instance$"):
+        render_svg(gen_random(drawn_n, 0.4, 0.4, seed=1), edge_set)
+
+
+def test_readme_cli_lists_every_flag():
+    # Each subcommand's usage line(s) in the README's CLI block, continuation lines included.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    usage = {}
+    for text in block.splitlines():
+        if text.startswith("rbpspan "):
+            name = text.split()[1]
+            usage[name] = ""
+        usage[name] += text + "\n"
+    subparsers = next(a for a in build_parser()._actions if a.choices and a.dest == "subcommand")
+    assert sorted(usage) == sorted(subparsers.choices)
+    for name, parser in subparsers.choices.items():
+        flags = [f for a in parser._actions for f in a.option_strings if f.startswith("--")]
+        missing = [f for f in flags if f != "--help"
+                   and not re.search(re.escape(f) + r"(?![\w-])", usage[name])]
+        assert not missing, (name, missing)
 
 
 def test_render_svg_of_a_span_beyond_the_float_range():

@@ -441,6 +441,15 @@ class TestDegenerateInputs:
         for inst in seeded_instances(40, n_min=8, n_max=12, k_max=6, base_seed=2200):
             _assert_matches_oracle(inst)
 
+    @pytest.mark.parametrize("make", [_lattice, _concyclic_plus_one, _collinear_plus_one])
+    def test_tree_weight_is_the_fsum_of_its_lengths(self, make):
+        # [DERIVED: EdgeSet.weight is the math.fsum of the lengths, however the set is built]
+        for s in range(60):
+            inst = make(1000 + s)
+            for verts, classes in ((inst.red_side(), RED_SIDE), (inst.blue_side(), BLUE_SIDE)):
+                tree = kruskal_mst(inst, verts, classes)
+                assert tree.weight.hex() == make_edge_set(inst, tree.pairs()).weight.hex()
+
     @given(st.lists(st.tuples(st.sampled_from("RBP"), st.integers(-4, 4), st.integers(-4, 4)),
                     min_size=1, max_size=10, unique_by=lambda row: row[1:]))
     @settings(deadline=None, max_examples=80)

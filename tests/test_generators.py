@@ -59,7 +59,7 @@ class TestHexagon:
     def test_star_weight_and_degree(self):
         # [PAPER-derived: 6*3 + 6*1 + 6*1 = 30, center degree 18]
         inst = gen_hexagon()
-        sol = solution_stats(hexagon_star(inst))
+        sol = solution_stats(hexagon_star(inst), solver="star")
         assert sol.weight == pytest.approx(30.0)
         assert sol.max_degree == 18
 

@@ -4,7 +4,7 @@ import gc
 import math
 import random
 import weakref
-from itertools import islice
+from itertools import accumulate, islice
 
 import hypothesis
 import numpy as np
@@ -92,6 +92,25 @@ class TestKruskal:
         tree = kruskal_mst(e1(), ())
         assert tree.weight == 0.0 and tree.pairs() == []
         assert tree.u.dtype == tree.v.dtype == np.int64 and tree.length.dtype == float
+
+    def test_weight_is_the_fsum_of_its_lengths(self):
+        # [DERIVED: EdgeSet.weight is the math.fsum of the lengths, however the set is
+        # built; Kruskal's running total differs from it on most of these trees]
+        running_total_differs = False
+        for s in range(8):
+            inst = gen_random(300, 0.4, 0.4, seed=s)
+            for tree in (kruskal_mst(inst, inst.red_side(), RED_SIDE),
+                         kruskal_mst(inst, inst.blue_side(), BLUE_SIDE),
+                         constrained_mst(inst, inst.red_side(), (inst.P,), (Color.RED,))):
+                assert tree.weight.hex() == make_edge_set(inst, tree.pairs()).weight.hex()
+                *_, running = accumulate(tree.length.tolist(), initial=0.0)
+                running_total_differs |= running != tree.weight
+        assert running_total_differs
+
+    def test_finite_lengths_past_the_float_range_rejected(self):
+        inst = parse_instance("P 0 0\nP 1e308 0\nP -1e308 0")
+        with pytest.raises(PreconditionError, match="^the edge lengths sum past the float range$"):
+            kruskal_mst(inst, range(3))
 
 
 def _tree_arrays(tree):
@@ -244,7 +263,7 @@ class TestStats:
 
     def test_crossing_purple_edges_counted(self):
         inst = parse_instance("P 0 0\nP 2 2\nP 0 2\nP 2 0")
-        sol = solution_stats(make_edge_set(inst, [(0, 1), (2, 3)]))
+        sol = solution_stats(make_edge_set(inst, [(0, 1), (2, 3)]), solver="given")
         assert sol.purple_crossings == 1
         assert sol.purple_crossings_per_edge == {(0, 1): 1, (2, 3): 1}
 
@@ -916,7 +935,7 @@ def cross_block(request, monkeypatch):
 
 
 def _assert_same_crossings(inst, edge_set):
-    sol = solution_stats(edge_set)
+    sol = solution_stats(edge_set, solver="given")
     expected = _reference_crossings(inst, edge_set)
     assert (sol.purple_crossings, sol.purple_crossings_per_edge) == expected
     return expected[0]
@@ -996,6 +1015,6 @@ class TestCrossingCount:
     def test_fewer_than_two_purple_edges(self):
         inst = e1()
         for pairs in ([], [(0, 1)], [(0, 2), (1, 3)]):
-            sol = solution_stats(make_edge_set(inst, pairs))
+            sol = solution_stats(make_edge_set(inst, pairs), solver="given")
             assert sol.purple_crossings == 0
             assert sol.purple_crossings_per_edge == {p: 0 for p in pairs if p == (0, 1)}

@@ -9,12 +9,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from rbpspan.generators import gen_hexagon, gen_random
+from rbpspan.graphops import sorted_side_pairs
 from rbpspan.model import (
     Color,
     Instance,
     InstanceFormatError,
     PreconditionError,
-    allowed_edge_count,
     allowed_edges,
     edge_color,
     make_edge_set,
@@ -189,14 +189,27 @@ class TestEdges:
         assert es.length.tolist() == [e1().distance(0, 1)]
 
 
+def _allowed_count(nr, nb, np_):
+    """Closed-form count of allowed edges: the two sides' pairs, purple pairs once."""
+    return math.comb(nr + np_, 2) + math.comb(nb + np_, 2) - math.comb(np_, 2)
+
+
+def _counts(inst):
+    """(len(allowed_edges), len(sorted_side_pairs)) over every class and point."""
+    return (len(allowed_edges(inst).u),
+            len(sorted_side_pairs(inst, tuple(Color), range(inst.n))))
+
+
 class TestAllowedEdges:
     def test_three_purple(self):
         # [TRIVIAL]
-        assert allowed_edge_count(0, 0, 3) == 3
+        inst = parse_instance("P 0 0\nP 1 0\nP 0 1")
+        assert _counts(inst) == (3, 3) == (_allowed_count(0, 0, 3),) * 2
 
     def test_two_red_two_blue(self):
         # [TRIVIAL]
-        assert allowed_edge_count(2, 2, 0) == 2
+        inst = parse_instance("R 0 0\nR 1 0\nB 0 1\nB 1 1")
+        assert _counts(inst) == (2, 2) == (_allowed_count(2, 2, 0),) * 2
 
     @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
     @settings(deadline=None, max_examples=40)
@@ -206,7 +219,7 @@ class TestAllowedEdges:
         colors = [Color.RED] * nr + [Color.BLUE] * nb + [Color.PURPLE] * np_
         n = len(colors)
         inst = Instance(range(n), [i * i for i in range(n)], colors)  # distinct coords
-        assert len(allowed_edges(inst).u) == allowed_edge_count(nr, nb, np_)
+        assert _counts(inst) == (_allowed_count(nr, nb, np_),) * 2
 
     def test_sorted_by_length_then_ids(self):
         # [DERIVED: every allowed pair with its length and class, sorted by (length, u, v)]
