@@ -128,9 +128,12 @@ SOLVERS = {
     "oracle-subsets": lambda inst, tol: oracle_subsets(inst),
     "auto": _solve_auto,
 }
+TOLERANCE_ALGOS = ("line", "circle", "auto")  # the --algo names whose solver reads --tolerance
 
 
 def cmd_solve(args) -> int:
+    if args.tolerance is not None and args.algo not in TOLERANCE_ALGOS:
+        args.parser.error(f"--algo {args.algo} reads no --tolerance")
     instance = _read_instance(args.input)
     solution = SOLVERS[args.algo](instance, args.tolerance)
     edge_set = solution.edge_set
@@ -147,28 +150,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    landmarks = None
-    extra_comment = None
-    if args.name == "random":
-        instance = gen_random(args.n, args.red_frac, args.blue_frac, args.mode,
-                              seed=args.seed)
-    elif args.name == "hexagon":
-        instance = gen_hexagon(args.rotation)
-    elif args.name == "steiner":
-        instance = gen_steiner_family(args.t).instance
-    elif args.name == "martini":
-        result = gen_martini(MartiniParams(m=args.m, eps=args.eps, eps0=args.eps0,
-                                           chain_points=args.chain_points))
-        instance = result.instance
-        landmarks = result.landmarks
-        extra_comment = "# p_c %.17g %.17g" % result.p_c
-    else:  # unreachable: argparse restricts choices
-        raise AssertionError(args.name)
-    text = serialize_instance(instance, landmarks)
-    if extra_comment:
-        text += extra_comment + "\n"
-    _write(args.out, text)
+    _write(args.out, args.build(args))
     return EXIT_OK
+
+
+def _martini_text(args) -> str:
+    """The martini instance with its landmark lines and a `# p_c` line."""
+    result = gen_martini(MartiniParams(m=args.m, eps=args.eps, eps0=args.eps0,
+                                       chain_points=args.chain_points))
+    return (serialize_instance(result.instance, result.landmarks)
+            + "# p_c %.17g %.17g\n" % result.p_c)
 
 
 def cmd_validate(args) -> int:
@@ -185,8 +176,7 @@ def cmd_validate(args) -> int:
         res_circ = math.inf
     lines.append("concyclic %s (residual %.3g)"
                  % ("yes" if res_circ <= CONCYCLIC_TOL else "no", res_circ))
-    ties = instance.general_position_violations()
-    lines.append(f"distance_ties {len(ties)}")
+    lines.append(f"distance_ties {instance.distance_tie_count()}")
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -253,23 +243,33 @@ def build_parser() -> _Parser:
                    help="override the 1e-9 collinearity/concyclicity tolerance")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--svg", default=None, help="also render the solution to this SVG path")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, parser=p)
 
     p = sub.add_parser("gen", help="generate an instance")
-    p.add_argument("name", choices=("random", "hexagon", "steiner", "martini"))
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--red-frac", type=float, default=0.4)
-    p.add_argument("--blue-frac", type=float, default=0.4)
-    p.add_argument("--mode", choices=("plane", "line", "circle"), default="plane")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rotation", type=float, default=math.pi / 12.0)
-    p.add_argument("--t", type=int, default=5)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--eps0", type=float, default=None)
-    p.add_argument("--chain-points", type=int, default=2)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
+    generators = p.add_subparsers(dest="name", required=True)
+    g = generators.add_parser("random", help="seeded uniform points")
+    g.add_argument("--n", type=int, default=10)
+    g.add_argument("--red-frac", type=float, default=0.4)
+    g.add_argument("--blue-frac", type=float, default=0.4)
+    g.add_argument("--mode", choices=("plane", "line", "circle"), default="plane")
+    g.add_argument("--seed", type=int, default=0)
+    g.set_defaults(build=lambda a: serialize_instance(
+        gen_random(a.n, a.red_frac, a.blue_frac, a.mode, seed=a.seed)))
+    g = generators.add_parser("hexagon", help="a degree-18 star optimum")
+    g.add_argument("--rotation", type=float, default=math.pi / 12.0)
+    g.set_defaults(build=lambda a: serialize_instance(gen_hexagon(a.rotation)))
+    g = generators.add_parser("steiner", help="chains to a Fermat point")
+    g.add_argument("--t", type=int, default=5)
+    g.set_defaults(build=lambda a: serialize_instance(gen_steiner_family(a.t).instance))
+    g = generators.add_parser("martini", help="one purple edge crossing all")
+    g.add_argument("--m", type=int, default=1)
+    g.add_argument("--eps", type=float, default=1e-3)
+    g.add_argument("--eps0", type=float, default=None)
+    g.add_argument("--chain-points", type=int, default=2)
+    g.set_defaults(build=_martini_text)
+    for g in generators.choices.values():
+        g.add_argument("--out", default=None)
 
     p = sub.add_parser("validate", help="report instance certificates")
     p.add_argument("input")

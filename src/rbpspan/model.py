@@ -12,14 +12,14 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-DIST_TIE_TOL = 1e-12    # tolerance for the equal-distance (general position) check
+DIST_TIE_TOL = 1e-12    # relative tolerance of distance_tie_count's equal-length test
 CROSS_TOL = 1e-12       # relative threshold below which orientation falls back to exact
 # np.hypot and math.hypot (Instance.distance) each lie within one ulp of the
 # true length, so they differ by at most two ulps: half of hypot_slack(length),
 # four ulps of the length plus four of the smallest subnormal.
 HYPOT_SLACK = 4 * 2.0 ** -52
 HYPOT_SLACK_FLOOR = 4 * math.ulp(0.0)
-_LENGTH_BLOCK = 1 << 16  # pairs per hypot_lengths call in general_position_violations
+_LENGTH_BLOCK = 1 << 16  # adjacent length pairs compared at a time in distance_tie_count
 
 
 def hypot_slack(length):
@@ -146,29 +146,28 @@ class Instance:
     def blue_side(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.colors != int(Color.RED)).tolist())
 
-    def general_position_violations(self) -> list[tuple]:
-        """Pairs of distinct point pairs at equal distance, up to DIST_TIE_TOL relative.
+    def distance_tie_count(self) -> int:
+        """How many sorted pair lengths equal the one before, up to DIST_TIE_TOL relative.
 
-        Violations are reported, not fatal; solvers fall back to deterministic
-        lexicographic tie-breaking. No length ties an inf one.
+        A run of j equal lengths counts j - 1, and no length ties an inf one.
+        Ties are reported, not fatal; solvers fall back to deterministic
+        lexicographic tie-breaking.
         """
-        # int32 ids, each array dropped once reordered: at most four 8-byte arrays a pair.
-        u, v = (ids.astype(np.int32) for ids in np.triu_indices(self.n, 1))
-        d = np.empty(len(u))
-        # The math.hypot floats, a block of pairs at a time, so no list holds them all.
-        for start in range(0, len(u), _LENGTH_BLOCK):
-            end = start + _LENGTH_BLOCK
-            d[start:end] = hypot_lengths(self, u[start:end], v[start:end])
-        order = np.argsort(d, kind="stable")  # (d, u, v) order: the pairs come in (u, v) order
-        d = d[order]
-        u, v = u[order], v[order]
-        del order
-        with np.errstate(invalid="ignore"):  # inf - inf is nan, no tie
-            tie = np.flatnonzero((d[1:] - d[:-1] <= DIST_TIE_TOL * np.maximum(1.0, d[1:]))
-                                 & (d[1:] < math.inf))
-        return [((u1, v1), (u2, v2), d1, d2) for u1, v1, u2, v2, d1, d2
-                in zip(u[tie].tolist(), v[tie].tolist(), u[tie + 1].tolist(),
-                       v[tie + 1].tolist(), d[tie].tolist(), d[tie + 1].tolist())]
+        n = self.n
+        d = np.empty(n * (n - 1) // 2)  # the math.hypot floats of row u, then of row u + 1, ...
+        end = 0
+        for u in range(n - 1):
+            start, end = end, end + n - 1 - u
+            d[start:end] = hypot_lengths(self, u, np.arange(u + 1, n))
+        d.sort()
+        count = 0
+        for start in range(0, len(d) - 1, _LENGTH_BLOCK):
+            longer = d[start + 1:start + 1 + _LENGTH_BLOCK]
+            with np.errstate(invalid="ignore"):  # inf - inf is nan, no tie
+                tie = (longer - d[start:start + len(longer)]
+                       <= DIST_TIE_TOL * np.maximum(1.0, longer)) & (longer < math.inf)
+            count += int(np.count_nonzero(tie))
+        return count
 
 
 def _canonical(instance: Instance, u: int, v: int) -> tuple[int, int]:

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, and output formats."""
 
+import argparse
+import hashlib
 import io
 import os
 import random
@@ -207,6 +209,15 @@ class TestSolve:
         assert captured.err.startswith("error: ") and "float range" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("algo", ["exact", "approx-a", "approx-union", "oracle-forest",
+                                      "oracle-subsets"])
+    def test_tolerance_with_a_solver_that_reads_none_exits_1(self, e1_file, capsys, algo):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", e1_file, "--algo", algo, "--tolerance", "1e-3"])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--tolerance" in captured.err and captured.out == ""
+
     def test_unknown_algo_exits_1(self, e1_file):
         with pytest.raises(SystemExit) as exc:
             main(["solve", e1_file, "--algo", "bogus"])
@@ -260,6 +271,30 @@ class TestGen:
                      "--out", str(path)]) == EXIT_OK
         assert main(["solve", str(path), "--algo", "line"]) == EXIT_OK
         assert "solver line" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["hexagon", "--n", "5"], ["random", "--rotation", "0.1"], ["steiner", "--eps", "1"],
+        ["martini", "--seed", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_a_flag_of_another_generator_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", *argv])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert argv[1] in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (["random"], "5b8b6d3fc1e86d6b755bf3c203c4832674990ed8132deb6b833b1d01c6f58fc7"),
+        (["hexagon"], "82d25f3fe8d66fc9fdb084a4e3f57ce758a43ca7af55ac088b2fbe8f92580129"),
+        (["steiner"], "121434cf51116a917857a08ac68bcb62e5de6c6343e87f9a228f9b04691ccb5a"),
+        (["martini"], "13964850b7597632108a98b7009556141aba08fa97c67cd4641e05a1542ebd2d"),
+        (["random", "--n", "40", "--mode", "circle", "--seed", "3"],
+         "e78ea61e456907db7c3855b9e2303e1228dc82c9f4793a0d82a8c0953379d80e"),
+    ], ids=["random", "hexagon", "steiner", "martini", "circle"])
+    def test_output_bytes(self, capsys, argv, sha256):
+        # Each output pinned byte for byte, so a change to `gen`'s parsers or builders shows.
+        assert main(["gen", *argv]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
     def test_martini_landmarks_and_reference_point(self, capsys):
         assert main(["gen", "martini"]) == EXIT_OK
@@ -406,18 +441,28 @@ def test_render_svg_rejects_an_edge_set_of_another_instance(drawn_n, edges_n):
 
 
 def test_readme_cli_lists_every_flag():
-    # Each subcommand's usage line(s) in the README's CLI block, continuation lines included.
+    # Each command's usage line(s) in the README's CLI block, continuation lines included.
+    # A command is a subcommand, or `gen` and a generator, as each generator has a parser.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     usage = {}
     for text in block.splitlines():
         if text.startswith("rbpspan "):
-            name = text.split()[1]
+            name = re.match(r"rbpspan((?: [a-z]+)+)", text).group(1).strip()
             usage[name] = ""
         usage[name] += text + "\n"
-    subparsers = next(a for a in build_parser()._actions if a.choices and a.dest == "subcommand")
-    assert sorted(usage) == sorted(subparsers.choices)
-    for name, parser in subparsers.choices.items():
+
+    def commands(prefix, parser):
+        subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subparsers:
+            yield prefix, parser
+        for action in subparsers:
+            for name, child in action.choices.items():
+                yield from commands(f"{prefix} {name}".strip(), child)
+
+    parsers = dict(commands("", build_parser()))
+    assert sorted(usage) == sorted(parsers)
+    for name, parser in parsers.items():
         flags = [f for a in parser._actions for f in a.option_strings if f.startswith("--")]
         missing = [f for f in flags if f != "--help"
                    and not re.search(re.escape(f) + r"(?![\w-])", usage[name])]

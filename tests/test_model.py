@@ -317,34 +317,32 @@ class TestRoundTrip:
     # 79,800 pairs: more than one block of lengths.
     ("".join(f"P {x} {y}\n" for x in range(20) for y in range(20)), 70_000),
 ], ids=["near_ties", "inf_lengths", "lattice", "one_point", "blocks"])
-def test_general_position_violations_match_pairwise_distances(text, least):
-    # [DERIVED: the definition, one `distance` call per pair, sorted by (length, u, v)]
+def test_distance_tie_count_matches_pairwise_distances(text, least):
+    # [DERIVED: the definition, one `distance` call per pair, sorted]
     inst = parse_instance(text)
-    dists = sorted((inst.distance(u, v), u, v) for u in range(inst.n) for v in range(u + 1, inst.n))
-    expected = [((u1, v1), (u2, v2), d1, d2)
-                for (d1, u1, v1), (d2, u2, v2) in zip(dists, dists[1:])
-                if d2 - d1 <= 1e-12 * max(1.0, d2) and d2 < math.inf]
-    assert len(expected) >= least
-    assert inst.general_position_violations() == expected
+    dists = sorted(inst.distance(u, v) for u in range(inst.n) for v in range(u + 1, inst.n))
+    ties = [(d1, d2) for d1, d2 in zip(dists, dists[1:])
+            if d2 - d1 <= 1e-12 * max(1.0, d2) and d2 < math.inf]
+    assert len(ties) >= least
+    assert inst.distance_tie_count() == len(ties)
 
 
-def test_general_position_violations_memory_budget():
-    # At most four 8-byte arrays a pair live at once: the lengths, the sort order, the
-    # reordered lengths and the two int32 id arrays. The bound, 36 bytes a pair, is
-    # far below the 56 of int64 ids with every array kept until all were reordered.
+def test_distance_tie_count_memory_budget():
+    # One 8-byte length a pair, sorted in place, plus one row's lengths and one block's
+    # comparison at a time: 16 bytes a pair leaves room for no second pair-sized array.
     inst = gen_random(1000, 0.4, 0.4, "plane", seed=1)
     tracemalloc.start()
     try:
-        inst.general_position_violations()
+        inst.distance_tie_count()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 36 * (1000 * 999 // 2)
+    assert peak <= 16 * (1000 * 999 // 2)
 
 
-def test_general_position_violations_reported_not_fatal():
-    # Unit square: all four sides tie at length 1.
+def test_distance_ties_reported_not_fatal():
+    # [DERIVED: the unit square's four sides tie at 1 (3 ties) and its diagonals at sqrt 2 (1)]
     inst = parse_instance("P 0 0\nP 1 0\nP 0 1\nP 1 1")
-    assert len(inst.general_position_violations()) >= 3
+    assert inst.distance_tie_count() == 4
     inst2 = parse_instance("P 0 0\nP 1 0\nP 10 0")
-    assert inst2.general_position_violations() == []
+    assert inst2.distance_tie_count() == 0
