@@ -86,8 +86,11 @@ def _write(path: Optional[str], text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PreconditionError(f"cannot write {path}: {exc}") from exc
 
 
 def _tol(tolerance: Optional[float], default: float) -> float:

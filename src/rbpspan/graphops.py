@@ -270,8 +270,11 @@ def kruskal(n: int, sorted_pairs: Iterable[tuple[float, int, int]], vertices: Se
             ) -> Optional[tuple[float, list[tuple[float, int, int]]]]:
     """Kruskal's union loop over pre-sorted (length, u, v) pairs joining ids of `vertices`.
 
-    Each group of `premerged` is joined first at zero cost; an empty group
-    joins nothing, and groups may reach outside `vertices`.
+    `vertices` are distinct, and every id of every group of `premerged` is one
+    of them. Each group is joined first at zero cost; an empty group joins
+    nothing. So every union, of a group or of a taken pair, joins two
+    components that hold ids of `vertices`, and the count of components left
+    to join starts at len(vertices) - 1 and falls by one per union.
     Returns the total length and the (length, u, v) pairs taken, or None if
     the result does not connect `vertices`. Reading stops once `vertices` are
     connected: every later pair would close a cycle.
@@ -293,14 +296,16 @@ def kruskal(n: int, sorted_pairs: Iterable[tuple[float, int, int]], vertices: Se
             parent[x] = x = parent[parent[x]]
         return x
 
+    left = len(vertices) - 1
     for group in premerged:
         for a, b in zip(group, group[1:]):
-            parent[find(b)] = find(a)
-    # Each taken pair joins two components that hold ids of `vertices`.
-    left = max(len({find(v) for v in vertices}) - 1, 0)
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[rb] = ra
+                left -= 1
     total = 0.0
     taken = []
-    if left:
+    if left > 0:
         blocks = sorted_pairs.blocks(parent) if isinstance(sorted_pairs, SortedPairs) \
             else (sorted_pairs,)
         for block in blocks:
@@ -321,7 +326,7 @@ def kruskal(n: int, sorted_pairs: Iterable[tuple[float, int, int]], vertices: Se
                         break
             if not left:
                 break
-    if left:
+    if left > 0:
         return None
     return total, taken
 

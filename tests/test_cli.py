@@ -250,6 +250,19 @@ class TestSolve:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["solve", str(tmp_path / "none.txt")]) == EXIT_PRECONDITION
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "hexagon", "--out", "{missing}"],
+        ["solve", "{e1}", "--out", "{missing}"],
+        ["solve", "{e1}", "--out", "{tmp}/sol.txt", "--svg", "{missing}"],
+    ], ids=["gen-out", "solve-out", "solve-svg"])
+    def test_unwritable_output_exits_2(self, e1_file, tmp_path, capsys, argv):
+        missing = tmp_path / "missing-dir" / "x.txt"
+        argv = [arg.format(missing=missing, e1=e1_file, tmp=tmp_path) for arg in argv]
+        assert main(argv) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {missing}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_svg_side_output(self, e1_file, tmp_path):
         svg = tmp_path / "e1.svg"
         assert main(["solve", e1_file, "--algo", "exact",

@@ -736,30 +736,20 @@ class TestKruskalEarlyExit:
         rng = random.Random(12)
         for seed in range(40):
             inst = _instance(_random_coords(rng.randrange(6, 40), seed), seed)
-            outside = np.flatnonzero(inst.colors == Color.BLUE).tolist()
             for classes, verts in (((Color.RED,), inst.red_side()),
                                    (RED_SIDE, inst.red_side()),
                                    ((Color.BLUE,), inst.blue_side())):
                 pairs = sorted_side_pairs(inst, classes, verts)
                 groups = []
                 for _ in range(rng.randrange(4)):
-                    group = rng.sample(list(inst.P), min(len(inst.P), rng.randrange(1, 4)))
+                    group = rng.sample(verts, min(len(verts), rng.randrange(1, 4)))
                     if group and rng.random() < 0.5:
                         group.append(group[0])  # repeated id
-                    if group and outside and rng.random() < 0.5:
-                        group.insert(1, rng.choice(outside))  # id outside the red side
                     if group:
                         groups.append(group)
                 every_pair = list(sorted_side_pairs(inst, classes, verts))
                 assert (kruskal(inst.n, pairs, verts, groups)
                         == _reference_kruskal(inst.n, every_pair, verts, groups))
-
-    def test_group_joins_vertices_through_an_outside_id(self):
-        # Red 0 and purple 2 are joined only through blue 1, which is outside the red side.
-        inst = parse_instance("R 0 0\nB 1 0\nP 2 0\nR 3 0")
-        verts = inst.red_side()
-        pairs = sorted_side_pairs(inst, (Color.RED,), verts)
-        assert kruskal(inst.n, pairs, verts, [[0, 1, 2]]) == (1.0, [(1.0, 2, 3)])
 
     def test_disconnected_input_returns_none(self):
         inst = _instance(_random_coords(30, 13), 13)
@@ -768,6 +758,41 @@ class TestKruskalEarlyExit:
         assert Color.RED in inst.colors and kruskal(inst.n, pairs, verts) is None
         every_pair = list(sorted_side_pairs(inst, (Color.PURPLE,), verts))
         assert _reference_kruskal(inst.n, every_pair, verts) is None
+
+
+def _random_partition(rng, ids):
+    """A random set partition of `ids`: nonempty groups, each in shuffled order."""
+    groups = [[] for _ in range(rng.randrange(1, len(ids) + 1))] if ids else []
+    for i in ids:
+        rng.choice(groups).append(i)
+    for group in groups:
+        rng.shuffle(group)
+    return [group for group in groups if group]
+
+
+class TestOracleKruskalRuns:
+    """`kruskal` as oracle_forest runs it: a side's class-tree pairs, a partition of P premerged."""
+
+    # A palette without red (or blue) leaves that side no class pair: its run is None
+    # under a partition of two or more groups, and (0.0, []) under one group.
+    @given(st.sampled_from(["plane", "lattice"]), st.integers(2, 40), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([ALL_CLASSES, (Color.BLUE, Color.PURPLE), (Color.RED, Color.PURPLE)]))
+    @settings(deadline=None, max_examples=40)
+    @hypothesis.seed(32)
+    def test_partition_runs_match_reference(self, kind, n, seed, palette):
+        rng = random.Random(seed)
+        coords = _lattice_coords(n, 7, seed) if kind == "lattice" else _random_coords(n, seed)
+        inst = Instance(*zip(*coords), [rng.choice(palette) for _ in coords])
+        for color, vertices in ((Color.RED, inst.red_side()), (Color.BLUE, inst.blue_side())):
+            every_pair = list(sorted_side_pairs(inst, (color,), vertices))
+            found = kruskal(inst.n, sorted_side_pairs(inst, (color,), vertices), vertices)
+            tree_pairs = found[1] if found else []
+            for _ in range(4):
+                partition = _random_partition(rng, list(inst.P))
+                result = kruskal(inst.n, tree_pairs, vertices, partition)
+                assert result == _reference_kruskal(inst.n, tree_pairs, vertices, partition)
+                # The oracle's prune: the class tree's pairs give the run of every class pair.
+                assert result == _reference_kruskal(inst.n, every_pair, vertices, partition)
 
 
 def _filtered_read_case(kind, n, seed, choice):
@@ -783,8 +808,8 @@ def _filtered_read_case(kind, n, seed, choice):
                          (ALL_CLASSES, range(inst.n)))[choice]
     groups = []
     for _ in range(rng.randrange(5)):
-        group = rng.sample(range(inst.n), rng.randrange(1, 5))  # ids on and off the side
-        if rng.random() < 0.5:
+        group = rng.sample(vertices, min(len(vertices), rng.randrange(1, 5)))
+        if group and rng.random() < 0.5:
             group.append(group[0])  # repeated id
         groups.append(group)
     return inst, classes, vertices, groups
